@@ -90,7 +90,7 @@ def active_backend() -> str:
 
 
 def set_backend(name: str) -> None:
-    """Switch the dispatch target; mainly for tests and the benchmark."""
+    """Switch the dispatch target."""
     global _active
     if name not in ("numba", "numpy"):
         raise ValueError(f"unknown backend {name!r}")

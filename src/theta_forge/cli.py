@@ -171,7 +171,11 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
         return EXIT_MATH
-    policy = _policy_from_args(args)
+    try:
+        policy = _policy_from_args(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         value = eval_product(product, point, policy)
         payload = {
@@ -222,7 +226,11 @@ def cmd_audit(args) -> int:
         print(f"error: group must be one of {sorted(groups)}", file=sys.stderr)
         return EXIT_USAGE
     group = groups[args.group]
-    policy = _policy_from_args(args)
+    try:
+        policy = _policy_from_args(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.tol is None:
         args.tol = 1e-7
     g = args.g

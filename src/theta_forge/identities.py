@@ -50,7 +50,7 @@ from .multilinear import (
     wedge_outer,
     _det_exact,
 )
-from .indexkit import IndexSet, enumerate_subsets, sign_sum
+from .indexkit import IndexSet, enumerate_subsets, perm_sign, sign_sum
 from .symplectic import (
     Characteristic,
     SiegelPoint,
@@ -451,7 +451,7 @@ def check_exact_layer(
         J = tuple(sorted(rng.choice(g, kk, replace=False) + 1))
         acc = Fraction(0)
         for sigma in itertools.permutations(range(kk)):
-            sgn = _perm_sign_tuple(sigma)
+            sgn = perm_sign(sigma)
             cols = np.empty((kk, kk), dtype=object)
             for pos in range(kk):
                 col = mats[pos][:, J[sigma[pos]] - 1]
@@ -509,16 +509,6 @@ def check_exact_layer(
             )
         )
     return reports
-
-
-def _perm_sign_tuple(perm) -> int:
-    inv = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inv % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,18 @@ summed over an axis-aligned box of shifted lattice points.  The box radius
 is chosen from a rigorous Gaussian tail bound driven by the smallest
 eigenvalue of Im(tau); derivatives are always termwise (each lattice point
 contributes polynomial weights), never finite differences.
+
+The tail bound is computed for every radius 0 .. _MAX_RADIUS + 2 at once,
+as numpy arrays, from one-dimensional envelope sums that are memoised per
+coordinate: a coordinate has two offsets (integer or half-integer), so one
+tau and z need at most four of them.  Radius selection reads the first
+radius whose bound clears the goal, and the adaptive re-run at radius + 2
+reads its bound from the same array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,16 +41,30 @@ from .symplectic import (
 
 _MAX_RADIUS = 24
 _ONE_DIM_SPAN = 64
+_EPS = float(np.finfo(float).eps)
+# smallest target_tol a policy accepts: 16 machine epsilons, about 3.6e-15
+_MIN_TARGET_TOL = 16 * _EPS
+# rounding allowance of the adaptive check, in machine epsilons of the
+# product of envelope totals (which bounds the sum of |term| over the box)
+_ROUNDING_ULPS = 8
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls the lattice box used for every series evaluation.
 
-    ``radius`` is a floor; the evaluator raises it until the summed tail
-    bound outside the box clears ``target_tol``.  With ``adaptive`` on, the
-    evaluation is repeated with the radius increased by 2 and the change is
-    required to stay below ``target_tol / 10``.
+    ``radius`` is a floor; the evaluator takes the first radius from it on
+    whose tail bound outside the box clears ``target_tol`` (``target_tol / 20``
+    with ``adaptive`` on).  With ``adaptive`` on, the evaluation is repeated
+    with the radius increased by 2 and the change is required to stay below
+    ``target_tol / 10`` plus a rounding allowance of 8 machine epsilons
+    times the product of the per-coordinate envelope totals, which bounds
+    the sum of |term| over the box.
+
+    ``target_tol`` must be at least 16 machine epsilons (about 3.6e-15):
+    below that, rounding alone moves an order-one theta value by more than
+    the tolerance, so no evaluation could be certified.  A smaller value
+    raises ``DomainError``.
     """
 
     radius: int = 1
@@ -52,8 +74,11 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.radius < 1:
             raise DomainError("policy radius must be >= 1")
-        if not self.target_tol > 0:
-            raise DomainError("target_tol must be positive")
+        if not self.target_tol >= _MIN_TARGET_TOL:
+            raise DomainError(
+                f"target_tol must be at least {_MIN_TARGET_TOL:.2g} "
+                f"(16 machine epsilons), got {self.target_tol:g}"
+            )
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -84,58 +109,70 @@ def _lattice(g: int, radius: int, m_prime: tuple[int, ...]) -> np.ndarray:
     return P
 
 
-def _one_dim_sums(lam: float, b: float, half_offset: bool, radius: int, weighted: bool):
-    """Full and tail sums of the per-coordinate envelope.
+@lru_cache(maxsize=4096)
+def _one_dim_sums(lam: float, b: float, half_offset: bool, weighted: bool):
+    """Full sum and tail sums of the per-coordinate envelope.
 
     The envelope dominates |term| contributions per coordinate; with
     ``weighted`` it carries the factor (2 + 2 pi x^2), which bounds every
     termwise derivative weight used here (2 pi |x| and pi |x_a x_b| alike).
+    Returns ``(total, tails)``: ``tails[r]`` sums the envelope over |x| > r
+    for every radius r = 0 .. _MAX_RADIUS + 2.  Every sum runs over the
+    points in increasing order of x, so each value is exactly the one a
+    sequential loop over the span would give.
     """
-    u = 0.5 if half_offset else 0.0
-    total = 0.0
-    tail = 0.0
-    for j in range(-_ONE_DIM_SPAN, _ONE_DIM_SPAN + 1):
-        x = j + u
-        w = (2.0 + 2.0 * np.pi * x * x) if weighted else 1.0
-        term = w * np.exp(-np.pi * lam * x * x + 2.0 * np.pi * b * abs(x))
-        total += term
-        if abs(x) > radius:
-            tail += term
     # mass beyond the summation span must be immaterial at any certified tolerance
     edge = (2.0 + 2.0 * np.pi * _ONE_DIM_SPAN**2) * np.exp(
         -np.pi * lam * _ONE_DIM_SPAN**2 + 2.0 * np.pi * b * _ONE_DIM_SPAN
     )
     if edge > 1e-30:
         raise ConvergenceError("tail bound unreliable: envelope too flat")
-    return total, tail
+    x = np.arange(-_ONE_DIM_SPAN, _ONE_DIM_SPAN + 1) + (0.5 if half_offset else 0.0)
+    terms = np.exp(-np.pi * lam * x * x + 2.0 * np.pi * b * np.abs(x))
+    if weighted:
+        terms = (2.0 + 2.0 * np.pi * x * x) * terms
+    # row 0 keeps every point (the total), row r + 1 the points with |x| > r
+    keep = np.abs(x) > np.arange(-1, _MAX_RADIUS + 3)[:, None]
+    # copied: a column view would keep the whole cumulative array cached
+    sums = np.cumsum(np.where(keep, terms, 0.0), axis=1)[:, -1].copy()
+    tails = sums[1:]
+    tails.setflags(write=False)
+    return float(sums[0]), tails
 
 
-def _tail_bound(lam, b, m_prime, radius, weighted):
-    per_coord = [
-        _one_dim_sums(lam, b, u == 1, radius, weighted) for u in m_prime
-    ]
+@lru_cache(maxsize=4096)
+def _tail_bound(lam, b, m_prime, weighted):
+    """Envelope mass outside the box, for every radius 0 .. _MAX_RADIUS + 2.
+
+    A point outside the box of radius r has some coordinate beyond r, so the
+    mass is at most the sum over coordinates i of tail_i(r) times the
+    product of the other coordinates' totals.
+    """
+    per_coord = [_one_dim_sums(lam, b, u == 1, weighted) for u in m_prime]
     bound = 0.0
-    for i in range(len(per_coord)):
-        prod = per_coord[i][1]
-        for j in range(len(per_coord)):
+    for i, (_, tail) in enumerate(per_coord):
+        prod = tail
+        for j, (total, _) in enumerate(per_coord):
             if j != i:
-                prod *= per_coord[j][0]
-        bound += prod
+                prod = prod * total
+        bound = bound + prod
+    bound.setflags(write=False)
     return bound
 
 
 def _choose_radius(lam, b, m_prime, policy: TruncationPolicy, weighted):
+    """Smallest radius >= the policy floor whose tail bound is under the goal."""
     goal = policy.target_tol / 20.0 if policy.adaptive else policy.target_tol
-    radius = max(policy.radius, 1)
-    while radius <= _MAX_RADIUS:
-        bound = _tail_bound(lam, b, m_prime, radius, weighted)
-        if bound < goal:
-            return radius, bound
-        radius += 1
-    raise ConvergenceError(
-        f"no radius <= {_MAX_RADIUS} reaches target_tol={policy.target_tol:g} "
-        f"(lambda_min={lam:.3g})"
-    )
+    floor = max(policy.radius, 1)
+    bounds = _tail_bound(lam, b, m_prime, weighted)
+    hits = np.flatnonzero(bounds[floor : _MAX_RADIUS + 1] < goal)
+    if hits.size == 0:
+        raise ConvergenceError(
+            f"no radius <= {_MAX_RADIUS} reaches target_tol={policy.target_tol:g} "
+            f"(lambda_min={lam:.3g})"
+        )
+    radius = floor + int(hits[0])
+    return radius, float(bounds[radius])
 
 
 @lru_cache(maxsize=8192)
@@ -163,13 +200,15 @@ def _eval_cached(m_key, tau_bytes, z_bytes, g, policy: TruncationPolicy, want_gr
             change = max(change, float(np.max(np.abs(grad2 - grad))))
         if want_dtau:
             change = max(change, float(np.max(np.abs(dtau2 - dtau))))
-        if change > policy.target_tol / 10.0:
+        envelope = math.prod(_one_dim_sums(lam, b, u == 1, weighted)[0] for u in m_prime)
+        allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
+        if change > allowed:
             raise ConvergenceError(
                 f"adaptive refinement moved the value by {change:g} "
-                f"(> {policy.target_tol / 10.0:g}) at radius {radius}"
+                f"(> {allowed:g}) at radius {radius}"
             )
         val, grad, dtau = val2, grad2, dtau2
-        bound = _tail_bound(lam, b, m_prime, radius + 2, weighted)
+        bound = _tail_bound(lam, b, m_prime, weighted)[radius + 2]
     if want_dtau:
         # mirror the upper triangle: symmetric bit-for-bit by construction
         dtau = np.triu(dtau) + np.triu(dtau, 1).T
@@ -342,6 +381,8 @@ def min_im_eigenvalue(tau) -> float:
 
 
 def clear_caches():
-    """Drop memoized lattice boxes and series values (mainly for tests)."""
+    """Drop memoized lattice boxes, tail bounds and series values (mainly for tests)."""
     _lattice.cache_clear()
+    _one_dim_sums.cache_clear()
+    _tail_bound.cache_clear()
     _eval_cached.cache_clear()

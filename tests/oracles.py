@@ -70,3 +70,85 @@ def frac_matrix_from_ints(ints):
         for j in range(g):
             M[i, j] = Fraction(int(ints[i][j]))
     return M
+
+
+# ---------------------------------------------------------------------------
+# radius selection: the original scalar loop, one radius at a time
+
+
+def loop_one_dim_sums(lam, b, half_offset, radius, weighted, span=64):
+    """Full and tail sums of the per-coordinate envelope at one radius."""
+    import numpy as np
+
+    from theta_forge.errors import ConvergenceError
+
+    u = 0.5 if half_offset else 0.0
+    total = 0.0
+    tail = 0.0
+    for j in range(-span, span + 1):
+        x = j + u
+        w = (2.0 + 2.0 * np.pi * x * x) if weighted else 1.0
+        term = w * np.exp(-np.pi * lam * x * x + 2.0 * np.pi * b * abs(x))
+        total += term
+        if abs(x) > radius:
+            tail += term
+    edge = (2.0 + 2.0 * np.pi * span**2) * np.exp(
+        -np.pi * lam * span**2 + 2.0 * np.pi * b * span
+    )
+    if edge > 1e-30:
+        raise ConvergenceError("tail bound unreliable: envelope too flat")
+    return total, tail
+
+
+def loop_tail_bound(lam, b, m_prime, radius, weighted):
+    per_coord = [loop_one_dim_sums(lam, b, u == 1, radius, weighted) for u in m_prime]
+    bound = 0.0
+    for i in range(len(per_coord)):
+        prod = per_coord[i][1]
+        for j in range(len(per_coord)):
+            if j != i:
+                prod *= per_coord[j][0]
+        bound += prod
+    return bound
+
+
+def loop_choose_radius(lam, b, m_prime, policy, weighted, max_radius=24):
+    """Raise the radius from the policy floor until the bound clears the goal."""
+    from theta_forge.errors import ConvergenceError
+
+    goal = policy.target_tol / 20.0 if policy.adaptive else policy.target_tol
+    radius = max(policy.radius, 1)
+    while radius <= max_radius:
+        bound = loop_tail_bound(lam, b, m_prime, radius, weighted)
+        if bound < goal:
+            return radius, bound
+        radius += 1
+    raise ConvergenceError(f"no radius <= {max_radius} reaches the goal")
+
+
+def box_sum(tau, z, m_prime, m_double, radius):
+    """Theta value, z-gradient and weighted tau-derivative summed directly
+    over the box of shifted lattice points with |coordinate| <= radius.
+
+    Also returns, per slot, the sum of |weight * term| over the box, the
+    scale of the rounding error of any sum of these terms.
+    """
+    import numpy as np
+
+    g = len(m_prime)
+    n = np.arange(-radius, radius + 1, dtype=float)
+    P = np.stack([a.ravel() for a in np.meshgrid(*([n] * g), indexing="ij")], axis=1)
+    P = P + np.asarray(m_prime, dtype=float) / 2.0
+    y = np.asarray(z, dtype=complex) + np.asarray(m_double, dtype=float) / 2.0
+    w = 0.5 * np.einsum("na,ab,nb->n", P, tau, P) + P @ y
+    terms = np.exp(2j * np.pi * w)
+    value = terms.sum()
+    grad = 2j * np.pi * (P * terms[:, None]).sum(axis=0)
+    dtau = 1j * np.pi * np.einsum("n,na,nb->ab", terms, P, P)
+    mag = np.abs(terms)
+    abs_sums = (
+        mag.sum(),
+        2 * np.pi * (np.abs(P) * mag[:, None]).sum(axis=0),
+        np.pi * np.einsum("n,na,nb->ab", mag, np.abs(P), np.abs(P)),
+    )
+    return (value, grad, dtau), abs_sums

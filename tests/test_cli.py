@@ -107,6 +107,30 @@ def test_verify_unwritable_output(capsys):
                  "--out", "/nonexistent-dir/report.json"]) == 2
 
 
+def test_verify_rejects_uncertifiable_series_tol(tmp_path, capsys):
+    # below 16 machine epsilons rounding alone exceeds the tolerance
+    out = tmp_path / "report.json"
+    code = main(["verify", "--g", "2", "--series-tol", "1e-15", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    assert "target_tol" in capsys.readouterr().err
+    assert main(["eval", "S[0,0]", "--g", "2", "--series-tol", "1e-15"]) == 3
+    assert main(["audit", "--form", "W:n1", "--group", "gamma2", "--g", "2",
+                 "--series-tol", "1e-15"]) == 3
+
+
+def test_verify_series_tol_near_floor(tmp_path):
+    # just above the floor the rounding-aware refinement check certifies
+    # every evaluation, so no family turns into an error row
+    out = tmp_path / "report.json"
+    code = main(["verify", "--g", "2", "--series-tol", "4e-15", "--out", str(out)])
+    payload = json.loads(out.read_text())
+    names = [r["identity_name"] for r in payload["reports"]]
+    assert not [n for n in names if n.endswith("_error")]
+    assert max(r["residual"] for r in payload["reports"]) < 1e-6
+    assert code == 0
+
+
 def test_verify_timings_flag(tmp_path):
     out = tmp_path / "timed.json"
     code = main(

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from oracles import box_sum, loop_choose_radius, loop_tail_bound
+from theta_forge import theta as theta_module
 from theta_forge._kernels import has_numba, theta_sum_numpy
 from theta_forge.errors import ConvergenceError, DomainError
 from theta_forge.symplectic import (
@@ -202,6 +206,100 @@ def test_policy_validation():
         TruncationPolicy(radius=0)
     with pytest.raises(DomainError):
         TruncationPolicy(target_tol=-1.0)
+    with pytest.raises(DomainError):
+        TruncationPolicy(target_tol=float("nan"))
+
+
+def test_policy_tolerance_floor():
+    eps = np.finfo(float).eps
+    TruncationPolicy(target_tol=16 * eps)
+    with pytest.raises(DomainError):
+        TruncationPolicy(target_tol=15 * eps)
+    with pytest.raises(DomainError):
+        TruncationPolicy(target_tol=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lam=st.floats(0.004, 10.0),
+    b=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    m_prime=st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
+    weighted=st.booleans(),
+    floor=st.integers(1, 26),
+    tol=st.floats(16 * np.finfo(float).eps, 1e-3),
+    adaptive=st.booleans(),
+)
+@example(lam=0.004, b=0.0, m_prime=(0,), weighted=False, floor=1, tol=1e-12,
+         adaptive=True)  # envelope too flat
+@example(lam=0.02, b=0.0, m_prime=(0, 1, 0, 1), weighted=True, floor=1,
+         tol=1e-14, adaptive=True)  # no radius <= 24 reaches the goal
+def test_radius_selection_matches_loop_oracle(lam, b, m_prime, weighted, floor, tol, adaptive):
+    policy = TruncationPolicy(radius=floor, target_tol=tol, adaptive=adaptive)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = loop_choose_radius(lam, b, m_prime, policy, weighted)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as got:
+                theta_module._choose_radius(lam, b, m_prime, policy, weighted)
+            if floor <= 24:  # past 24 the loop never looked at the envelope
+                assert ("too flat" in str(got.value)) == ("too flat" in str(exc))
+            return
+        radius, bound = theta_module._choose_radius(lam, b, m_prime, policy, weighted)
+        bounds = theta_module._tail_bound(lam, b, m_prime, weighted)
+        loop_bounds = [loop_tail_bound(lam, b, m_prime, r, weighted) for r in range(27)]
+    assert radius == want[0]
+    assert bound == pytest.approx(want[1], rel=1e-12, abs=0.0)
+    assert len(bounds) == 27
+    assert np.allclose(bounds, loop_bounds, rtol=1e-12, atol=0.0)
+
+
+def _random_point(g, lam, seed):
+    """tau with lambda_min(Im tau) = lam and a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+    evals = lam + np.concatenate([[0.0], rng.uniform(0.05, 1.5, g - 1)])
+    X = rng.uniform(-0.5, 0.5, (g, g))
+    return (X + X.T) / 2 + 1j * (Q @ np.diag(evals) @ Q.T), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.integers(1, 3),
+    lam=st.floats(0.05, 2.0),
+    im_frac=st.floats(0.0, 1.2),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]),
+    adaptive=st.booleans(),
+    slots=st.sampled_from(["value", "gradient", "tau_derivative"]),
+)
+def test_est_tail_bounds_the_truncation_error(g, lam, im_frac, seed, tol, adaptive, slots):
+    # |S(r) - S(R)| <= est_tail + rounding, with S(R) a box sum at radius R
+    # far past any radius the evaluator picks (<= 26)
+    tau, rng = _random_point(g, lam, seed)
+    chars = all_characteristics(g)
+    m = chars[int(rng.integers(len(chars)))]
+    # |Im z| reaches past where radius 24 stops clearing the goal
+    b_edge = max(0.0, (np.pi * lam * 24**2 - 30.0) / (2 * np.pi * 24))
+    direction = rng.standard_normal(g)
+    z = rng.uniform(-0.5, 0.5, g) + 1j * im_frac * b_edge * direction / np.linalg.norm(direction)
+    policy = TruncationPolicy(target_tol=tol, adaptive=adaptive)
+    want_grad = slots != "value"
+    want_dtau = slots == "tau_derivative"
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = theta_eval(m, tau, z, policy, want_gradient=want_grad,
+                             want_tau_derivative=want_dtau)
+    except ConvergenceError:
+        assume(False)
+    ref, abs_sums = box_sum(tau, z, m.m_prime, m.m_double_prime, 40 if g < 3 else 30)
+    allowance = 64 * np.finfo(float).eps
+    assert abs(got.value - ref[0]) <= got.est_tail + allowance * abs_sums[0]
+    if want_grad:
+        err = np.abs(got.gradient_z - ref[1])
+        assert np.all(err <= got.est_tail + allowance * abs_sums[1])
+    if want_dtau:
+        err = np.abs(got.tau_derivative - ref[2])
+        assert np.all(err <= got.est_tail + allowance * abs_sums[2])
 
 
 def test_adaptive_refinement_consistency(rng):
@@ -261,7 +359,11 @@ def test_evaluation_is_deterministic(rng):
     t = sample_siegel_point(2, rng)
     m = Characteristic((1, 1), (0, 0))
     a = theta_eval(m, t, want_tau_derivative=True)
+    caches = [getattr(theta_module, name) for name in
+              ("_lattice", "_one_dim_sums", "_tail_bound", "_eval_cached")]
+    assert all(c.cache_info().currsize > 0 for c in caches)
     clear_caches()
+    assert all(c.cache_info().currsize == 0 for c in caches)
     b = theta_eval(m, t, want_tau_derivative=True)
     assert a.value == b.value
     assert np.array_equal(a.tau_derivative, b.tau_derivative)
