@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -102,13 +101,11 @@ def cmd_verify(args) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    workers = max(1, int(os.environ.get("THETA_FORGE_THREADS", "1")))
     reports = run_suite(
         [args.g],
         seed=args.seed,
         policy=policy,
         name_filter=args.filter,
-        max_workers=workers,
         tolerance=args.tol,
     )
     config = {
@@ -122,7 +119,6 @@ def cmd_verify(args) -> int:
             "target_tol": args.series_tol,
             "adaptive": not args.no_adaptive,
         },
-        "threads": workers,
     }
     text = reports_to_json(reports, config=config, embed_timings=args.timings)
     code = _write_or_print(text, args.out)

@@ -16,11 +16,11 @@ are exactly 8*pi*i times ours.
 
 from __future__ import annotations
 
+import fnmatch
 import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,8 +61,11 @@ from .symplectic import (
     odd_characteristics,
     sample_siegel_point,
 )
+from ._kernels import grid_sum
 from .theta import (
+    DEFAULT_POLICY,
     TruncationPolicy,
+    _choose_radius,
     kappa_squared,
     min_im_eigenvalue,
     second_order_theta,
@@ -74,7 +77,7 @@ from .theta import (
 # z-Hessian normalization of the A-forms over the halved-tau-derivative one
 HESSIAN_BRIDGE = 8j * np.pi
 
-SCHEMA_VERSION = "theta-forge/report/1"
+SCHEMA_VERSION = "theta-forge/report/2"
 
 
 @dataclass(frozen=True)
@@ -399,6 +402,16 @@ def _rand_exact_vector(rng, g, lo=-5, hi=6) -> np.ndarray:
     return v
 
 
+_EXACT_NAMES = (
+    "exact_laplace_expansion",
+    "exact_compound_power",
+    "exact_sigma_determinant",
+    "exact_adjoint_identity",
+    "exact_rank_one_wedge",
+    "exact_binomial_power",
+)
+
+
 def check_exact_layer(
     instances: int = 60, seed: int = 0, genus_range=(2, 3, 4)
 ) -> list[IdentityReport]:
@@ -410,14 +423,7 @@ def check_exact_layer(
     """
     rng = np.random.default_rng([seed, 97])
     started = time.perf_counter()
-    fails = {name: 0 for name in (
-        "exact_laplace_expansion",
-        "exact_compound_power",
-        "exact_sigma_determinant",
-        "exact_adjoint_identity",
-        "exact_rank_one_wedge",
-        "exact_binomial_power",
-    )}
+    fails = {name: 0 for name in _EXACT_NAMES}
     for _ in range(instances):
         g = int(rng.choice(genus_range))
         M = _rand_exact_matrix(rng, g)
@@ -646,20 +652,21 @@ def _family_theta_basics(genus, rng, policy, tolerance=1e-10, seed=0):
 
 
 def _theta_unnormalized(mp, mpp, tau, z, policy):
-    """Series with an unnormalized integer characteristic (test helper)."""
-    from .theta import _lattice, DEFAULT_POLICY
-    from ._kernels import theta_sum
-
+    """Series with an unnormalized integer characteristic (test helper),
+    summed over n + mp/2 for |n| <= R, not through the periodicity law.
+    R adds the largest integer shift (mp - mp mod 2) / 2 to the certified
+    radius of the normalized characteristic, so the box contains its box."""
     policy = policy or DEFAULT_POLICY
     g = len(mp)
     tau_arr = tau.tau if isinstance(tau, SiegelPoint) else np.asarray(tau)
     z_arr = np.zeros(g, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    base = np.asarray(mp, dtype=float) / 2.0
-    radius = 12
     frac = tuple(int(x) % 2 for x in mp)
-    P = _lattice(g, radius, frac) + (base - np.asarray(frac, dtype=float) / 2.0)
+    shift = max(abs(int(x) - f) // 2 for x, f in zip(mp, frac))
+    lam = min_im_eigenvalue(tau_arr)
+    radius, _ = _choose_radius(lam, float(np.linalg.norm(z_arr.imag)), frac, policy, False)
+    n = np.arange(-(radius + shift), radius + shift + 1, dtype=float)
     y = z_arr + np.asarray(mpp, dtype=float) / 2.0
-    val, _, _ = theta_sum(P, tau_arr, y, False, False)
+    (val, _, _), _ = grid_sum([n + x / 2.0 for x in mp], tau_arr, y)
     return val
 
 
@@ -1020,6 +1027,23 @@ _FAMILIES = (
     ("audit_w", _family_audit_w, (2, 3)),
 )
 
+# the identity names each family reports, for skipping under a name filter
+_ROW_NAMES = {
+    "exact_layer": _EXACT_NAMES,
+    "theta_basics": ("theta_parity_periodicity",),
+    "heat": ("heat_equation",),
+    "riemann": ("riemann_addition", "riemann_addition_inverse"),
+    "rank_vanishing": ("rank_vanishing",),
+    "pairing_permutation": ("pairing_permutation_expansion",),
+    "pairing_power": ("pairing_power_cofactor", "omega_consistency"),
+    "det_remark": ("det_pairing_scalar",),
+    "gsm": ("gsm_forward", "gsm_backward"),
+    "jacobi": ("jacobi",),
+    "main_theorem": ("main_theorem", "main_theorem_constant"),
+    "audit_astar": ("audit_astar", "kappa_fourth_power"),
+    "audit_w": ("audit_gradient_wedge",),
+}
+
 
 def _params_key(report: IdentityReport) -> str:
     return json.dumps(report.params, sort_keys=True, default=str)
@@ -1030,18 +1054,16 @@ def run_suite(
     seed: int = 0,
     policy: TruncationPolicy | None = None,
     name_filter=None,
-    max_workers: int = 1,
     tolerance: float | None = None,
 ) -> list[IdentityReport]:
     """Run every applicable identity family for the requested genera.
 
     Failures are reported, never raised.  The report list is sorted by
-    (identity_name, genus, params) so aggregation is order-deterministic
-    regardless of worker scheduling.  ``tolerance`` overrides each
-    family's default pass threshold when given.
+    (identity_name, genus, params) so aggregation is order-deterministic.
+    With ``name_filter``, only rows whose name matches it are kept, and a
+    family none of whose rows can match is not run.  ``tolerance``
+    overrides each family's default pass threshold when given.
     """
-    import fnmatch
-
     genus_list = list(genus_list)
     for g in genus_list:
         if not 1 <= g <= 4:
@@ -1050,7 +1072,9 @@ def run_suite(
     tasks = []
     for fam_index, (fam_name, fn, applicable) in enumerate(_FAMILIES):
         wanted = sorted(set(g for g in genus_list if g in applicable))
-        if not wanted:
+        names = _ROW_NAMES[fam_name] + (f"{fam_name}_error",)
+        unmatched = name_filter and not any(fnmatch.fnmatch(n, name_filter) for n in names)
+        if not wanted or unmatched:
             continue
         if fam_name == "exact_layer":
             # the exact layer mixes its genera internally; run it once
@@ -1081,13 +1105,7 @@ def run_suite(
                 )
             ]
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-
-    reports = [rep for chunk in results for rep in chunk]
+    reports = [rep for task in tasks for rep in run_task(task)]
     if name_filter:
         reports = [
             r for r in reports if fnmatch.fnmatch(r.identity_name, name_filter)

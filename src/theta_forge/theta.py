@@ -16,6 +16,10 @@ coordinate: a coordinate has two offsets (integer or half-integer), so one
 tau and z need at most four of them.  Radius selection reads the first
 radius whose bound clears the goal, and the adaptive re-run at radius + 2
 reads its bound from the same array.
+
+The lattice sum is one ``_kernels.grid_sum`` call over the box as a grid of
+g axes.  With adaptive refinement on, it sums the box at radius + 2 and,
+from the same terms, its core at radius, so the check sums no point twice.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import theta_sum
+from ._kernels import grid_sum
 from .errors import ConvergenceError, DegenerateBasePointError, DomainError
 from .symplectic import (
     Characteristic,
@@ -92,24 +96,13 @@ class ThetaValue:
     est_tail: float
 
 
-@lru_cache(maxsize=512)
-def _lattice(g: int, radius: int, m_prime: tuple[int, ...]) -> np.ndarray:
-    """Shifted lattice points n + m'/2 with every |coordinate| <= radius,
-    rows in lexicographic order of n."""
-    axes = []
-    for u in m_prime:
-        if u == 0:
-            ns = np.arange(-radius, radius + 1, dtype=float)
-        else:
-            ns = np.arange(-radius, radius, dtype=float) + 0.5
-        axes.append(ns)
-    grids = np.meshgrid(*axes, indexing="ij")
-    P = np.stack([gr.reshape(-1) for gr in grids], axis=-1)
-    P.setflags(write=False)
-    return P
+# past the float range an envelope or a sum overflows to inf (0 * inf: nan);
+# then no radius clears the goal, or the sum is rejected: ConvergenceError
+_QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
 
 
 @lru_cache(maxsize=4096)
+@np.errstate(**_QUIET_OVERFLOW)
 def _one_dim_sums(lam: float, b: float, half_offset: bool, weighted: bool):
     """Full sum and tail sums of the per-coordinate envelope.
 
@@ -141,6 +134,7 @@ def _one_dim_sums(lam: float, b: float, half_offset: bool, weighted: bool):
 
 
 @lru_cache(maxsize=4096)
+@np.errstate(**_QUIET_OVERFLOW)
 def _tail_bound(lam, b, m_prime, weighted):
     """Envelope mass outside the box, for every radius 0 .. _MAX_RADIUS + 2.
 
@@ -188,30 +182,29 @@ def _eval_cached(m_key, tau_bytes, z_bytes, g, policy: TruncationPolicy, want_gr
     y = z + np.asarray(m_double, dtype=float) / 2.0
 
     radius, bound = _choose_radius(lam, b, m_prime, policy, weighted)
-    val, grad, dtau = theta_sum(
-        _lattice(g, radius, m_prime), tau, y, weighted, want_dtau
-    )
+    # with adaptive on, one sum at radius + 2 whose core is the box at radius;
+    # per coordinate, the box holds x = n + m'/2 with |x| <= r
+    trim = 2 if policy.adaptive else 0
+    r = radius + trim
+    axes = [np.arange(-r, r + 1 - u, dtype=float) + 0.5 * u for u in m_prime]
+    with np.errstate(**_QUIET_OVERFLOW):
+        full, core = grid_sum(axes, tau, y, trim, weighted, want_dtau)
+    if not all(np.isfinite(slot).all() for slot in full):
+        # a term past the float range, which the tail bound (the envelope
+        # mass outside the box) need not see
+        raise ConvergenceError(f"the lattice sum overflows at radius {r}")
+    val, grad, dtau = full
     if policy.adaptive:
-        val2, grad2, dtau2 = theta_sum(
-            _lattice(g, radius + 2, m_prime), tau, y, weighted, want_dtau
-        )
-        change = abs(val2 - val)
-        if weighted:
-            change = max(change, float(np.max(np.abs(grad2 - grad))))
-        if want_dtau:
-            change = max(change, float(np.max(np.abs(dtau2 - dtau))))
+        # slots not requested are zero in both sums
+        change = max(float(np.max(np.abs(np.subtract(f, c)))) for f, c in zip(full, core))
         envelope = math.prod(_one_dim_sums(lam, b, u == 1, weighted)[0] for u in m_prime)
         allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
-        if change > allowed:
+        if not change <= allowed:  # nan fails too
             raise ConvergenceError(
                 f"adaptive refinement moved the value by {change:g} "
                 f"(> {allowed:g}) at radius {radius}"
             )
-        val, grad, dtau = val2, grad2, dtau2
         bound = _tail_bound(lam, b, m_prime, weighted)[radius + 2]
-    if want_dtau:
-        # mirror the upper triangle: symmetric bit-for-bit by construction
-        dtau = np.triu(dtau) + np.triu(dtau, 1).T
     grad.setflags(write=False)
     dtau.setflags(write=False)
     return val, grad, dtau, float(bound)
@@ -381,8 +374,7 @@ def min_im_eigenvalue(tau) -> float:
 
 
 def clear_caches():
-    """Drop memoized lattice boxes, tail bounds and series values (mainly for tests)."""
-    _lattice.cache_clear()
+    """Drop memoized tail bounds and series values (mainly for tests)."""
     _one_dim_sums.cache_clear()
     _tail_bound.cache_clear()
     _eval_cached.cache_clear()

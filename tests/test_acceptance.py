@@ -212,8 +212,7 @@ def test_criterion_10_byte_identical_reports(tmp_path, package_root):
              "--seed", "7", "--out", str(out)],
             capture_output=True,
             text=True,
-            env={"PATH": "/usr/bin:/bin", "THETA_FORGE_THREADS": "1",
-                 "PYTHONPATH": package_root},
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         blobs.append(out.read_bytes())

@@ -94,7 +94,7 @@ def test_verify_filter_and_report(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "theta-forge/report/1"
+    assert payload["schema"] == "theta-forge/report/2"
     assert payload["all_passed"] is True
     assert payload["config"]["genus"] == 1
     names = {r["identity_name"] for r in payload["reports"]}

@@ -1,9 +1,11 @@
+import fnmatch
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+from theta_forge import identities
 from theta_forge.errors import DomainError
 from theta_forge.forms import theta_constant_product
 from theta_forge.identities import (
@@ -193,15 +195,35 @@ def test_run_suite_filter(rng):
     assert all(r.identity_name.startswith("gsm_") for r in reports)
 
 
+def test_run_suite_filtered_rows_equal_matching_rows():
+    full = run_suite([1, 2], seed=3)
+    names = sorted({r.identity_name for r in full})
+    for pattern in names + ["gsm_*", "exact_*", "*_inverse", "main_theorem*", "none"]:
+        want = [r for r in full if fnmatch.fnmatch(r.identity_name, pattern)]
+        got = run_suite([1, 2], seed=3, name_filter=pattern)
+        assert reports_to_json(got) == reports_to_json(want), pattern
+
+
+def test_run_suite_filter_skips_families_that_cannot_match(monkeypatch):
+    calls = []
+
+    def spy(genus, rng, policy, seed=0, **kw):
+        calls.append(genus)
+        return []
+
+    families = tuple(
+        (name, spy if name == "heat" else fn, gs) for name, fn, gs in identities._FAMILIES
+    )
+    monkeypatch.setattr(identities, "_FAMILIES", families)
+    run_suite([1], seed=0, name_filter="gsm_*")
+    assert calls == []
+    run_suite([1], seed=0, name_filter="heat_*")
+    assert calls == [1]
+
+
 def test_run_suite_deterministic_json():
     a = run_suite([1], seed=11)
     b = run_suite([1], seed=11)
-    assert reports_to_json(a) == reports_to_json(b)
-
-
-def test_run_suite_threaded_matches_sequential():
-    a = run_suite([1], seed=5, max_workers=1)
-    b = run_suite([1], seed=5, max_workers=4)
     assert reports_to_json(a) == reports_to_json(b)
 
 
@@ -217,7 +239,7 @@ def test_report_serialization_contract():
         seed=7,
     )
     payload = json.loads(reports_to_json([rep], config={"genus": 2}))
-    assert payload["schema"] == "theta-forge/report/1"
+    assert payload["schema"] == "theta-forge/report/2"
     entry = payload["reports"][0]
     assert set(entry) == {
         "identity_name",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import box_sum, loop_choose_radius, loop_tail_bound
 from theta_forge import theta as theta_module
-from theta_forge._kernels import has_numba, theta_sum_numpy
+from theta_forge._kernels import grid_sum
 from theta_forge.errors import ConvergenceError, DomainError
 from theta_forge.symplectic import (
     Characteristic,
@@ -286,9 +287,8 @@ def test_est_tail_bounds_the_truncation_error(g, lam, im_frac, seed, tol, adapti
     want_grad = slots != "value"
     want_dtau = slots == "tau_derivative"
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = theta_eval(m, tau, z, policy, want_gradient=want_grad,
-                             want_tau_derivative=want_dtau)
+        got = theta_eval(m, tau, z, policy, want_gradient=want_grad,
+                         want_tau_derivative=want_dtau)
     except ConvergenceError:
         assume(False)
     ref, abs_sums = box_sum(tau, z, m.m_prime, m.m_double_prime, 40 if g < 3 else 30)
@@ -300,6 +300,24 @@ def test_est_tail_bounds_the_truncation_error(g, lam, im_frac, seed, tol, adapti
     if want_dtau:
         err = np.abs(got.tau_derivative - ref[2])
         assert np.all(err <= got.est_tail + allowance * abs_sums[2])
+
+
+@pytest.mark.parametrize(
+    "tau, z",
+    [
+        (1j * np.eye(1), [30j]),  # the envelope total overflows to inf
+        (10j * np.eye(2), [70j, 70j]),  # tail 0 times total inf gives nan
+        (0.5j * np.eye(3), [1e3j, 0, 0]),  # the envelope edge overflows
+        (1.6j * np.eye(1), [-19.3j]),  # the bound clears, the sum overflows
+    ],
+)
+def test_overflowing_input_raises_only_convergence_error(tau, z):
+    theta_module.clear_caches()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            theta_eval(Characteristic((0,) * len(z), (0,) * len(z)), tau, z,
+                       want_gradient=True)
 
 
 def test_adaptive_refinement_consistency(rng):
@@ -332,25 +350,30 @@ def test_min_im_eigenvalue(rng):
 
 
 # ---------------------------------------------------------------------------
-# backend agreement
+# the grid kernel against the point-list oracle
 
 
-def test_backends_agree(rng):
-    from theta_forge.theta import _lattice
-
-    for g in (1, 2, 3):
+@pytest.mark.parametrize("g, radius", [(1, 6), (2, 5), (3, 3), (4, 1), (4, 2)])
+def test_grid_sum_matches_oracle(g, radius, rng):
+    # the full grid at radius + 2 and its core at radius, against direct box
+    # sums over the same points, to 64 eps of sum |weight * term|
+    allowance = 64 * np.finfo(float).eps
+    n = np.arange(-(radius + 2), radius + 3, dtype=float)
+    for _ in range(4):
         tau = sample_siegel_point(g, rng).tau
-        P = np.asarray(_lattice(g, 6, (1,) + (0,) * (g - 1)))
-        y = rng.standard_normal(g) + 1j * rng.standard_normal(g) * 0.1
-        v_np = theta_sum_numpy(P, tau, y, True, True)
-        if not has_numba():
-            pytest.skip("numba unavailable")
-        from theta_forge._kernels import theta_sum_numba
-
-        v_nb = theta_sum_numba(P, tau, y, True, True)
-        assert v_np[0] == pytest.approx(v_nb[0], abs=1e-12)
-        assert np.allclose(v_np[1], v_nb[1], atol=1e-12)
-        assert np.allclose(v_np[2], v_nb[2], atol=1e-12)
+        m_prime = tuple(int(u) for u in rng.integers(0, 2, g))
+        m_double = tuple(int(u) for u in rng.integers(0, 2, g))
+        z = rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-1.0, 1.0, g)
+        y = z + np.asarray(m_double) / 2.0
+        full, core = grid_sum([n + u / 2.0 for u in m_prime], tau, y, 2, True, True)
+        for got, r in ((full, radius + 2), (core, radius)):
+            ref, abs_sums = box_sum(tau, z, m_prime, m_double, r)
+            for slot in range(3):
+                err = np.abs(got[slot] - ref[slot])
+                assert np.all(err <= allowance * abs_sums[slot])
+        assert np.array_equal(full[2], full[2].T)
+    _, no_core = grid_sum([n] * g, tau, y)
+    assert no_core is None
 
 
 def test_evaluation_is_deterministic(rng):
@@ -360,7 +383,7 @@ def test_evaluation_is_deterministic(rng):
     m = Characteristic((1, 1), (0, 0))
     a = theta_eval(m, t, want_tau_derivative=True)
     caches = [getattr(theta_module, name) for name in
-              ("_lattice", "_one_dim_sums", "_tail_bound", "_eval_cached")]
+              ("_one_dim_sums", "_tail_bound", "_eval_cached")]
     assert all(c.cache_info().currsize > 0 for c in caches)
     clear_caches()
     assert all(c.cache_info().currsize == 0 for c in caches)
