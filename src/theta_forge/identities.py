@@ -21,8 +21,9 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,16 +93,10 @@ class IdentityReport:
     seed: int
 
     def to_dict(self, embed_timings: bool = False) -> dict:
-        return {
-            "identity_name": self.identity_name,
-            "genus": self.genus,
-            "params": self.params,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "runtime_ms": self.runtime_ms if embed_timings else 0.0,
-            "seed": self.seed,
-        }
+        out = asdict(self)
+        if not embed_timings:
+            out["runtime_ms"] = 0.0
+        return out
 
 
 def _report(name, genus, params, residual, tolerance, seed, started) -> IdentityReport:
@@ -116,6 +111,26 @@ def _report(name, genus, params, residual, tolerance, seed, started) -> Identity
         runtime_ms=(time.perf_counter() - started) * 1e3,
         seed=int(seed),
     )
+
+
+class _Row(NamedTuple):
+    """A result of an identity family ``_family_*(genus, rng, policy, seed=0,
+    <size kwargs>)``, which does its work eagerly and returns its rows in the
+    order it made them; ``run_suite`` adds each row's tolerance and runtime."""
+
+    identity_name: str
+    params: dict
+    residual: float
+    stamp: float  # perf_counter() when the row was made
+    genus: int | None  # None: the genus the family ran at
+
+
+def _row(name, params, residual, genus=None) -> _Row:
+    return _Row(name, params, float(residual), time.perf_counter(), genus)
+
+
+def _from_report(rep: IdentityReport) -> _Row:
+    return _row(rep.identity_name, rep.params, rep.residual, rep.genus)
 
 
 def _rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -402,16 +417,6 @@ def _rand_exact_vector(rng, g, lo=-5, hi=6) -> np.ndarray:
     return v
 
 
-_EXACT_NAMES = (
-    "exact_laplace_expansion",
-    "exact_compound_power",
-    "exact_sigma_determinant",
-    "exact_adjoint_identity",
-    "exact_rank_one_wedge",
-    "exact_binomial_power",
-)
-
-
 def check_exact_layer(
     instances: int = 60, seed: int = 0, genus_range=(2, 3, 4)
 ) -> list[IdentityReport]:
@@ -423,7 +428,7 @@ def check_exact_layer(
     """
     rng = np.random.default_rng([seed, 97])
     started = time.perf_counter()
-    fails = {name: 0 for name in _EXACT_NAMES}
+    fails = {name: 0 for name, (fam, _, _) in _ROWS.items() if fam == "exact_layer"}
     for _ in range(instances):
         g = int(rng.choice(genus_range))
         M = _rand_exact_matrix(rng, g)
@@ -517,6 +522,11 @@ def check_exact_layer(
     return reports
 
 
+def _family_exact_layer(genus, rng, policy, seed=0, instances=60):
+    """The exact layer on matrices of one genus; its rows keep genus 0."""
+    return [_from_report(rep) for rep in check_exact_layer(instances, seed, (genus,))]
+
+
 # ---------------------------------------------------------------------------
 # analytic families
 
@@ -567,9 +577,8 @@ def _heat_residual(m, tau, z, policy, step=1e-4):
     return float(np.max(np.abs(refined - want)) / scale)
 
 
-def _family_heat(genus, rng, policy, samples=20, tolerance=1e-7, seed=0):
-    started = time.perf_counter()
-    chars = all_chars = list(itertools.product((0, 1), repeat=genus))
+def _family_heat(genus, rng, policy, seed=0, samples=20):
+    all_chars = list(itertools.product((0, 1), repeat=genus))
     worst = 0.0
     for _ in range(samples):
         mp = all_chars[int(rng.integers(len(all_chars)))]
@@ -578,21 +587,10 @@ def _family_heat(genus, rng, policy, samples=20, tolerance=1e-7, seed=0):
         t = sample_siegel_point(genus, rng)
         z = rng.uniform(-0.3, 0.3, genus) + 1j * rng.uniform(-0.15, 0.15, genus)
         worst = max(worst, _heat_residual(m, t, z, policy))
-    return [
-        _report(
-            "heat_equation",
-            genus,
-            {"samples": samples},
-            worst,
-            tolerance,
-            seed,
-            started,
-        )
-    ]
+    return [_row("heat_equation", {"samples": samples}, worst)]
 
 
-def _family_riemann(genus, rng, policy, base_points=3, tolerance=1e-9, seed=0):
-    started = time.perf_counter()
+def _family_riemann(genus, rng, policy, seed=0, base_points=3):
     bits = list(itertools.product((0, 1), repeat=genus))
     worst_fwd = 0.0
     worst_inv = 0.0
@@ -621,15 +619,14 @@ def _family_riemann(genus, rng, policy, base_points=3, tolerance=1e-9, seed=0):
                     rhs += sgn * second[sig] * second[tuple((s + x) % 2 for s, x in zip(sig, e))]
                 worst_inv = max(worst_inv, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return [
-        _report("riemann_addition", genus, {"direction": "product_to_squares",
-                "base_points": base_points}, worst_fwd, tolerance, seed, started),
-        _report("riemann_addition_inverse", genus, {"direction": "squares_to_products",
-                "base_points": base_points}, worst_inv, tolerance, seed, started),
+        _row("riemann_addition", {"direction": "product_to_squares",
+             "base_points": base_points}, worst_fwd),
+        _row("riemann_addition_inverse", {"direction": "squares_to_products",
+             "base_points": base_points}, worst_inv),
     ]
 
 
-def _family_theta_basics(genus, rng, policy, tolerance=1e-10, seed=0):
-    started = time.perf_counter()
+def _family_theta_basics(genus, rng, policy, seed=0):
     t = sample_siegel_point(genus, rng)
     z = rng.uniform(-0.4, 0.4, genus) + 1j * rng.uniform(-0.2, 0.2, genus)
     worst = 0.0
@@ -646,9 +643,7 @@ def _family_theta_basics(genus, rng, policy, tolerance=1e-10, seed=0):
         sgn2 = -1 if sum(a1 * b1 for a1, b1 in zip(m.m_prime, shift[genus:])) % 2 else 1
         val_shift = _theta_unnormalized(mp, mpp, t, z, policy)
         worst = max(worst, abs(val_shift - sgn2 * a) / max(1.0, abs(a)))
-    return [
-        _report("theta_parity_periodicity", genus, {}, worst, tolerance, seed, started)
-    ]
+    return [_row("theta_parity_periodicity", {}, worst)]
 
 
 def _theta_unnormalized(mp, mpp, tau, z, policy):
@@ -670,14 +665,13 @@ def _theta_unnormalized(mp, mpp, tau, z, policy):
     return val
 
 
-def _family_rank_vanishing(genus, rng, policy, tolerance=1e-8, seed=0, step=1e-3):
+def _family_rank_vanishing(genus, rng, policy, seed=0, step=1e-3):
     """Order-2 minors of the derivative operator vanish on a single factor.
 
     The structural path must return the exact zero matrix; the numerical
     path assembles the same minors from Richardson finite differences of
     the termwise first-derivative matrices.
     """
-    started = time.perf_counter()
     t = sample_siegel_point(genus, rng)
     worst = 0.0
     sym_pairs = [(c, d) for c in range(genus) for d in range(c, genus)]
@@ -716,17 +710,17 @@ def _family_rank_vanishing(genus, rng, policy, tolerance=1e-8, seed=0, step=1e-3
                     second[(i1, j1)][i2, j2] - second[(i1, j2)][i2, j1]
                 )
                 worst = max(worst, abs(minor) / max(1.0, scale**2))
-    return [
-        _report("rank_vanishing", genus, {"order": 2}, worst, tolerance, seed, started)
-    ]
+    return [_row("rank_vanishing", {"order": 2}, worst)]
 
 
-def _family_pairing_permutation(genus, rng, policy, base_points=5, tolerance=1e-8, seed=0):
-    started = time.perf_counter()
-    ks = [k for (gg, k) in ((2, 1), (3, 1), (3, 2), (4, 2)) if gg == genus]
-    reports = []
+# the orders k the pairing and main-theorem families check at each genus
+_KS = {2: (1,), 3: (1, 2), 4: (2,)}
+
+
+def _family_pairing_permutation(genus, rng, policy, seed=0, base_points=5):
+    rows = []
     evens = list(even_characteristics(genus))
-    for k in ks:
+    for k in _KS.get(genus, ()):
         worst = 0.0
         for bp in range(base_points):
             t = sample_siegel_point(genus, rng)
@@ -745,26 +739,15 @@ def _family_pairing_permutation(genus, rng, policy, base_points=5, tolerance=1e-
                 term = star_product(*mats)
                 rhs = term if rhs is None else rhs + term
             worst = max(worst, _rel(lhs.entries, rhs.entries))
-        reports.append(
-            _report(
-                "pairing_permutation_expansion",
-                genus,
-                {"k": k, "base_points": base_points},
-                worst,
-                tolerance,
-                seed,
-                started,
-            )
-        )
-    return reports
+        params = {"k": k, "base_points": base_points}
+        rows.append(_row("pairing_permutation_expansion", params, worst))
+    return rows
 
 
-def _family_pairing_power(genus, rng, policy, base_points=5, tolerance=1e-8, seed=0):
-    started = time.perf_counter()
-    ks = [k for (gg, k) in ((2, 1), (3, 1), (3, 2), (4, 2)) if gg == genus]
-    reports = []
+def _family_pairing_power(genus, rng, policy, seed=0, base_points=5):
+    rows = []
     evens = list(even_characteristics(genus))
-    for k in ks:
+    for k in _KS.get(genus, ()):
         worst = 0.0
         for bp in range(base_points):
             t = sample_siegel_point(genus, rng)
@@ -775,17 +758,7 @@ def _family_pairing_power(genus, rng, policy, base_points=5, tolerance=1e-8, see
             A = A_form(F, H, t, policy).matrix.entries
             rhs = cofactor_tensor(A, genus - k).scale(float(math.factorial(k)))
             worst = max(worst, _rel(lhs.entries, rhs.entries))
-        reports.append(
-            _report(
-                "pairing_power_cofactor",
-                genus,
-                {"k": k, "base_points": base_points},
-                worst,
-                tolerance,
-                seed,
-                started,
-            )
-        )
+        rows.append(_row("pairing_power_cofactor", {"k": k, "base_points": base_points}, worst))
     if genus >= 2:
         worst = 0.0
         for bp in range(3):
@@ -793,24 +766,13 @@ def _family_pairing_power(genus, rng, policy, base_points=5, tolerance=1e-8, see
             i, j = rng.choice(len(evens), 2, replace=False)
             F = theta_constant_product(genus, evens[i])
             H = theta_constant_product(genus, evens[j])
-            rep = check_omega_consistency(genus, F, H, t, policy, tolerance, seed)
+            rep = check_omega_consistency(genus, F, H, t, policy)
             worst = max(worst, rep.residual)
-        reports.append(
-            _report(
-                "omega_consistency",
-                genus,
-                {"base_points": 3},
-                worst,
-                tolerance,
-                seed,
-                started,
-            )
-        )
-    return reports
+        rows.append(_row("omega_consistency", {"base_points": 3}, worst))
+    return rows
 
 
-def _family_det_remark(genus, rng, policy, tolerance=1e-8, seed=0):
-    started = time.perf_counter()
+def _family_det_remark(genus, rng, policy, seed=0):
     t = sample_siegel_point(genus, rng)
     evens = list(even_characteristics(genus))
     F = theta_constant_product(genus, evens[0])
@@ -820,35 +782,33 @@ def _family_det_remark(genus, rng, policy, tolerance=1e-8, seed=0):
     total = pairing_brace(F.power(genus), H.power(genus), genus, t, policy).scalar()
     rhs = total / math.factorial(genus)
     residual = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    return [
-        _report("det_pairing_scalar", genus, {}, residual, tolerance, seed, started)
-    ]
+    return [_row("det_pairing_scalar", {}, residual)]
 
 
-def _family_gsm(genus, rng, policy, tolerance=1e-8, seed=0):
-    reports = []
+def _family_gsm(genus, rng, policy, seed=0):
+    rows = []
     t = sample_siegel_point(genus, rng)
     odds = list(odd_characteristics(genus))
     bits = list(itertools.product((0, 1), repeat=genus))
     if genus <= 2:
         for n in odds:
-            reports.append(check_gsm_forward(n, t, policy, tolerance, seed))
+            rows.append(_from_report(check_gsm_forward(n, t, policy)))
         for eps in bits:
             for delta in bits:
-                reports.append(check_gsm_backward(eps, delta, t, policy, tolerance, seed))
+                rows.append(_from_report(check_gsm_backward(eps, delta, t, policy)))
     else:
         for i in rng.choice(len(odds), 3, replace=False):
-            reports.append(check_gsm_forward(odds[i], t, policy, tolerance, seed))
+            rows.append(_from_report(check_gsm_forward(odds[i], t, policy)))
         for _ in range(3):
             eps = bits[int(rng.integers(len(bits)))]
             delta = bits[int(rng.integers(len(bits)))]
-            reports.append(check_gsm_backward(eps, delta, t, policy, tolerance, seed))
-    return reports
+            rows.append(_from_report(check_gsm_backward(eps, delta, t, policy)))
+    return rows
 
 
-def _family_jacobi(genus, rng, policy, tolerance=1e-8, seed=0):
+def _family_jacobi(genus, rng, policy, seed=0):
     taus = [sample_siegel_point(genus, rng) for _ in range(5)]
-    return [check_jacobi(genus, taus, policy, tolerance, seed)]
+    return [_from_report(check_jacobi(genus, taus, policy))]
 
 
 def _sample_theorem_pairs(rng, g, k):
@@ -865,32 +825,21 @@ def _sample_theorem_pairs(rng, g, k):
             return pairs
 
 
-def _family_main_theorem(genus, rng, policy, tolerance=1e-7, seed=0, choices=5):
-    reports = []
-    ks = [k for (gg, k) in ((2, 1), (3, 1), (3, 2)) if gg == genus]
-    for k in ks:
+def _family_main_theorem(genus, rng, policy, seed=0, choices=5):
+    rows = []
+    for k in _KS.get(genus, ()):
         taus = [sample_siegel_point(genus, rng) for _ in range(3)]
         constants = []
-        started = time.perf_counter()
         for _ in range(choices):
             pairs = _sample_theorem_pairs(rng, genus, k)
-            rep = check_main_theorem(genus, k, pairs, taus, policy, tolerance, seed)
-            reports.append(rep)
+            rep = check_main_theorem(genus, k, pairs, taus, policy)
+            rows.append(_from_report(rep))
             constants.append(complex(*rep.params["fitted_constant"]))
         mean = sum(constants) / len(constants)
         spread = max(abs(c - mean) for c in constants) / max(1.0, abs(mean))
-        reports.append(
-            _report(
-                "main_theorem_constant",
-                genus,
-                {"k": k, "choices": choices, "constant": _cplx(mean)},
-                spread,
-                tolerance,
-                seed,
-                started,
-            )
-        )
-    return reports
+        params = {"k": k, "choices": choices, "constant": _cplx(mean)}
+        rows.append(_row("main_theorem_constant", params, spread))
+    return rows
 
 
 def conditioned_words(group, g, base_points, count, seed, length=4, min_lambda=0.05):
@@ -920,8 +869,7 @@ def conditioned_words(group, g, base_points, count, seed, length=4, min_lambda=0
     return out
 
 
-def _family_audit_astar(genus, rng, policy, words=10, tolerance=1e-7, seed=0):
-    started = time.perf_counter()
+def _family_audit_astar(genus, rng, policy, seed=0, words=10):
     t = sample_siegel_point(genus, rng)
     k = 2
     pairs = [
@@ -935,45 +883,23 @@ def _family_audit_astar(genus, rng, policy, words=10, tolerance=1e-7, seed=0):
         ]
         return star_product(*mats)
 
-    reports = []
+    rows = []
     sampled = conditioned_words("Gamma(2,4)", genus, [t], words, seed + 7000)
     for i, gamma in enumerate(sampled):
         rep = audit_transformation(
             value_fn, gamma, k, MultiplierSpec(kappa_power=2 * k), t, policy
         )
-        reports.append(
-            _report(
-                "audit_astar",
-                genus,
-                {"word": i, "k": k, "group": "Gamma(2,4)",
-                 "multiplier": _cplx(rep.multiplier)},
-                rep.residual,
-                tolerance,
-                seed,
-                started,
-            )
-        )
+        params = {"word": i, "k": k, "group": "Gamma(2,4)", "multiplier": _cplx(rep.multiplier)}
+        rows.append(_row("audit_astar", params, rep.residual))
     # fourth power of the multiplier is 1 on the level-(2,4) group
-    started2 = time.perf_counter()
     worst = max(
         abs(kappa_squared(gamma, t, policy) ** 2 - 1.0) for gamma in sampled
     )
-    reports.append(
-        _report(
-            "kappa_fourth_power",
-            genus,
-            {"words": words},
-            worst,
-            1e-9,
-            seed,
-            started2,
-        )
-    )
-    return reports
+    rows.append(_row("kappa_fourth_power", {"words": words}, worst))
+    return rows
 
 
-def _family_audit_w(genus, rng, policy, words=10, tolerance=1e-7, seed=0):
-    started = time.perf_counter()
+def _family_audit_w(genus, rng, policy, seed=0, words=10):
     t = sample_siegel_point(genus, rng)
     k = 2
     ns = list(odd_characteristics(genus)[:k])
@@ -981,7 +907,7 @@ def _family_audit_w(genus, rng, policy, words=10, tolerance=1e-7, seed=0):
     def value_fn(pt):
         return W_of_N(ns, pt, policy).matrix
 
-    reports = []
+    rows = []
     for i, gamma in enumerate(
         conditioned_words("Gamma(2)", genus, [t], words, seed + 9000)
     ):
@@ -993,26 +919,16 @@ def _family_audit_w(genus, rng, policy, words=10, tolerance=1e-7, seed=0):
             t,
             policy,
         )
-        reports.append(
-            _report(
-                "audit_gradient_wedge",
-                genus,
-                {"word": i, "k": k, "group": "Gamma(2)",
-                 "multiplier": _cplx(rep.multiplier)},
-                rep.residual,
-                tolerance,
-                seed,
-                started,
-            )
-        )
-    return reports
+        params = {"word": i, "k": k, "group": "Gamma(2)", "multiplier": _cplx(rep.multiplier)}
+        rows.append(_row("audit_gradient_wedge", params, rep.residual))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # suite driver
 
 _FAMILIES = (
-    ("exact_layer", None, (2, 3, 4)),
+    ("exact_layer", _family_exact_layer, (2, 3, 4)),
     ("theta_basics", _family_theta_basics, (1, 2, 3)),
     ("heat", _family_heat, (1, 2, 3)),
     ("riemann", _family_riemann, (1, 2, 3)),
@@ -1027,21 +943,32 @@ _FAMILIES = (
     ("audit_w", _family_audit_w, (2, 3)),
 )
 
-# the identity names each family reports, for skipping under a name filter
-_ROW_NAMES = {
-    "exact_layer": _EXACT_NAMES,
-    "theta_basics": ("theta_parity_periodicity",),
-    "heat": ("heat_equation",),
-    "riemann": ("riemann_addition", "riemann_addition_inverse"),
-    "rank_vanishing": ("rank_vanishing",),
-    "pairing_permutation": ("pairing_permutation_expansion",),
-    "pairing_power": ("pairing_power_cofactor", "omega_consistency"),
-    "det_remark": ("det_pairing_scalar",),
-    "gsm": ("gsm_forward", "gsm_backward"),
-    "jacobi": ("jacobi",),
-    "main_theorem": ("main_theorem", "main_theorem_constant"),
-    "audit_astar": ("audit_astar", "kappa_fourth_power"),
-    "audit_w": ("audit_gradient_wedge",),
+# row name -> (family that reports it, pass tolerance, whether the tolerance
+# override of run_suite replaces it)
+_ROWS = {
+    "exact_laplace_expansion": ("exact_layer", 1e-15, False),
+    "exact_compound_power": ("exact_layer", 1e-15, False),
+    "exact_sigma_determinant": ("exact_layer", 1e-15, False),
+    "exact_adjoint_identity": ("exact_layer", 1e-15, False),
+    "exact_rank_one_wedge": ("exact_layer", 1e-15, False),
+    "exact_binomial_power": ("exact_layer", 1e-15, False),
+    "theta_parity_periodicity": ("theta_basics", 1e-10, True),
+    "heat_equation": ("heat", 1e-7, True),
+    "riemann_addition": ("riemann", 1e-9, True),
+    "riemann_addition_inverse": ("riemann", 1e-9, True),
+    "rank_vanishing": ("rank_vanishing", 1e-8, True),
+    "pairing_permutation_expansion": ("pairing_permutation", 1e-8, True),
+    "pairing_power_cofactor": ("pairing_power", 1e-8, True),
+    "omega_consistency": ("pairing_power", 1e-8, True),
+    "det_pairing_scalar": ("det_remark", 1e-8, True),
+    "gsm_forward": ("gsm", 1e-8, True),
+    "gsm_backward": ("gsm", 1e-8, True),
+    "jacobi": ("jacobi", 1e-8, True),
+    "main_theorem": ("main_theorem", 1e-7, True),
+    "main_theorem_constant": ("main_theorem", 1e-7, True),
+    "audit_astar": ("audit_astar", 1e-7, True),
+    "kappa_fourth_power": ("audit_astar", 1e-9, False),
+    "audit_gradient_wedge": ("audit_w", 1e-7, True),
 }
 
 
@@ -1058,54 +985,55 @@ def run_suite(
 ) -> list[IdentityReport]:
     """Run every applicable identity family for the requested genera.
 
-    Failures are reported, never raised.  The report list is sorted by
-    (identity_name, genus, params) so aggregation is order-deterministic.
-    With ``name_filter``, only rows whose name matches it are kept, and a
-    family none of whose rows can match is not run.  ``tolerance``
-    overrides each family's default pass threshold when given.
+    Each family in ``_FAMILIES`` runs once per requested genus it applies
+    to, with its own generator drawn from (seed, family index, genus), and
+    returns rows of (identity name, params, residual).  Each row becomes a
+    report at that genus (a row taken from a ``check_*`` report keeps its
+    genus, so the exact rows stay at 0) with the tolerance ``_ROWS`` gives;
+    ``tolerance`` replaces it where ``_ROWS`` allows, that is everywhere
+    except the exact rows and ``kappa_fourth_power``.  ``runtime_ms`` is the
+    time since the family's previous row, or since its run began, so the
+    rows add up to the time spent in the families.
+
+    Failures are reported, never raised: a family that raises gives one
+    ``<family>_error`` row with residual 9e99 and tolerance 0.  The report
+    list is sorted by (identity_name, genus, params) so aggregation is
+    order-deterministic.  With ``name_filter``, only rows whose name
+    matches it are kept, and a family none of whose rows can match is not
+    run.
     """
     genus_list = list(genus_list)
     for g in genus_list:
         if not 1 <= g <= 4:
             raise DomainError(f"genus {g} outside 1..4")
 
-    tasks = []
-    for fam_index, (fam_name, fn, applicable) in enumerate(_FAMILIES):
-        wanted = sorted(set(g for g in genus_list if g in applicable))
-        names = _ROW_NAMES[fam_name] + (f"{fam_name}_error",)
-        unmatched = name_filter and not any(fnmatch.fnmatch(n, name_filter) for n in names)
-        if not wanted or unmatched:
+    reports = []
+    for fam_index, (fam_name, fn, genera) in enumerate(_FAMILIES):
+        names = [n for n, (fam, _, _) in _ROWS.items() if fam == fam_name]
+        names.append(f"{fam_name}_error")
+        if name_filter and not any(fnmatch.fnmatch(n, name_filter) for n in names):
             continue
-        if fam_name == "exact_layer":
-            # the exact layer mixes its genera internally; run it once
-            tasks.append((fam_name, fam_index, wanted[-1], tuple(wanted)))
-        else:
-            for g in wanted:
-                tasks.append((fam_name, fam_index, g, fn))
+        for g in sorted(set(genus_list).intersection(genera)):
+            rng = np.random.default_rng([seed, fam_index, g])
+            last = time.perf_counter()
+            try:
+                rows = fn(g, rng, policy, seed=seed)
+            except Exception as exc:  # report, never raise
+                error = {"error": f"{type(exc).__name__}: {exc}"}
+                rows = [_row(f"{fam_name}_error", error, 9e99)]
+            for row in rows:
+                # a row without an entry, such as an error row, never passes
+                _, tol, overridable = _ROWS.get(row.identity_name, (fam_name, 0.0, False))
+                if overridable and tolerance is not None:
+                    tol = float(tolerance)
+                row_genus = g if row.genus is None else row.genus
+                runtime_ms = (row.stamp - last) * 1e3
+                reports.append(IdentityReport(
+                    row.identity_name, row_genus, row.params, row.residual, tol,
+                    row.residual < tol, runtime_ms, int(seed),
+                ))
+                last = row.stamp
 
-    extra = {} if tolerance is None else {"tolerance": float(tolerance)}
-
-    def run_task(task):
-        fam_name, fam_index, g, fn = task
-        rng = np.random.default_rng([seed, fam_index, g])
-        try:
-            if fam_name == "exact_layer":
-                return check_exact_layer(instances=60, seed=seed, genus_range=fn)
-            return fn(g, rng, policy, seed=seed, **extra)
-        except Exception as exc:  # report, never raise
-            return [
-                _report(
-                    f"{fam_name}_error",
-                    g,
-                    {"error": f"{type(exc).__name__}: {exc}"},
-                    9e99,
-                    0.0,
-                    seed,
-                    time.perf_counter(),
-                )
-            ]
-
-    reports = [rep for task in tasks for rep in run_task(task)]
     if name_filter:
         reports = [
             r for r in reports if fnmatch.fnmatch(r.identity_name, name_filter)

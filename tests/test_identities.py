@@ -1,6 +1,9 @@
 import fnmatch
+import importlib.util
 import itertools
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from theta_forge.symplectic import (
     odd_characteristics,
     sample_siegel_point,
 )
-from theta_forge.theta import TruncationPolicy
+from theta_forge.theta import TruncationPolicy, clear_caches
 
 
 def test_gsm_forward_example_g1(rng):
@@ -198,6 +201,12 @@ def test_run_suite_filter(rng):
 def test_run_suite_filtered_rows_equal_matching_rows():
     full = run_suite([1, 2], seed=3)
     names = sorted({r.identity_name for r in full})
+    # the row table names only known families, and every family runs at
+    # genus 2, so the suite emits exactly the table's rows
+    family_names = {name for name, _, _ in identities._FAMILIES}
+    assert {fam for fam, _, _ in identities._ROWS.values()} <= family_names
+    assert names == sorted(identities._ROWS)
+    assert not any(name.endswith("_error") for name in names)
     for pattern in names + ["gsm_*", "exact_*", "*_inverse", "main_theorem*", "none"]:
         want = [r for r in full if fnmatch.fnmatch(r.identity_name, pattern)]
         got = run_suite([1, 2], seed=3, name_filter=pattern)
@@ -219,6 +228,84 @@ def test_run_suite_filter_skips_families_that_cannot_match(monkeypatch):
     assert calls == []
     run_suite([1], seed=0, name_filter="heat_*")
     assert calls == [1]
+
+
+def test_run_suite_tolerance_override():
+    default = run_suite([2], seed=0)
+    for rep in default:
+        assert rep.tolerance == identities._ROWS[rep.identity_name][1], rep.identity_name
+    overridden = run_suite([2], seed=0, tolerance=1e-3)
+    assert [(r.identity_name, r.params, r.residual) for r in overridden] == [
+        (r.identity_name, r.params, r.residual) for r in default
+    ]
+    for rep in overridden:
+        if rep.identity_name.startswith("exact_"):
+            want = 1e-15
+        elif rep.identity_name == "kappa_fourth_power":
+            want = 1e-9
+        else:
+            want = 1e-3
+        assert rep.tolerance == want, rep.identity_name
+        assert rep.passed == (rep.residual < want)
+    assert sum(r.identity_name.startswith("exact_") for r in overridden) == 6
+
+
+@pytest.mark.parametrize("family, genera", [("heat", [1, 2]), ("exact_layer", [2])])
+def test_run_suite_reports_a_raising_family_as_error_rows(monkeypatch, family, genera):
+    clean = run_suite([1, 2], seed=0)
+
+    def boom(genus, rng, policy, seed=0):
+        raise ValueError("boom")
+
+    families = tuple(
+        (name, boom if name == family else fn, gs) for name, fn, gs in identities._FAMILIES
+    )
+    monkeypatch.setattr(identities, "_FAMILIES", families)
+    for tolerance in (None, 1e100):
+        reports = run_suite([1, 2], seed=0, tolerance=tolerance)
+        errors = [r for r in reports if r.identity_name == f"{family}_error"]
+        assert [r.genus for r in errors] == genera
+        for rep in errors:
+            assert rep.residual == 9e99 and rep.tolerance == 0.0 and not rep.passed
+            assert rep.params["error"].startswith("ValueError")
+        if tolerance is None:
+            own = {n for n, (fam, _, _) in identities._ROWS.items() if fam == family}
+            others = [r for r in reports if r.identity_name != f"{family}_error"]
+            want = [r for r in clean if r.identity_name not in own]
+            assert reports_to_json(others) == reports_to_json(want)
+
+
+def test_run_suite_runtime_adds_up_to_wall_time():
+    clear_caches()
+    started = time.perf_counter()
+    reports = run_suite([2], seed=0)
+    wall_ms = (time.perf_counter() - started) * 1e3
+    total_ms = sum(r.runtime_ms for r in reports)
+    assert all(r.runtime_ms >= 0.0 for r in reports)
+    assert 0.8 * wall_ms <= total_ms <= wall_ms
+
+
+def test_benchmark_tracer_hooks_the_suite():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    families = identities._FAMILIES
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # the point-list kernel and its lattice cache are gone; every hook
+        # on the identity layer must still find its target
+        assert set(tracer.missing) <= {
+            "theta_forge.theta._lattice",
+            "theta_forge._kernels.theta_sum",
+        }
+        run_suite([2], name_filter="heat_*")
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["identities.family.heat_s"] > 0.0
+    assert identities._FAMILIES is families
 
 
 def test_run_suite_deterministic_json():
