@@ -48,8 +48,14 @@ EXIT_USAGE = 3
 EXIT_MATH = 4
 
 
-def _policy_from_args(args) -> TruncationPolicy:
-    return TruncationPolicy(
+def _check_common(args) -> None:
+    """Attach the truncation policy to ``args``; ``DomainError`` for a negative
+    seed, a ``--tol`` not finite and > 0, or a policy ``TruncationPolicy`` refuses."""
+    if args.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {args.seed}")
+    if args.tol is not None and not 0 < args.tol < float("inf"):
+        raise DomainError(f"--tol must be finite and > 0, got {args.tol}")
+    args.policy = TruncationPolicy(
         radius=args.radius,
         target_tol=args.series_tol,
         adaptive=not args.no_adaptive,
@@ -96,15 +102,10 @@ def cmd_verify(args) -> int:
     if not 1 <= args.g <= 4:
         print(f"error: genus {args.g} outside 1..4", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        policy = _policy_from_args(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     reports = run_suite(
         [args.g],
         seed=args.seed,
-        policy=policy,
+        policy=args.policy,
         name_filter=args.filter,
         tolerance=args.tol,
     )
@@ -168,12 +169,7 @@ def cmd_eval(args) -> int:
         )
         return EXIT_MATH
     try:
-        policy = _policy_from_args(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        value = eval_product(product, point, policy)
+        value = eval_product(product, point, args.policy)
         payload = {
             "expr": args.expr,
             "genus": product.g,
@@ -181,7 +177,7 @@ def cmd_eval(args) -> int:
             "value": _complex_json(value),
         }
         if args.deriv:
-            deriv = partial_bracket(product, 1, point, policy).entries
+            deriv = partial_bracket(product, 1, point, args.policy).entries
             payload["deriv"] = [[_complex_json(x) for x in row] for row in deriv]
     except (ConvergenceError, DegenerateBasePointError, NumericalDegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -222,11 +218,7 @@ def cmd_audit(args) -> int:
         print(f"error: group must be one of {sorted(groups)}", file=sys.stderr)
         return EXIT_USAGE
     group = groups[args.group]
-    try:
-        policy = _policy_from_args(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    policy = args.policy
     if args.tol is None:
         args.tol = 1e-7
     g = args.g
@@ -358,6 +350,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    try:
+        _check_common(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return args.fn(args)
 
 

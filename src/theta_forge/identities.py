@@ -402,29 +402,26 @@ def check_omega_consistency(
 
 
 def _rand_exact_matrix(rng, g, lo=-5, hi=6) -> np.ndarray:
-    M = np.empty((g, g), dtype=object)
-    ints = rng.integers(lo, hi, (g, g))
-    for i in range(g):
-        for j in range(g):
-            M[i, j] = Fraction(int(ints[i, j]))
-    return M
+    """A g-by-g object array of Python ints in [lo, hi)."""
+    return rng.integers(lo, hi, (g, g)).astype(object)
 
 
 def _rand_exact_vector(rng, g, lo=-5, hi=6) -> np.ndarray:
-    v = np.empty(g, dtype=object)
-    for i in range(g):
-        v[i] = Fraction(int(rng.integers(lo, hi)))
-    return v
+    # one draw per entry: a single vector draw would consume the stream differently
+    return np.array([int(rng.integers(lo, hi)) for _ in range(g)], dtype=object)
 
 
 def check_exact_layer(
     instances: int = 60, seed: int = 0, genus_range=(2, 3, 4)
 ) -> list[IdentityReport]:
-    """Exact Fraction arithmetic checks of the multilinear layer.
+    """Exact checks of the multilinear layer on random integer matrices.
 
-    Each identity is evaluated with zero tolerance: any mismatch flips the
-    residual to 1.0.  Reported tolerance is epsilon-level because the
-    pass predicate is a strict inequality.
+    The entries are Python ints, and the box products, compounds, cofactor
+    tensors and determinants stay exact: integers, with a Fraction only
+    where a normalization does not divide.  Each identity is evaluated with
+    zero tolerance: any mismatch flips the residual to 1.0.  Reported
+    tolerance is epsilon-level because the pass predicate is a strict
+    inequality.
     """
     rng = np.random.default_rng([seed, 97])
     started = time.perf_counter()
@@ -439,7 +436,7 @@ def check_exact_layer(
         for transpose in (False, True):
             src = M.T.copy() if transpose else M
             J = IndexSet(tuple(sorted(rng.choice(g, k, replace=False) + 1)), g)
-            total = Fraction(0)
+            total = 0
             for I in enumerate_subsets(g, k):
                 total += (
                     sign_sum(I, J)
@@ -460,35 +457,23 @@ def check_exact_layer(
         prod = box_many([from_matrix(A) for A in mats])
         I = tuple(sorted(rng.choice(g, kk, replace=False) + 1))
         J = tuple(sorted(rng.choice(g, kk, replace=False) + 1))
-        acc = Fraction(0)
+        rows, acc = [i - 1 for i in I], 0
         for sigma in itertools.permutations(range(kk)):
-            sgn = perm_sign(sigma)
-            cols = np.empty((kk, kk), dtype=object)
-            for pos in range(kk):
-                col = mats[pos][:, J[sigma[pos]] - 1]
-                for r in range(kk):
-                    cols[r, pos] = col[I[r] - 1]
-            acc += sgn * _det_exact(cols)
-        acc /= math.factorial(kk)
-        if prod.entry(IndexSet(I, g), IndexSet(J, g)) != acc:
+            cols = np.column_stack([mats[pos][rows, J[s] - 1] for pos, s in enumerate(sigma)])
+            acc += perm_sign(sigma) * _det_exact(cols)
+        if prod.entry(IndexSet(I, g), IndexSet(J, g)) != Fraction(acc, math.factorial(kk)):
             fails["exact_sigma_determinant"] += 1
 
         # adjoint identity
         adj = cofactor_tensor(M, 1).entries.T
-        prod_adj = M @ adj
-        expect = np.zeros((g, g), dtype=object)
-        for i in range(g):
-            expect[i, i] = det_full
-        if (prod_adj != expect).any():
+        if (M @ adj != det_full * np.eye(g, dtype=object)).any():
             fails["exact_adjoint_identity"] += 1
 
         # rank-one star against the wedge outer product
         kw = int(rng.integers(1, g + 1))
-        vecs = np.empty((kw, g), dtype=object)
-        for r in range(kw):
-            vecs[r] = _rand_exact_vector(rng, g)
+        vecs = np.array([_rand_exact_vector(rng, g) for _ in range(kw)], dtype=object)
         outers = [from_matrix(np.outer(vecs[r], vecs[r])) for r in range(kw)]
-        lhs = star_product(*outers).entries * Fraction(math.factorial(kw))
+        lhs = star_product(*outers).entries * math.factorial(kw)
         rhs = wedge_outer(vecs).entries
         if (lhs != rhs).any():
             fails["exact_rank_one_wedge"] += 1
@@ -497,29 +482,19 @@ def check_exact_layer(
         B = _rand_exact_matrix(rng, g)
         kb = int(rng.integers(2, min(3, g) + 1))
         lhs_b = box_power(from_matrix(M + B), kb)
-        rhs_b = None
-        for j in range(kb + 1):
-            term = box_many(
-                [box_power(from_matrix(M), j), box_power(from_matrix(B), kb - j)]
-            ).scale(Fraction(math.comb(kb, j)))
-            rhs_b = term if rhs_b is None else rhs_b + term
-        if (lhs_b.entries != rhs_b.entries).any():
+        rhs_b = sum(
+            box_many([box_power(from_matrix(M), j), box_power(from_matrix(B), kb - j)])
+            .scale(math.comb(kb, j)).entries
+            for j in range(kb + 1)
+        )
+        if (lhs_b.entries != rhs_b).any():
             fails["exact_binomial_power"] += 1
 
-    reports = []
-    for name, bad in fails.items():
-        reports.append(
-            _report(
-                name,
-                0,
-                {"instances": instances, "failures": bad},
-                0.0 if bad == 0 else 1.0,
-                1e-15,
-                seed,
-                started,
-            )
-        )
-    return reports
+    return [
+        _report(name, 0, {"instances": instances, "failures": bad},
+                0.0 if bad == 0 else 1.0, 1e-15, seed, started)
+        for name, bad in fails.items()
+    ]
 
 
 def _family_exact_layer(genus, rng, policy, seed=0, instances=60):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -117,33 +119,39 @@ def position_sign(sub: tuple[int, ...], within: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def box_table(g: int, p: int, q: int):
-    """Precomputed index plumbing for the box product at levels (p, q).
+def box_table(g: int, p: int, q: int) -> tuple[np.ndarray, ...]:
+    """Read-only gather arrays (row_a, col_a, row_b, col_b, negative) of the
+    box product at levels (p, q), built on first use.
 
-    For every output entry (H, K) at level p+q, lists tuples
-    (row_a, col_a, row_b, col_b, sign) addressing the level-p factor by
-    (row_a, col_a), the level-q factor by (row_b, col_b), with the
-    positional sign of the sub-split.  The leading normalization
-    1 / C(p+q, p) is not included.
+    Row ``h * C(g, p+q) + k`` of each describes output entry (H, K), the h-th
+    and k-th (p+q)-subsets.  Its C(p+q, p)² columns are the terms
+    A[row_a, col_a] * B[row_b, col_b], one for each p-subset I of H and J of
+    K in lexicographic order (B takes their complements), negated where
+    ``negative`` holds: the positional sign of the sub-split.  The leading
+    normalization 1 / C(p+q, p) is not included.
     """
-    k = p + q
     rank_p = subset_rank(g, p)
     rank_q = subset_rank(g, q)
-    table = []
-    for H in subset_tuples(g, k):
-        row = []
-        for K in subset_tuples(g, k):
-            terms = []
-            for I in itertools.combinations(H, p):
-                sI = position_sign(I, H)
-                Ic = tuple_complement(I, H)
-                for J in itertools.combinations(K, p):
-                    sign = sI * position_sign(J, K)
-                    Jc = tuple_complement(J, K)
-                    terms.append((rank_p[I], rank_p[J], rank_q[Ic], rank_q[Jc], sign))
-            row.append(tuple(terms))
-        table.append(tuple(row))
-    return tuple(table)
+    # each (p+q)-subset's p-splits: rank of I, rank of its complement, sign
+    splits = [
+        [(rank_p[I], rank_q[tuple_complement(I, H)], position_sign(I, H) < 0)
+         for I in itertools.combinations(H, p)]
+        for H in subset_tuples(g, p + q)
+    ]
+    terms = np.array(
+        [
+            (ia, ja, ib, jb, neg_i != neg_j)
+            for row in splits
+            for col in splits
+            for ia, ib, neg_i in row
+            for ja, jb, neg_j in col
+        ],
+        dtype=np.intp,
+    ).reshape(len(splits) ** 2, -1, 5)
+    fields = (*(terms[..., i].copy() for i in range(4)), terms[..., 4] == 1)
+    for arr in fields:
+        arr.flags.writeable = False
+    return fields
 
 
 def binomial(n: int, k: int) -> int:

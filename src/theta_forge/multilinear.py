@@ -4,12 +4,16 @@ A level-k compound matrix is a square array whose rows and columns are
 labeled by the ordered k-subsets of {1..g} in lexicographic order.  Level 0
 is a single scalar, level 1 an ordinary g-by-g matrix.  Entries are complex
 floats at the main interface; every operation also accepts object-dtype
-arrays of exact scalars (ints, Fractions), in which case all arithmetic is
-carried out exactly.
+arrays of exact scalars (Python ints, Fractions), in which case all
+arithmetic is carried out exactly.  Integer entries stay integers through
+the box products and determinants: a chain of box products divides by its
+binomial normalizations once, at the end, and determinants use Bareiss
+fraction-free elimination.  A result is an int wherever its value is one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,37 +34,48 @@ def _is_exact(arr: np.ndarray) -> bool:
     return arr.dtype == object
 
 
+def _div_exact(x, d: int):
+    """x / d exactly: an int where d divides the int x, else a Fraction."""
+    if isinstance(x, int) and x % d == 0:
+        return x // d
+    return Fraction(x, d)
+
+
 def _det_exact(a: np.ndarray):
-    """Exact determinant by Gaussian elimination over Fractions."""
-    n = a.shape[0]
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in a.tolist()]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / Fraction(rows[col][col])
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Every division is exact (Sylvester's identity), so int entries give an
+    int throughout; Fraction entries divide in the rationals.
+    """
+    rows = a.tolist()
+    n = len(rows)
+    integral = all(isinstance(x, int) for row in rows for x in row)
+    if not integral:
+        rows = [[Fraction(x) for x in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
+                rows[i][j] = num // prev if integral else num / prev
+        prev = pivot
+    return sign * rows[-1][-1] if n else 1
 
 
 def _det(a: np.ndarray):
     """Determinant dispatching on dtype: exact for object arrays, LAPACK otherwise."""
     n = a.shape[0]
-    if n == 0:
-        return Fraction(1) if _is_exact(a) else complex(1.0)
     if _is_exact(a):
         return _det_exact(a)
+    if n == 0:
+        return complex(1.0)
     if n == 1:
         return complex(a[0, 0])
     if n == 2:
@@ -75,11 +90,7 @@ def _det(a: np.ndarray):
 
 
 def _empty(side: int, exact: bool) -> np.ndarray:
-    if exact:
-        arr = np.empty((side, side), dtype=object)
-        arr[:] = 0
-        return arr
-    return np.zeros((side, side), dtype=complex)
+    return np.zeros((side, side), dtype=object if exact else complex)
 
 
 @dataclass(frozen=True)
@@ -144,23 +155,13 @@ class CompoundMatrix:
 
 def scalar_compound(g: int, value) -> CompoundMatrix:
     """The level-0 compound holding a single scalar."""
-    if isinstance(value, (int, Fraction)):
-        arr = np.empty((1, 1), dtype=object)
-        arr[0, 0] = value
-    else:
-        arr = np.array([[complex(value)]], dtype=complex)
-    return CompoundMatrix(g, 0, arr)
+    exact = isinstance(value, (int, Fraction))
+    return CompoundMatrix(g, 0, np.array([[value]], dtype=object if exact else complex))
 
 
 def identity_compound(g: int, level: int, exact: bool = False) -> CompoundMatrix:
     side = binomial(g, level)
-    if exact:
-        arr = _empty(side, True)
-        for i in range(side):
-            arr[i, i] = 1
-    else:
-        arr = np.eye(side, dtype=complex)
-    return CompoundMatrix(g, level, arr)
+    return CompoundMatrix(g, level, np.eye(side, dtype=object if exact else complex))
 
 
 def zero_compound(g: int, level: int, exact: bool = False) -> CompoundMatrix:
@@ -179,14 +180,11 @@ def submatrix_det(M: np.ndarray, I: IndexSet, J: IndexSet):
     """Determinant of the submatrix of M with rows I and columns J."""
     if len(I) != len(J):
         raise DomainError(f"|I|={len(I)} and |J|={len(J)} differ")
-    M = np.asarray(M)
-    rows = [i - 1 for i in I]
-    cols = [j - 1 for j in J]
-    return _det(M[np.ix_(rows, cols)])
+    return _minor(np.asarray(M), I, J)
 
 
-def _minor(M: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]):
-    return _det(M[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])])
+def _minor(M: np.ndarray, rows, cols):
+    return _det(M[[r - 1 for r in rows]][:, [c - 1 for c in cols]])
 
 
 def compound(M: np.ndarray, p: int) -> CompoundMatrix:
@@ -216,15 +214,50 @@ def cofactor_tensor(M: np.ndarray, k: int) -> CompoundMatrix:
         raise DomainError(f"cofactor level k={k} outside 0..{g - 1}")
     if k == 0:
         return scalar_compound(g, _det(M))
-    subs = subset_tuples(g, k)
-    full = tuple(range(1, g + 1))
-    comps = {I: tuple(i for i in full if i not in set(I)) for I in subs}
-    out = _empty(len(subs), _is_exact(M))
-    for a, I in enumerate(subs):
-        for b, J in enumerate(subs):
-            sgn = -1 if (sum(I) + sum(J)) % 2 else 1
-            out[a, b] = sgn * _minor(M, comps[I], comps[J])
-    return CompoundMatrix(g, k, out)
+    return hodge_dual(compound(M, g - k))
+
+
+def _box_unnormalized(A: CompoundMatrix, B: CompoundMatrix):
+    """The box product of A and B times d = C(p+q, p), and d."""
+    if A.ambient != B.ambient:
+        raise DomainError("ambient sizes differ")
+    g = A.ambient
+    p, q = A.level, B.level
+    if p + q > g:
+        raise DomainError(f"levels {p}+{q} exceed ambient {g}")
+    if p == 0:
+        return B.scale(A.scalar()), 1
+    if q == 0:
+        return A.scale(B.scalar()), 1
+    row_a, col_a, row_b, col_b, negative = box_table(g, p, q)
+    side = binomial(g, p + q)
+    Ae, Be = A.entries, B.entries
+    if _is_exact(Ae) and _is_exact(Be):
+        terms = Ae[row_a, col_a] * Be[row_b, col_b]
+        np.negative(terms, out=terms, where=negative)
+        out = terms.sum(axis=1)
+    else:
+        a = np.asarray(Ae, dtype=complex)[row_a, col_a]
+        b = np.asarray(Be, dtype=complex)[row_b, col_b]
+        # real and imaginary parts apart: numpy's vectorised complex multiply
+        # may fuse multiply-adds and round unlike the scalar product
+        terms = np.empty(a.shape, dtype=complex)
+        terms.real = a.real * b.real - a.imag * b.imag
+        terms.imag = a.real * b.imag + a.imag * b.real
+        np.negative(terms, out=terms, where=negative)
+        out = np.zeros(side * side, dtype=complex)
+        for column in terms.T:  # left to right, the order of a scalar loop
+            out += column
+    return CompoundMatrix(g, p + q, out.reshape(side, side)), binomial(p + q, p)
+
+
+def _normalized(X: CompoundMatrix, d: int) -> CompoundMatrix:
+    """X / d: one exact division per entry, or a float scaling by 1 / d."""
+    if d == 1:
+        return X
+    if _is_exact(X.entries):
+        return CompoundMatrix(X.ambient, X.level, np.frompyfunc(_div_exact, 2, 1)(X.entries, d))
+    return X.scale(1.0 / d)
 
 
 def box_product(A: CompoundMatrix, B: CompoundMatrix) -> CompoundMatrix:
@@ -233,49 +266,31 @@ def box_product(A: CompoundMatrix, B: CompoundMatrix) -> CompoundMatrix:
     Includes the 1 / C(p+q, p) normalization, so the repeated box power of a
     level-1 matrix reproduces its compound of the same order exactly.
     """
-    if A.ambient != B.ambient:
-        raise DomainError("ambient sizes differ")
-    g = A.ambient
-    p, q = A.level, B.level
-    if p + q > g:
-        raise DomainError(f"levels {p}+{q} exceed ambient {g}")
-    if p == 0:
-        return B.scale(A.scalar())
-    if q == 0:
-        return A.scale(B.scalar())
-    exact = _is_exact(A.entries) and _is_exact(B.entries)
-    table = box_table(g, p, q)
-    side = binomial(g, p + q)
-    out = _empty(side, exact)
-    Ae, Be = A.entries, B.entries
-    norm = Fraction(1, binomial(p + q, p)) if exact else 1.0 / binomial(p + q, p)
-    for h in range(side):
-        row = table[h]
-        for kk in range(side):
-            acc = 0
-            for ia, ja, ib, jb, sgn in row[kk]:
-                term = Ae[ia, ja] * Be[ib, jb]
-                acc = acc + (term if sgn > 0 else -term)
-            out[h, kk] = acc * norm
-    return CompoundMatrix(g, p + q, out)
+    return _normalized(*_box_unnormalized(A, B))
 
 
 def box_many(factors) -> CompoundMatrix:
-    """Left fold of the box product over a nonempty list of factors."""
+    """Left fold of the box product over a nonempty list of factors.
+
+    Exact factors are folded unnormalized and divided by the product of the
+    normalizations once; float factors are normalized at every step.
+    """
     factors = list(factors)
     if not factors:
         raise DomainError("box_many needs at least one factor")
-    acc = factors[0]
+    if not all(_is_exact(f.entries) for f in factors):
+        return functools.reduce(box_product, factors)
+    acc, denominator = factors[0], 1
     for f in factors[1:]:
-        acc = box_product(acc, f)
-    return acc
+        acc, d = _box_unnormalized(acc, f)
+        denominator *= d
+    return _normalized(acc, denominator)
 
 
 def box_power(A: CompoundMatrix, k: int) -> CompoundMatrix:
     """k-fold box product of A with itself; k = 0 gives the scalar 1."""
     if k == 0:
-        one = Fraction(1) if _is_exact(A.entries) else 1.0
-        return scalar_compound(A.ambient, one)
+        return scalar_compound(A.ambient, 1 if _is_exact(A.entries) else 1.0)
     return box_many([A] * k)
 
 
@@ -331,7 +346,7 @@ def wedge_coordinates(vectors) -> np.ndarray:
     for idx, J in enumerate(subs):
         Jc = tuple(i for i in full if i not in set(J))
         sgn = perm_sign(J + Jc)
-        minor = _det(A[:, [c - 1 for c in Jc]]) if k else (Fraction(1) if exact else 1.0)
+        minor = _det(A[:, [c - 1 for c in Jc]]) if k else (1 if exact else 1.0)
         coords[idx] = sgn * minor
     return coords
 

@@ -307,7 +307,8 @@ def _sym_basis(g: int) -> list[np.ndarray]:
     return out
 
 
-def _generator_pool(group: str, g: int) -> list[SymplecticElement]:
+@lru_cache(maxsize=None)
+def _generator_pool(group: str, g: int) -> tuple[SymplecticElement, ...]:
     levels = {"Gamma(2)": (2, 2), "Gamma(2,4)": (2, 4), "Gamma(4,8)": (4, 8)}
     if group not in levels:
         raise DomainError(f"no generator pool for group {group!r}")
@@ -337,7 +338,7 @@ def _generator_pool(group: str, g: int) -> list[SymplecticElement]:
             U = eye.copy()
             U[i, i] = -1
             pool.append(SymplecticElement.from_blocks(U, zero, zero, U))
-    return pool
+    return tuple(pool)
 
 
 def generate_subgroup_element(

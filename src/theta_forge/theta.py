@@ -65,9 +65,10 @@ class TruncationPolicy:
     times the product of the per-coordinate envelope totals, which bounds
     the sum of |term| over the box.
 
-    ``target_tol`` must be at least 16 machine epsilons (about 3.6e-15):
-    below that, rounding alone moves an order-one theta value by more than
-    the tolerance, so no evaluation could be certified.  A smaller value
+    ``target_tol`` must be finite and at least 16 machine epsilons (about
+    3.6e-15): below that, rounding alone moves an order-one theta value by
+    more than the tolerance, so no evaluation could be certified.  ``radius``
+    must lie in 1..24, the largest box the tail bound covers.  Anything else
     raises ``DomainError``.
     """
 
@@ -76,11 +77,11 @@ class TruncationPolicy:
     adaptive: bool = True
 
     def __post_init__(self):
-        if self.radius < 1:
-            raise DomainError("policy radius must be >= 1")
-        if not self.target_tol >= _MIN_TARGET_TOL:
+        if not 1 <= self.radius <= _MAX_RADIUS:
+            raise DomainError(f"policy radius must lie in 1..{_MAX_RADIUS}, got {self.radius}")
+        if not _MIN_TARGET_TOL <= self.target_tol < np.inf:
             raise DomainError(
-                f"target_tol must be at least {_MIN_TARGET_TOL:.2g} "
+                f"target_tol must be finite and at least {_MIN_TARGET_TOL:.2g} "
                 f"(16 machine epsilons), got {self.target_tol:g}"
             )
 

@@ -6,6 +6,7 @@ predicates by brute-force enumeration.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -70,6 +71,85 @@ def frac_matrix_from_ints(ints):
         for j in range(g):
             M[i, j] = Fraction(int(ints[i][j]))
     return M
+
+
+# ---------------------------------------------------------------------------
+# compound-matrix algebra: the original scalar loops
+
+
+def fraction_det(a):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    n = a.shape[0]
+    if n == 0:
+        return Fraction(1)
+    rows = [[Fraction(x) for x in row] for row in a.tolist()]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / Fraction(rows[col][col])
+        for r in range(col + 1, n):
+            factor = rows[r][col] * inv
+            if factor:
+                for c in range(col, n):
+                    rows[r][c] -= factor * rows[col][c]
+    return det
+
+
+def _split_sign(sub, within):
+    """(-1) to the sum of the 1-based positions of ``sub`` inside ``within``."""
+    return -1 if sum(within.index(v) + 1 for v in sub) % 2 else 1
+
+
+def loop_box_product(A, B):
+    """Entries of the box product of two compounds, one scalar term at a time.
+
+    For each output entry (H, K) it sums A[I, J] * B[H - I, K - J] with the
+    sign of the positions of I in H and J in K, over the p-subsets I, J, in
+    that order, then scales by 1 / C(p+q, p): a Fraction for exact entries.
+    """
+    import numpy as np
+
+    g, p, q = A.ambient, A.level, B.level
+    if p == 0:
+        return B.scale(A.scalar()).entries
+    if q == 0:
+        return A.scale(B.scalar()).entries
+    exact = A.entries.dtype == object and B.entries.dtype == object
+    subsets = {k: list(itertools.combinations(range(1, g + 1), k)) for k in (p, q, p + q)}
+    rank = {k: {s: i for i, s in enumerate(subs)} for k, subs in subsets.items()}
+    side = len(subsets[p + q])
+    out = np.empty((side, side), dtype=object if exact else complex)
+    norm = Fraction(1, math.comb(p + q, p)) if exact else 1.0 / math.comb(p + q, p)
+    for h, H in enumerate(subsets[p + q]):
+        for k, K in enumerate(subsets[p + q]):
+            acc = 0
+            for I in itertools.combinations(H, p):
+                Ic = tuple(i for i in H if i not in I)
+                for J in itertools.combinations(K, p):
+                    Jc = tuple(j for j in K if j not in J)
+                    term = (
+                        A.entries[rank[p][I], rank[p][J]] * B.entries[rank[q][Ic], rank[q][Jc]]
+                    )
+                    sign = _split_sign(I, H) * _split_sign(J, K)
+                    acc = acc + (term if sign > 0 else -term)
+            out[h, k] = acc * norm
+    return out
+
+
+def loop_box_many(factors):
+    """Left fold of ``loop_box_product``, normalizing at every step."""
+    from theta_forge.multilinear import CompoundMatrix
+
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = CompoundMatrix(acc.ambient, acc.level + f.level, loop_box_product(acc, f))
+    return acc.entries
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,37 @@ def test_verify_timings_flag(tmp_path):
     assert any(r["runtime_ms"] > 0 for r in payload["reports"])
 
 
+_COMMANDS = {
+    "verify": ["verify", "--g", "2"],
+    "eval": ["eval", "S[0,0]", "--g", "2"],
+    "audit": ["audit", "--form", "W:n1", "--group", "gamma2", "--g", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--seed", "-1"],
+        ["--tol", "nan"],
+        ["--tol", "-1"],
+        ["--tol", "0"],
+        ["--tol", "inf"],
+        ["--radius", "25"],
+        ["--series-tol", "inf"],
+        ["--series-tol", "nan"],
+    ],
+    ids="=".join,
+)
+def test_unusable_options_exit_3(tmp_path, capsys, command, option):
+    # rejected before any work: no report, no traceback, one error line
+    out = tmp_path / "out.json"
+    assert main(_COMMANDS[command] + option + ["--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # audit
 

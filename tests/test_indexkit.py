@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from theta_forge.errors import DomainError
 from theta_forge.indexkit import (
     IndexSet,
+    box_table,
     enumerate_subsets,
     hodge_sign,
     perm_sign,
@@ -115,3 +116,14 @@ def test_subset_rank_is_inverse_of_enumeration():
 @settings(max_examples=200, deadline=None)
 def test_perm_sign_matches_oracle(seq):
     assert perm_sign(seq) == inversion_sign(seq)
+
+
+def test_box_table_is_cached_and_read_only():
+    table = box_table(4, 2, 1)
+    assert box_table(4, 2, 1) is table
+    assert [arr.shape for arr in table] == [(comb(4, 3) ** 2, comb(3, 2) ** 2)] * 5
+    assert table[4].dtype == bool
+    for arr in table:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = arr[0, 0]

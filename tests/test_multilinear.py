@@ -11,6 +11,7 @@ from theta_forge.errors import DomainError
 from theta_forge.indexkit import IndexSet, enumerate_subsets, sign_sum
 from theta_forge.multilinear import (
     CompoundMatrix,
+    _det_exact,
     box_many,
     box_power,
     box_product,
@@ -27,7 +28,14 @@ from theta_forge.multilinear import (
     zero_compound,
 )
 
-from oracles import det_of_array, frac_matrix_from_ints, inversion_sign
+from oracles import (
+    det_of_array,
+    frac_matrix_from_ints,
+    fraction_det,
+    inversion_sign,
+    loop_box_many,
+    loop_box_product,
+)
 
 
 def _rand_int(rng, g):
@@ -221,6 +229,74 @@ def test_binomial_expansion_of_box_powers_exact(rng):
                 ).scale(Fraction(math.comb(k, j)))
                 rhs = term if rhs is None else rhs + term
             assert (lhs.entries == rhs.entries).all()
+
+
+def _rand_level(rng, g, k, kind):
+    side = math.comb(g, k)
+    if kind == "complex":
+        x = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        # signed zeros: whether they survive shows the order of the additions
+        x.real[rng.random(x.shape) < 0.2] = -0.0
+        x.imag[rng.random(x.shape) < 0.2] = 0.0
+        return CompoundMatrix(g, k, x)
+    x = rng.integers(-5, 6, (side, side)).astype(object)
+    if kind == "fraction":
+        x = np.frompyfunc(Fraction, 2, 1)(x, rng.integers(1, 4, x.shape).astype(object))
+    return CompoundMatrix(g, k, x)
+
+
+def _assert_same(got, want, kind, where):
+    if kind == "complex":
+        # bit for bit, signed zeros included
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), where
+    else:
+        assert (got == want).all(), where
+
+
+@pytest.mark.parametrize("kind", ["complex", "int", "fraction"])
+def test_gathered_box_product_matches_loop_oracle(rng, kind):
+    for g in range(1, 5):
+        for p in range(g + 1):
+            for q in range(g + 1 - p):
+                for _ in range(3):
+                    A, B = _rand_level(rng, g, p, kind), _rand_level(rng, g, q, kind)
+                    got = box_product(A, B).entries
+                    _assert_same(got, loop_box_product(A, B), kind, (g, p, q))
+
+
+@pytest.mark.parametrize("kind", ["complex", "int", "fraction"])
+def test_box_many_matches_stepwise_loop_oracle(rng, kind):
+    # exact chains divide once at the end, float chains at every step
+    for g in range(1, 5):
+        for n in (2, 3, 4):
+            for levels in itertools.product(range(g + 1), repeat=n):
+                if sum(levels) > g:
+                    continue
+                factors = [_rand_level(rng, g, k, kind) for k in levels]
+                got = box_many(factors).entries
+                _assert_same(got, loop_box_many(factors), kind, (g, levels))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_bareiss_det_matches_fraction_elimination(rng, kind):
+    zeros = 0
+    for n in range(7):
+        for trial in range(24):
+            M = rng.integers(-4, 5, (n, n)).astype(object)
+            if kind == "fraction":
+                M = np.frompyfunc(Fraction, 2, 1)(M, rng.integers(1, 5, (n, n)).astype(object))
+            if n > 1 and trial % 4 == 1:
+                M[0, 0] = 0  # the leading pivot needs a row swap
+            if n > 1 and trial % 4 == 2:
+                M[1, :2] = M[0, :2]  # the second pivot vanishes mid-elimination
+            if n > 1 and trial % 4 == 3:
+                M[-1] = 2 * M[0]  # singular
+            got = _det_exact(M)
+            assert got == fraction_det(M), (n, trial)
+            if kind == "int":
+                assert isinstance(got, int)
+            zeros += got == 0
+    assert zeros >= 18
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from theta_forge.symplectic import (
     char_set_predicates,
     essentially_independent,
     even_characteristics,
+    _generator_pool,
     generate_subgroup_element,
     membership,
     odd_characteristics,
@@ -232,6 +233,15 @@ def test_generated_words_deterministic_and_member():
 def test_generator_pool_rejects_unknown_group():
     with pytest.raises(DomainError):
         generate_subgroup_element("Gamma(8,16)", 2, 0, 3)
+
+
+def test_generator_pool_is_built_once_per_group_and_genus():
+    pool = _generator_pool("Gamma(2,4)", 3)
+    assert isinstance(pool, tuple)
+    assert _generator_pool("Gamma(2,4)", 3) is pool
+    assert _generator_pool("Gamma(2)", 3) is not pool
+    # the word seed includes len(pool): 6 symmetric basis elements x 4, 6 unipotents, 3 flips
+    assert len(pool) == 33
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,11 @@ def test_policy_validation():
         TruncationPolicy(target_tol=-1.0)
     with pytest.raises(DomainError):
         TruncationPolicy(target_tol=float("nan"))
+    # past radius 24 the tail bound covers no box; an infinite goal certifies nothing
+    TruncationPolicy(radius=24)
+    for bad in (dict(radius=25), dict(target_tol=float("inf"))):
+        with pytest.raises(DomainError):
+            TruncationPolicy(**bad)
 
 
 def test_policy_tolerance_floor():
@@ -235,6 +240,10 @@ def test_policy_tolerance_floor():
 @example(lam=0.02, b=0.0, m_prime=(0, 1, 0, 1), weighted=True, floor=1,
          tol=1e-14, adaptive=True)  # no radius <= 24 reaches the goal
 def test_radius_selection_matches_loop_oracle(lam, b, m_prime, weighted, floor, tol, adaptive):
+    if floor > 24:  # the tail bound covers no box past 24: the policy is refused
+        with pytest.raises(DomainError):
+            TruncationPolicy(radius=floor, target_tol=tol, adaptive=adaptive)
+        return
     policy = TruncationPolicy(radius=floor, target_tol=tol, adaptive=adaptive)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -242,8 +251,7 @@ def test_radius_selection_matches_loop_oracle(lam, b, m_prime, weighted, floor, 
         except ConvergenceError as exc:
             with pytest.raises(ConvergenceError) as got:
                 theta_module._choose_radius(lam, b, m_prime, policy, weighted)
-            if floor <= 24:  # past 24 the loop never looked at the envelope
-                assert ("too flat" in str(got.value)) == ("too flat" in str(exc))
+            assert ("too flat" in str(got.value)) == ("too flat" in str(exc))
             return
         radius, bound = theta_module._choose_radius(lam, b, m_prime, policy, weighted)
         bounds = theta_module._tail_bound(lam, b, m_prime, weighted)
