@@ -44,7 +44,7 @@ from .theta import (
 )
 from .forms import (
     A_form,
-    FormValue,
+    A_star,
     MultiplierSpec,
     SecondOrderFactor,
     ThetaConstantFactor,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -21,21 +22,21 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .forms import (
-    A_form,
+    A_star,
     MultiplierSpec,
     W_of_N,
     audit_transformation,
     eval_product,
     parse_theta_expression,
     partial_bracket,
-    second_order_product,
 )
 from .identities import conditioned_words, reports_to_json, run_suite
-from .multilinear import star_product
 from .symplectic import (
     Characteristic,
     SiegelPoint,
+    _generator_pool,
     load_siegel_point,
+    membership,
     odd_characteristics,
     sample_siegel_point,
 )
@@ -60,6 +61,11 @@ def _check_common(args) -> None:
         target_tol=args.series_tol,
         adaptive=not args.no_adaptive,
     )
+
+
+def _fail(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _add_common(parser):
@@ -89,8 +95,7 @@ def _write_or_print(text: str, path: str | None) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(f"cannot write {path}: {exc}", EXIT_IO)
     return EXIT_OK
 
 
@@ -100,8 +105,7 @@ def _complex_json(value: complex):
 
 def cmd_verify(args) -> int:
     if not 1 <= args.g <= 4:
-        print(f"error: genus {args.g} outside 1..4", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"genus {args.g} outside 1..4", EXIT_USAGE)
     reports = run_suite(
         [args.g],
         seed=args.seed,
@@ -109,6 +113,9 @@ def cmd_verify(args) -> int:
         name_filter=args.filter,
         tolerance=args.tol,
     )
+    if args.filter and not reports:
+        return _fail(f"--filter {args.filter!r} matches no identity at genus {args.g}",
+                     EXIT_USAGE)
     config = {
         "command": "verify",
         "genus": args.g,
@@ -152,22 +159,15 @@ def cmd_eval(args) -> int:
         print(f"  {' ' * exc.position}^", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return _fail(exc, EXIT_MATH)
     try:
         point = _load_point(args)
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
     except (DomainError, ValueError, KeyError) as exc:
-        print(f"error: invalid tau input: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return _fail(f"invalid tau input: {exc}", EXIT_MATH)
     if point.g != product.g:
-        print(
-            f"error: expression genus {product.g} != tau genus {point.g}",
-            file=sys.stderr,
-        )
-        return EXIT_MATH
+        return _fail(f"expression genus {product.g} != tau genus {point.g}", EXIT_MATH)
     try:
         value = eval_product(product, point, args.policy)
         payload = {
@@ -180,83 +180,87 @@ def cmd_eval(args) -> int:
             deriv = partial_bracket(product, 1, point, args.policy).entries
             payload["deriv"] = [[_complex_json(x) for x in row] for row in deriv]
     except (ConvergenceError, DegenerateBasePointError, NumericalDegeneracyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return _fail(exc, EXIT_MATH)
     return _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+
+
+def _parse_bits(text: str) -> tuple[int, ...]:
+    text = text.strip()
+    if not text or text.strip("01"):
+        raise ExpressionParseError(f"{text!r} is not a bit string")
+    return tuple(int(b) for b in text)
 
 
 def _parse_char_token(token: str, g: int) -> Characteristic:
     token = token.strip()
-    if token.startswith("n") and token[1:].isdigit():
+    if token.startswith("n") and token[1:].isdecimal():
         odds = odd_characteristics(g)
         idx = int(token[1:]) - 1
         if not 0 <= idx < len(odds):
             raise DomainError(f"{token}: only {len(odds)} odd characteristics at genus {g}")
         return odds[idx]
-    if "|" not in token:
-        raise DomainError(f"characteristic {token!r} needs the form bits|bits or n<j>")
-    left, right = token.split("|", 1)
-    return Characteristic(
-        tuple(int(b) for b in left.strip()), tuple(int(b) for b in right.strip())
-    )
+    left, bar, right = token.partition("|")
+    if not bar:
+        raise ExpressionParseError(f"characteristic {token!r} needs the form bits|bits or n<j>")
+    return Characteristic(_parse_bits(left), _parse_bits(right))
 
 
-def _parse_bitstring(token: str, g: int) -> tuple[int, ...]:
-    token = token.strip()
-    bits = tuple(int(b) for b in token)
-    if len(bits) != g or any(b not in (0, 1) for b in bits):
-        raise DomainError(f"label {token!r} is not a {g}-bit string")
-    return bits
+def _parse_pair(chunk: str, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    eps, comma, delta = chunk.partition(",")
+    if not comma:
+        raise ExpressionParseError(f"pair {chunk.strip()!r} needs the form eps,delta")
+    pair = _parse_bits(eps), _parse_bits(delta)
+    if any(len(bits) != g for bits in pair):
+        raise DomainError(f"pair {chunk.strip()!r} is not two {g}-bit strings")
+    return pair
+
+
+def _parse_form(text: str, g: int, policy):
+    """The multiplier and value function of an audit form spec.
+
+    ``ExpressionParseError`` for a spec that does not parse, ``DomainError``
+    for one that parses but names no form at genus ``g``.
+    """
+    kind, _, spec = text.partition(":")
+    if kind == "W":
+        factors = tuple(_parse_char_token(tok, g) for tok in spec.split(",") if tok.strip())
+        multiplier = MultiplierSpec(2 * len(factors), factors)
+        value_fn = partial(W_of_N, factors, policy=policy)
+    elif kind == "A":
+        factors = tuple(_parse_pair(chunk, g) for chunk in spec.split(";") if chunk.strip())
+        multiplier = MultiplierSpec(2 * len(factors))
+        value_fn = partial(A_star, factors, policy=policy)
+    else:
+        raise ExpressionParseError("form spec must start with 'W:' or 'A:'")
+    if not factors:
+        raise ExpressionParseError(f"form spec {text!r} names no factor")
+    return multiplier, value_fn
 
 
 def cmd_audit(args) -> int:
     if not 1 <= args.g <= 4:
-        print(f"error: genus {args.g} outside 1..4", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"genus {args.g} outside 1..4", EXIT_USAGE)
     groups = {"gamma2": "Gamma(2)", "gamma24": "Gamma(2,4)", "gamma48": "Gamma(4,8)"}
     if args.group not in groups:
-        print(f"error: group must be one of {sorted(groups)}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"group must be one of {sorted(groups)}", EXIT_USAGE)
+    if args.words < 0:
+        return _fail(f"--words must be >= 0, got {args.words}", EXIT_USAGE)
     group = groups[args.group]
     policy = args.policy
     if args.tol is None:
         args.tol = 1e-7
     g = args.g
     try:
-        kind, _, spec = args.form.partition(":")
-        if kind == "W":
-            chars = [_parse_char_token(tok, g) for tok in spec.split(",") if tok]
-            k = len(chars)
-            multiplier = MultiplierSpec(kappa_power=2 * k, phi_chars=tuple(chars))
-
-            def value_fn(pt):
-                return W_of_N(chars, pt, policy).matrix
-
-        elif kind == "A":
-            pairs = []
-            for chunk in spec.split(";"):
-                if not chunk:
-                    continue
-                eps_s, _, delta_s = chunk.partition(",")
-                pairs.append((_parse_bitstring(eps_s, g), _parse_bitstring(delta_s, g)))
-            k = len(pairs)
-            multiplier = MultiplierSpec(kappa_power=2 * k)
-
-            def value_fn(pt):
-                mats = [
-                    A_form(
-                        second_order_product(g, e), second_order_product(g, d), pt, policy
-                    ).matrix
-                    for (e, d) in pairs
-                ]
-                return star_product(*mats)
-
-        else:
-            print("error: form spec must start with 'W:' or 'A:'", file=sys.stderr)
-            return EXIT_USAGE
+        multiplier, value_fn = _parse_form(args.form, g, policy)
+    except ExpressionParseError as exc:
+        return _fail(exc, EXIT_USAGE)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return _fail(exc, EXIT_MATH)
+    k = multiplier.kappa_power // 2
+    # words are products of the group's generators: all of them must obey the law
+    if not all(membership(x, multiplier.group) for x in _generator_pool(group, g)):
+        return _fail(f"form {args.form!r} transforms only under {multiplier.group},"
+                     f" which does not contain {group}", EXIT_USAGE)
 
     rng = np.random.default_rng(args.seed)
     base = sample_siegel_point(g, rng)
@@ -269,14 +273,12 @@ def cmd_audit(args) -> int:
             else []
         )
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return _fail(exc, EXIT_MATH)
     for i, gamma in enumerate(words):
         try:
             rep = audit_transformation(value_fn, gamma, k, multiplier, base, policy)
         except (ConvergenceError, DegenerateBasePointError, DomainError) as exc:
-            print(f"error: word {i}: {exc}", file=sys.stderr)
-            return EXIT_MATH
+            return _fail(f"word {i}: {exc}", EXIT_MATH)
         passed = rep.residual < args.tol
         ok = ok and passed
         results.append(
@@ -353,8 +355,7 @@ def main(argv=None) -> int:
     try:
         _check_common(args)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc, EXIT_USAGE)
     return args.fn(args)
 
 

@@ -18,11 +18,12 @@ class DegenerateBasePointError(RuntimeError):
 
 
 class ExpressionParseError(ValueError):
-    """A theta expression failed to parse.
+    """A theta expression or audit form spec failed to parse.
 
-    ``position`` is the 0-based column of the offending character.
+    ``position`` is the 0-based column of the offending character, or None
+    where the message names the offending token instead.
     """
 
-    def __init__(self, message, position):
+    def __init__(self, message, position=None):
         super().__init__(message)
         self.position = position

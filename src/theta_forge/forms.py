@@ -4,7 +4,10 @@ A ThetaProduct is a formal product of weight-1/2 factors: theta constants
 with even characteristics and second-order theta constants.  On top of it
 sit the derivative brackets, the Wronskian-type A-forms, the two pairings,
 the gradient-wedge forms, and the compound-matrix group action used to
-audit transformation laws.
+audit transformation laws.  Every form value is a plain CompoundMatrix:
+``W_of_N`` builds the generators of V_grad (wedges of odd theta
+gradients) and ``A_star`` those of V_Theta (star products of second-order
+A-forms).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .multilinear import (
     cofactor_tensor,
     compound,
     from_matrix,
+    hodge_dual,
     scalar_compound,
     star_product,
     wedge_outer,
@@ -38,6 +42,7 @@ from .symplectic import (
     phi_factor,
 )
 from .theta import (
+    ThetaValue,
     TruncationPolicy,
     kappa_squared,
     second_order_theta,
@@ -128,43 +133,18 @@ def second_order_product(g: int, *labels) -> ThetaProduct:
     return ThetaProduct(g, tuple(SecondOrderFactor(tuple(e)) for e in labels))
 
 
-@dataclass(frozen=True)
-class FormValue:
-    """A vector-valued form evaluation: a compound matrix plus provenance."""
-
-    level: int
-    matrix: CompoundMatrix
-    provenance: str
-
-    def __post_init__(self):
-        if self.matrix.level != self.level:
-            raise DomainError("FormValue level disagrees with its matrix")
-        if self.provenance in ("A_fh", "W_of_N"):
-            e = self.matrix.entries
-            # outer products of a vector with itself; symmetry is exact
-            if e.dtype != object and not np.array_equal(e, e.T):
-                raise DomainError(f"{self.provenance} value must be symmetric")
-
-
-def _factor_value(factor: Factor, tau, policy) -> complex:
+def _factor_theta(factor: Factor, tau, policy, want_dtau: bool = False) -> ThetaValue:
+    """The factor's ThetaValue, with its tau-derivative matrix if ``want_dtau``."""
     if isinstance(factor, ThetaConstantFactor):
-        return theta_eval(factor.char, tau, None, policy).value
-    return second_order_theta(factor.eps, tau, None, policy).value
-
-
-def _factor_value_and_dmatrix(factor: Factor, tau, policy):
-    if isinstance(factor, ThetaConstantFactor):
-        tv = theta_eval(factor.char, tau, None, policy, want_tau_derivative=True)
-    else:
-        tv = second_order_theta(factor.eps, tau, None, policy, want_tau_derivative=True)
-    return tv.value, tv.tau_derivative
+        return theta_eval(factor.char, tau, None, policy, want_tau_derivative=want_dtau)
+    return second_order_theta(factor.eps, tau, None, policy, want_tau_derivative=want_dtau)
 
 
 def eval_product(f: ThetaProduct, tau, policy: TruncationPolicy | None = None) -> complex:
     """Value of the product at the base point (empty product is 1)."""
     out = complex(1.0)
     for factor in f.factors:
-        out *= _factor_value(factor, tau, policy)
+        out *= _factor_theta(factor, tau, policy).value
     return out
 
 
@@ -189,12 +169,12 @@ def partial_bracket(
         return scalar_compound(g, eval_product(f, tau, policy))
     if k > l:
         return zero_compound(g, k)
-    memo: dict[Factor, tuple[complex, np.ndarray]] = {}
+    memo: dict[Factor, ThetaValue] = {}
     for factor in factors:
         if factor not in memo:
-            memo[factor] = _factor_value_and_dmatrix(factor, tau, policy)
-    values = [memo[factor][0] for factor in factors]
-    dmats = [from_matrix(memo[factor][1]) for factor in factors]
+            memo[factor] = _factor_theta(factor, tau, policy, True)
+    values = [memo[factor].value for factor in factors]
+    dmats = [from_matrix(memo[factor].tau_derivative) for factor in factors]
     total = zero_compound(g, k)
     for subset in subset_tuples(l, k):
         chosen = set(subset)
@@ -209,17 +189,25 @@ def partial_bracket(
 
 def A_form(
     f: ThetaProduct, h: ThetaProduct, tau, policy: TruncationPolicy | None = None
-) -> FormValue:
+) -> CompoundMatrix:
     """The Wronskian-type matrix f * (d h) - (d f) * h for two single factors."""
     if len(f) != 1 or len(h) != 1:
         raise DomainError("A_form needs single-factor products")
     if f.g != h.g:
         raise DomainError("genus mismatch")
-    fv, fd = _factor_value_and_dmatrix(f.factors[0], tau, policy)
-    hv, hd = _factor_value_and_dmatrix(h.factors[0], tau, policy)
+    fv = _factor_theta(f.factors[0], tau, policy, True)
+    hv = _factor_theta(h.factors[0], tau, policy, True)
     # both products scalar-first so swapping (f, h) negates entries bit-exactly
-    mat = fv * hd - hv * fd
-    return FormValue(level=1, matrix=from_matrix(mat), provenance="A_fh")
+    return from_matrix(fv.value * hv.tau_derivative - hv.value * fv.tau_derivative)
+
+
+def A_star(pairs, tau, policy: TruncationPolicy | None = None) -> CompoundMatrix:
+    """The V_Theta generator: the star product of the A-forms of the
+    second-order pairs (eps, delta), at level g - len(pairs)."""
+    return star_product(*[
+        A_form(second_order_product(len(e), e), second_order_product(len(d), d), tau, policy)
+        for e, d in pairs
+    ])
 
 
 def pairing_brace(
@@ -249,20 +237,12 @@ def pairing_bracket(
     policy: TruncationPolicy | None = None,
 ) -> CompoundMatrix:
     """Complementary-index companion of the brace pairing, at level g - k."""
-    g = f.g
-    if k < 1 or k > g:
-        raise DomainError(f"pairing order k={k} outside 1..{g}")
-    total = zero_compound(g, g - k)
-    for p in range(k + 1):
-        left = partial_bracket(f, p, tau, policy)
-        right = partial_bracket(h, k - p, tau, policy)
-        total = total + star_product(left, right).scale((-1.0) ** p)
-    return total
+    return hodge_dual(pairing_brace(f, h, k, tau, policy))
 
 
 def W_of_N(
     chars: Sequence[Characteristic], tau, policy: TruncationPolicy | None = None
-) -> FormValue:
+) -> CompoundMatrix:
     """Scaled outer product of the wedge of odd theta gradients."""
     chars = list(chars)
     if not chars:
@@ -277,21 +257,18 @@ def W_of_N(
     if k > g:
         raise DomainError(f"too many characteristics: {k} > {g}")
     V = np.array([theta_gradient(n, tau, policy) for n in chars])
-    mat = wedge_outer(V).scale(float(np.pi) ** (-2 * k))
-    return FormValue(level=g - k, matrix=mat, provenance="W_of_N")
+    return wedge_outer(V).scale(float(np.pi) ** (-2 * k))
 
 
-def rho_k_action(
-    M: np.ndarray, X: CompoundMatrix, k: int, coords: str = "auto"
-) -> CompoundMatrix:
+def rho_k_action(M: np.ndarray, X: CompoundMatrix, k: int) -> CompoundMatrix:
     """The weight-(k+2,..,k+2,k,..,k) action on a compound-matrix value.
 
-    At level k ("plain" wedge coordinates) the multiplier matrix is the
-    k-th compound of M; at level g-k (the complementary-index coordinates
-    that star products and gradient wedges live in) it is the cofactor
-    tensor of order g-k, i.e. the Hodge twist of the k-th compound.  Both
+    At level g-k (the complementary-index coordinates that star products
+    and gradient wedges live in) the multiplier matrix is the cofactor
+    tensor of order g-k, i.e. the Hodge twist of the k-th compound; at
+    level k (plain wedge coordinates) it is the k-th compound of M.  Both
     are scaled by det(M)^k.  When k == g-k the two conventions genuinely
-    differ; the default resolves to the complementary-index one.
+    differ, and the level resolves to the complementary-index one.
     """
     M = np.asarray(M, dtype=complex)
     g = M.shape[0]
@@ -299,25 +276,12 @@ def rho_k_action(
         raise DomainError("ambient mismatch between M and X")
     if not 1 <= k <= g:
         raise DomainError(f"k={k} outside 1..{g}")
-    if coords == "auto":
-        if X.level == g - k:
-            coords = "hodge"
-        elif X.level == k:
-            coords = "plain"
-        else:
-            raise DomainError(
-                f"level {X.level} matches neither k={k} nor g-k={g - k}"
-            )
-    if coords == "hodge":
-        if X.level != g - k:
-            raise DomainError("hodge coordinates need level g-k")
+    if X.level == g - k:
         lam = cofactor_tensor(M, g - k).entries
-    elif coords == "plain":
-        if X.level != k:
-            raise DomainError("plain coordinates need level k")
+    elif X.level == k:
         lam = compound(M, k).entries
     else:
-        raise DomainError(f"unknown coords {coords!r}")
+        raise DomainError(f"level {X.level} matches neither k={k} nor g-k={g - k}")
     det_k = complex(np.linalg.det(M)) ** k
     return CompoundMatrix(X.ambient, X.level, det_k * (lam @ X.entries @ lam.T))
 
@@ -338,6 +302,13 @@ class MultiplierSpec:
         if self.kappa_power % 2:
             raise DomainError("kappa_power must be even (square-root branch is never fixed)")
         object.__setattr__(self, "phi_chars", tuple(self.phi_chars))
+
+    @property
+    def group(self) -> str:
+        """The congruence group the law holds on: the phase factors of
+        ``phi_chars`` are characters of Gamma(2), the bare multiplier
+        power needs Gamma(2,4)."""
+        return "Gamma(2)" if self.phi_chars else "Gamma(2,4)"
 
     def value(self, gamma: SymplecticElement, tau, policy) -> complex:
         out = kappa_squared(gamma, tau, policy) ** (self.kappa_power // 2)
@@ -366,10 +337,7 @@ def audit_transformation(
     Returns the maximum entrywise deviation relative to the overall scale
     of the two sides.
     """
-    if expected_multiplier.phi_chars:
-        needed = "Gamma(2)"
-    else:
-        needed = "Gamma(2,4)"
+    needed = expected_multiplier.group
     if not membership(gamma, needed):
         raise DomainError(f"audited element must lie in {needed}")
     moved = act_on_tau(gamma, tau)

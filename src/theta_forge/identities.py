@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .forms import (
     A_form,
+    A_star,
     MultiplierSpec,
     ThetaProduct,
     W_of_N,
@@ -151,7 +152,19 @@ def _bits_label(bits) -> str:
 def _second_order_A(eps, delta, tau, policy) -> np.ndarray:
     f = second_order_product(len(eps), tuple(eps))
     h = second_order_product(len(delta), tuple(delta))
-    return A_form(f, h, tau, policy).matrix.entries
+    return A_form(f, h, tau, policy).entries
+
+
+def _odd_expansion(eps, delta) -> list[tuple[int, Characteristic]]:
+    """The signed odd characteristics [eps + delta; alpha] whose gradient
+    outer products expand the A-form of the second-order pair (eps, delta)."""
+    epd = tuple((a + b) % 2 for a, b in zip(eps, delta))
+    terms = []
+    for alpha in itertools.product((0, 1), repeat=len(eps)):
+        n_alpha = Characteristic(epd, alpha)
+        if n_alpha.is_odd:
+            terms.append((-1 if sum(a * d for a, d in zip(alpha, delta)) % 2 else 1, n_alpha))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +217,8 @@ def check_gsm_backward(
     delta = tuple(int(x) for x in delta)
     g = len(eps)
     lhs = _second_order_A(eps, delta, tau, policy)
-    epd = tuple((a + b) % 2 for a, b in zip(eps, delta))
     acc = np.zeros((g, g), dtype=complex)
-    for alpha in itertools.product((0, 1), repeat=g):
-        n_alpha = Characteristic(epd, alpha)
-        if not n_alpha.is_odd:
-            continue
-        sgn = -1 if sum(a * d for a, d in zip(alpha, delta)) % 2 else 1
+    for sgn, n_alpha in _odd_expansion(eps, delta):
         v = theta_gradient(n_alpha, tau, policy)
         acc = acc + sgn * np.outer(v, v)
     rhs = acc * (2.0 ** (-(g - 2)) / HESSIAN_BRIDGE)
@@ -289,30 +297,17 @@ def check_jacobi(
     raise DomainError("jacobi check defined for genus 1 and 2 only")
 
 
-def _main_theorem_sides(g, k, pairs, tau, policy):
-    mats = [
-        from_matrix(_second_order_A(e, d, tau, policy)) for (e, d) in pairs
-    ]
-    lhs = star_product(*mats).entries
+def _main_theorem_sides(pairs, tau, policy):
+    lhs = A_star(pairs, tau, policy).entries
     rhs = None
-    slot_options = []
-    for (e, d) in pairs:
-        epd = tuple((a + b) % 2 for a, b in zip(e, d))
-        opts = []
-        for alpha in itertools.product((0, 1), repeat=g):
-            n_alpha = Characteristic(epd, alpha)
-            if n_alpha.is_odd:
-                sgn = -1 if sum(a * b for a, b in zip(alpha, d)) % 2 else 1
-                opts.append((sgn, n_alpha))
-        slot_options.append(opts)
-    for combo in itertools.product(*slot_options):
+    for combo in itertools.product(*[_odd_expansion(e, d) for e, d in pairs]):
         chars = [c for _, c in combo]
         if len(set(chars)) < len(chars):
             continue  # repeated gradient: the wedge vanishes identically
         sgn = 1
         for s, _ in combo:
             sgn *= s
-        term = W_of_N(chars, tau, policy).matrix.entries
+        term = W_of_N(chars, tau, policy).entries
         rhs = sgn * term if rhs is None else rhs + sgn * term
     if rhs is None:
         rhs = np.zeros_like(lhs)
@@ -345,7 +340,7 @@ def check_main_theorem(
     ratios = []
     sides = []
     for t in taus:
-        lhs, rhs = _main_theorem_sides(g, k, pairs, t, policy)
+        lhs, rhs = _main_theorem_sides(pairs, t, policy)
         sides.append((lhs, rhs))
         cutoff = 1e-6 * float(np.max(np.abs(rhs)))
         mask = np.abs(rhs) > max(cutoff, 1e-30)
@@ -383,18 +378,24 @@ def check_omega_consistency(
     started = time.perf_counter()
     if g < 2:
         raise DomainError("needs genus >= 2")
-    lhs = pairing_bracket(F.power(g - 1), H.power(g - 1), g - 1, tau, policy)
-    A = A_form(F, H, tau, policy).matrix.entries
-    rhs = cofactor_tensor(A, 1).scale(float(math.factorial(g - 1)))
     return _report(
         "omega_consistency",
         g,
         {"F": F.label(), "H": H.label()},
-        _rel(lhs.entries, rhs.entries),
+        _pairing_power_residual(F, H, g - 1, tau, policy),
         tolerance,
         seed,
         started,
     )
+
+
+def _pairing_power_residual(F, H, k, tau, policy) -> float:
+    """The pairing of k-th powers of two single factors against k! times
+    the order-(g-k) cofactor tensor of their A-form."""
+    lhs = pairing_bracket(F.power(k), H.power(k), k, tau, policy)
+    A = A_form(F, H, tau, policy).entries
+    rhs = cofactor_tensor(A, F.g - k).scale(float(math.factorial(k)))
+    return _rel(lhs.entries, rhs.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -702,15 +703,12 @@ def _family_pairing_permutation(genus, rng, policy, seed=0, base_points=5):
             idx = rng.choice(len(evens), 2 * k, replace=False)
             fs = [theta_constant_product(genus, evens[i]) for i in idx[:k]]
             hs = [theta_constant_product(genus, evens[i]) for i in idx[k:]]
-            fprod, hprod = fs[0], hs[0]
-            for x in fs[1:]:
-                fprod = fprod * x
-            for x in hs[1:]:
-                hprod = hprod * x
+            fprod = theta_constant_product(genus, *[evens[i] for i in idx[:k]])
+            hprod = theta_constant_product(genus, *[evens[i] for i in idx[k:]])
             lhs = pairing_bracket(fprod, hprod, k, t, policy)
             rhs = None
             for sigma in itertools.permutations(range(k)):
-                mats = [A_form(fs[i], hs[sigma[i]], t, policy).matrix for i in range(k)]
+                mats = [A_form(fs[i], hs[sigma[i]], t, policy) for i in range(k)]
                 term = star_product(*mats)
                 rhs = term if rhs is None else rhs + term
             worst = max(worst, _rel(lhs.entries, rhs.entries))
@@ -729,10 +727,7 @@ def _family_pairing_power(genus, rng, policy, seed=0, base_points=5):
             i, j = rng.choice(len(evens), 2, replace=False)
             F = theta_constant_product(genus, evens[i])
             H = theta_constant_product(genus, evens[j])
-            lhs = pairing_bracket(F.power(k), H.power(k), k, t, policy)
-            A = A_form(F, H, t, policy).matrix.entries
-            rhs = cofactor_tensor(A, genus - k).scale(float(math.factorial(k)))
-            worst = max(worst, _rel(lhs.entries, rhs.entries))
+            worst = max(worst, _pairing_power_residual(F, H, k, t, policy))
         rows.append(_row("pairing_power_cofactor", {"k": k, "base_points": base_points}, worst))
     if genus >= 2:
         worst = 0.0
@@ -752,7 +747,7 @@ def _family_det_remark(genus, rng, policy, seed=0):
     evens = list(even_characteristics(genus))
     F = theta_constant_product(genus, evens[0])
     H = theta_constant_product(genus, evens[1])
-    A = A_form(F, H, t, policy).matrix.entries
+    A = A_form(F, H, t, policy).entries
     lhs = complex(np.linalg.det(A))
     total = pairing_brace(F.power(genus), H.power(genus), genus, t, policy).scalar()
     rhs = total / math.factorial(genus)
@@ -853,10 +848,7 @@ def _family_audit_astar(genus, rng, policy, seed=0, words=10):
     ]
 
     def value_fn(pt):
-        mats = [
-            from_matrix(_second_order_A(e, d, pt, policy)) for (e, d) in pairs
-        ]
-        return star_product(*mats)
+        return A_star(pairs, pt, policy)
 
     rows = []
     sampled = conditioned_words("Gamma(2,4)", genus, [t], words, seed + 7000)
@@ -880,7 +872,7 @@ def _family_audit_w(genus, rng, policy, seed=0, words=10):
     ns = list(odd_characteristics(genus)[:k])
 
     def value_fn(pt):
-        return W_of_N(ns, pt, policy).matrix
+        return W_of_N(ns, pt, policy)
 
     rows = []
     for i, gamma in enumerate(

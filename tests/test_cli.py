@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from theta_forge import cli
 from theta_forge.cli import main
 from theta_forge.symplectic import SiegelPoint
 
@@ -225,6 +226,40 @@ def test_audit_bad_group(capsys):
 def test_audit_bad_form(capsys):
     assert main(["audit", "--form", "X:n1", "--group", "gamma2", "--g", "2"]) == 3
     assert main(["audit", "--form", "W:n99", "--group", "gamma2", "--g", "2"]) == 4
+
+
+def test_audit_astar_form_over_gamma48(capsys):
+    # Gamma(4,8) lies inside Gamma(2,4), so the A-form law applies there
+    assert main(["audit", "--form", "A:00,10;00,01", "--group", "gamma48", "--words", "0",
+                 "--g", "2"]) == 0
+
+
+# the arguments (the test adds --g 2 after the command) and what the error line must name
+_REFUSED = [
+    (["audit", "--form", "W:x|1,01|11", "--group", "gamma2"], "'x'"),
+    (["audit", "--form", "A:0x,10", "--group", "gamma24"], "'0x'"),
+    (["audit", "--form", "W:", "--group", "gamma2"], "'W:'"),
+    (["audit", "--form", "A:00", "--group", "gamma24"], "'00'"),
+    (["audit", "--form", "W:n1", "--group", "gamma2", "--words", "-3"], "-3"),
+    (["audit", "--form", "A:00,10;00,01", "--group", "gamma2", "--words", "1"], "Gamma(2,4)"),
+    (["verify", "--filter", "jacobi", "--g", "3"], "'jacobi' matches no identity at genus 3"),
+    (["verify", "--filter", "nonexistent*"], "'nonexistent*' matches no identity at genus 2"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _REFUSED, ids=[" ".join(a) for a, _ in _REFUSED])
+def test_unusable_input_exits_3_before_any_word(tmp_path, capsys, monkeypatch, argv, named):
+    # rejected with one error line, no report and no traceback; audits sample no word
+    def no_words(*args, **kwargs):
+        raise AssertionError("a word was sampled")
+
+    monkeypatch.setattr(cli, "conditioned_words", no_words)
+    out = tmp_path / "out.json"
+    assert main(argv[:1] + ["--g", "2"] + argv[1:] + ["--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 # ---------------------------------------------------------------------------

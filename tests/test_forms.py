@@ -7,6 +7,7 @@ import pytest
 from theta_forge.errors import DomainError, ExpressionParseError
 from theta_forge.forms import (
     A_form,
+    A_star,
     MultiplierSpec,
     SecondOrderFactor,
     ThetaConstantFactor,
@@ -164,16 +165,16 @@ def test_A_form_requires_single_factors(tau_g2):
 def test_A_form_antisymmetry_exact(tau_g2):
     F = second_order_product(2, (0, 0))
     H = second_order_product(2, (1, 0))
-    a = A_form(F, H, tau_g2).matrix.entries
-    b = A_form(H, F, tau_g2).matrix.entries
+    a = A_form(F, H, tau_g2).entries
+    b = A_form(H, F, tau_g2).entries
     assert np.max(np.abs(a + b)) == 0.0
-    assert A_form(F, F, tau_g2).matrix.max_abs() == 0.0
+    assert A_form(F, F, tau_g2).max_abs() == 0.0
 
 
 def test_A_form_is_symmetric_matrix(tau_g3):
     F = second_order_product(3, (0, 0, 0))
     H = second_order_product(3, (0, 1, 1))
-    a = A_form(F, H, tau_g3).matrix.entries
+    a = A_form(F, H, tau_g3).entries
     assert np.max(np.abs(a - a.T)) == 0.0
 
 
@@ -182,7 +183,7 @@ def test_A_form_wronskian_vs_finite_difference(rng):
     t = sample_siegel_point(1, rng)
     F = second_order_product(1, (0,))
     H = second_order_product(1, (1,))
-    got = A_form(F, H, t).matrix.entries[0, 0]
+    got = A_form(F, H, t).entries[0, 0]
     h = 1e-5
     from theta_forge.symplectic import SiegelPoint
     from theta_forge.theta import second_order_theta
@@ -209,7 +210,7 @@ def test_brace_order_one_equals_A_form(rng):
         H = second_order_product(g, (1,) + (0,) * (g - 1))
         brace = pairing_brace(F, H, 1, t)
         a = A_form(F, H, t)
-        assert np.max(np.abs(brace.entries - a.matrix.entries)) < 1e-14
+        assert np.max(np.abs(brace.entries - a.entries)) < 1e-14
 
 
 def test_brace_self_pairing_vanishes_at_odd_order(rng):
@@ -251,7 +252,7 @@ def test_power_pairing_cofactor_identity(rng):
         F = theta_constant_product(g, evens[0])
         H = theta_constant_product(g, evens[3])
         lhs = pairing_bracket(F.power(k), H.power(k), k, t)
-        A = A_form(F, H, t).matrix.entries
+        A = A_form(F, H, t).entries
         rhs = cofactor_tensor(A, g - k).scale(float(math.factorial(k)))
         scale = max(lhs.max_abs(), rhs.max_abs())
         assert np.max(np.abs(lhs.entries - rhs.entries)) < 1e-9 * scale
@@ -266,7 +267,7 @@ def test_permutation_expansion_identity(rng):
     lhs = pairing_bracket(fs[0] * fs[1], hs[0] * hs[1], k, t)
     rhs = None
     for sigma in itertools.permutations(range(k)):
-        mats = [A_form(fs[i], hs[sigma[i]], t).matrix for i in range(k)]
+        mats = [A_form(fs[i], hs[sigma[i]], t) for i in range(k)]
         term = star_product(*mats)
         rhs = term if rhs is None else rhs + term
     scale = max(lhs.max_abs(), rhs.max_abs())
@@ -280,7 +281,7 @@ def test_scalar_pairing_determinant(rng):
     evens = even_characteristics(g)
     F = theta_constant_product(g, evens[0])
     H = theta_constant_product(g, evens[1])
-    A = A_form(F, H, t).matrix.entries
+    A = A_form(F, H, t).entries
     total = pairing_brace(F.power(g), H.power(g), g, t).scalar()
     assert np.linalg.det(A) == pytest.approx(total / math.factorial(g), rel=1e-9)
 
@@ -311,9 +312,29 @@ def test_W_matches_scaled_star(rng):
             s = star_product(*[from_matrix(np.outer(v, v)) for v in V]).scale(
                 float(np.pi) ** (-2 * k) * math.factorial(k)
             )
-            assert np.max(np.abs(w.matrix.entries - s.entries)) < 1e-9 * max(
-                w.matrix.max_abs(), 1e-30
+            assert np.max(np.abs(w.entries - s.entries)) < 1e-9 * max(
+                w.max_abs(), 1e-30
             )
+
+
+@pytest.mark.parametrize("g", (2, 3))
+@pytest.mark.parametrize("k", (1, 2))
+def test_W_of_N_is_exactly_symmetric(rng, g, k):
+    # wedge_outer mirrors its upper triangle, so no entry may differ at all
+    t = sample_siegel_point(g, rng)
+    w = W_of_N(list(odd_characteristics(g)[:k]), t).entries
+    assert w.shape == (math.comb(g, g - k),) * 2
+    assert np.array_equal(w, w.T)
+
+
+def test_A_star_is_the_star_of_second_order_A_forms(rng):
+    g = 3
+    t = sample_siegel_point(g, rng)
+    pairs = [((0, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 0, 1))]
+    got = A_star(pairs, t)
+    assert got.level == g - len(pairs)
+    mats = [A_form(second_order_product(g, e), second_order_product(g, d), t) for e, d in pairs]
+    assert np.array_equal(got.entries, star_product(*mats).entries)
 
 
 def test_W_scalar_case_g1(rng):
@@ -321,12 +342,12 @@ def test_W_scalar_case_g1(rng):
     n = Characteristic((1,), (1,))
     w = W_of_N([n], t)
     v = theta_gradient(n, t)[0]
-    assert w.matrix.scalar() == pytest.approx(v * v / np.pi**2)
+    assert w.scalar() == pytest.approx(v * v / np.pi**2)
 
 
 def test_W_nonvanishing_at_generic_point(rng):
     t = sample_siegel_point(2, rng)
-    assert W_of_N(list(odd_characteristics(2)[:2]), t).matrix.max_abs() > 1e-12
+    assert W_of_N(list(odd_characteristics(2)[:2]), t).max_abs() > 1e-12
 
 
 def test_W_jacobian_square_g2(rng):
@@ -335,7 +356,7 @@ def test_W_jacobian_square_g2(rng):
     w = W_of_N(ns, t)
     V = np.array([theta_gradient(n, t) for n in ns])
     jac = np.linalg.det(V)
-    assert w.matrix.scalar() == pytest.approx(jac**2 / np.pi**4)
+    assert w.scalar() == pytest.approx(jac**2 / np.pi**4)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +399,7 @@ def test_rho_action_plain_coordinates(rng):
     g, k = 3, 2
     M = rng.standard_normal((g, g))
     X = compound(rng.standard_normal((g, g)), k)
-    out = rho_k_action(M, X, k, coords="plain")
+    out = rho_k_action(M, X, k)
     lam = compound(M, k).entries
     want = np.linalg.det(M) ** k * (lam @ X.entries @ lam.T)
     assert np.allclose(out.entries, want)
@@ -407,7 +428,7 @@ def test_audit_identity_element(rng):
     H = second_order_product(g, (1, 0))
 
     def fn(pt):
-        return star_product(A_form(F, H, pt).matrix, A_form(F, H, pt).matrix)
+        return star_product(A_form(F, H, pt), A_form(F, H, pt))
 
     rep = audit_transformation(
         fn, SymplecticElement.identity(g), 2, MultiplierSpec(kappa_power=4), t
@@ -433,7 +454,7 @@ def test_audit_rejects_wrong_group(rng):
 
     def fn(pt):
         return star_product(
-            A_form(second_order_product(g, (0, 0)), second_order_product(g, (1, 0)), pt).matrix
+            A_form(second_order_product(g, (0, 0)), second_order_product(g, (1, 0)), pt)
         )
 
     with pytest.raises(DomainError):
@@ -448,7 +469,7 @@ def test_audit_astar_words(rng):
     H2 = second_order_product(g, (0, 0, 1))
 
     def fn(pt):
-        return star_product(A_form(F, H1, pt).matrix, A_form(F, H2, pt).matrix)
+        return star_product(A_form(F, H1, pt), A_form(F, H2, pt))
 
     for gamma in conditioned_words("Gamma(2,4)", g, [t], 3, 811):
         rep = audit_transformation(fn, gamma, 2, MultiplierSpec(kappa_power=4), t)
@@ -461,7 +482,7 @@ def test_audit_gradient_wedge_with_phase_factors(rng):
     ns = list(odd_characteristics(g)[:2])
 
     def fn(pt):
-        return W_of_N(ns, pt).matrix
+        return W_of_N(ns, pt)
 
     for gamma in conditioned_words("Gamma(2)", g, [t], 3, 977):
         rep = audit_transformation(
