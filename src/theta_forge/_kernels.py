@@ -12,10 +12,10 @@ sum_p p_a term = x_a . m_a and sum_p p_a p_b term = x_a^T M_ab x_b.
 
 With ``trim`` > 0 the kernel also sums the core of the grid: the same term
 array with ``trim`` points cut from both ends of every axis, a strided view
-rather than a copy.  The adaptive check reads the sum at radius r from the
-terms of the sum at radius r + 2 this way.  Every reduction runs in a fixed
-order, so each result is bit-stable run to run, and no step hands a
-grid-sized array to BLAS.
+rather than a copy.  The evaluator's refinement check reads the sum at
+radius r from the terms of the sum at radius r + 2 this way.  Every
+reduction runs in a fixed order, so each result is bit-stable run to run,
+and no step hands a grid-sized array to BLAS.
 """
 
 from __future__ import annotations

@@ -50,17 +50,16 @@ EXIT_MATH = 4
 
 
 def _check_common(args) -> None:
-    """Attach the truncation policy to ``args``; ``DomainError`` for a negative
-    seed, a ``--tol`` not finite and > 0, or a policy ``TruncationPolicy`` refuses."""
+    """Attach the truncation policy to ``args``; ``DomainError`` for a genus
+    outside 1..4, a negative seed, a ``--tol`` not finite and > 0, or a
+    ``--series-tol`` that ``TruncationPolicy`` refuses."""
+    if not 1 <= args.g <= 4:
+        raise DomainError(f"genus {args.g} outside 1..4")
     if args.seed < 0:
         raise DomainError(f"seed must be >= 0, got {args.seed}")
     if args.tol is not None and not 0 < args.tol < float("inf"):
         raise DomainError(f"--tol must be finite and > 0, got {args.tol}")
-    args.policy = TruncationPolicy(
-        radius=args.radius,
-        target_tol=args.series_tol,
-        adaptive=not args.no_adaptive,
-    )
+    args.policy = TruncationPolicy(target_tol=args.series_tol)
 
 
 def _fail(message, code: int) -> int:
@@ -77,12 +76,8 @@ def _add_common(parser):
         default=None,
         help="pass threshold override (default: per-identity tolerances)",
     )
-    parser.add_argument("--radius", type=int, default=1, help="minimum box radius")
     parser.add_argument(
         "--series-tol", type=float, default=1e-12, help="series tail tolerance"
-    )
-    parser.add_argument(
-        "--no-adaptive", action="store_true", help="skip the refinement re-run"
     )
     parser.add_argument("--out", type=str, default=None, help="report output path")
 
@@ -104,8 +99,6 @@ def _complex_json(value: complex):
 
 
 def cmd_verify(args) -> int:
-    if not 1 <= args.g <= 4:
-        return _fail(f"genus {args.g} outside 1..4", EXIT_USAGE)
     reports = run_suite(
         [args.g],
         seed=args.seed,
@@ -122,11 +115,7 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "tolerance": args.tol,
         "filter": args.filter,
-        "truncation": {
-            "radius": args.radius,
-            "target_tol": args.series_tol,
-            "adaptive": not args.no_adaptive,
-        },
+        "truncation": {"target_tol": args.series_tol},
     }
     text = reports_to_json(reports, config=config, embed_timings=args.timings)
     code = _write_or_print(text, args.out)
@@ -144,10 +133,12 @@ def cmd_verify(args) -> int:
 
 
 def _load_point(args) -> SiegelPoint:
-    if args.tau is not None:
-        return load_siegel_point(args.tau)
-    rng = np.random.default_rng(args.seed)
-    return sample_siegel_point(args.g, rng)
+    if args.tau is None:
+        return sample_siegel_point(args.g, np.random.default_rng(args.seed))
+    point = load_siegel_point(args.tau)
+    if not 1 <= point.g <= 4:
+        raise DomainError(f"genus {point.g} outside 1..4")
+    return point
 
 
 def cmd_eval(args) -> int:
@@ -162,9 +153,9 @@ def cmd_eval(args) -> int:
         return _fail(exc, EXIT_MATH)
     try:
         point = _load_point(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(exc, EXIT_IO)
-    except (DomainError, ValueError, KeyError) as exc:
+    except (DomainError, ValueError, KeyError, TypeError) as exc:
         return _fail(f"invalid tau input: {exc}", EXIT_MATH)
     if point.g != product.g:
         return _fail(f"expression genus {product.g} != tau genus {point.g}", EXIT_MATH)
@@ -238,8 +229,6 @@ def _parse_form(text: str, g: int, policy):
 
 
 def cmd_audit(args) -> int:
-    if not 1 <= args.g <= 4:
-        return _fail(f"genus {args.g} outside 1..4", EXIT_USAGE)
     groups = {"gamma2": "Gamma(2)", "gamma24": "Gamma(2,4)", "gamma48": "Gamma(4,8)"}
     if args.group not in groups:
         return _fail(f"group must be one of {sorted(groups)}", EXIT_USAGE)
@@ -264,6 +253,11 @@ def cmd_audit(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     base = sample_siegel_point(g, rng)
+    try:
+        # a spec that parses but names no form fails here, whatever --words says
+        value_fn(base)
+    except (ConvergenceError, DegenerateBasePointError, DomainError) as exc:
+        return _fail(exc, EXIT_MATH)
     results = []
     ok = True
     try:

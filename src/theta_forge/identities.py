@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalDegeneracyError
 from .forms import (
     A_form,
     A_star,
@@ -79,7 +79,7 @@ from .theta import (
 # z-Hessian normalization of the A-forms over the halved-tau-derivative one
 HESSIAN_BRIDGE = 8j * np.pi
 
-SCHEMA_VERSION = "theta-forge/report/2"
+SCHEMA_VERSION = "theta-forge/report/3"
 
 
 @dataclass(frozen=True)
@@ -827,7 +827,7 @@ def conditioned_words(group, g, base_points, count, seed, length=4, min_lambda=0
                 if min_im_eigenvalue(act_on_tau(gamma, p).tau) < min_lambda:
                     ok = False
                     break
-            except Exception:
+            except (NumericalDegeneracyError, DomainError):
                 ok = False
                 break
         if ok:

@@ -14,12 +14,13 @@ The tail bound is computed for every radius 0 .. _MAX_RADIUS + 2 at once,
 as numpy arrays, from one-dimensional envelope sums that are memoised per
 coordinate: a coordinate has two offsets (integer or half-integer), so one
 tau and z need at most four of them.  Radius selection reads the first
-radius whose bound clears the goal, and the adaptive re-run at radius + 2
-reads its bound from the same array.
+radius whose bound clears ``target_tol / 20``; the reported tail is the
+bound at radius + 2, read from the same array.
 
-The lattice sum is one ``_kernels.grid_sum`` call over the box as a grid of
-g axes.  With adaptive refinement on, it sums the box at radius + 2 and,
-from the same terms, its core at radius, so the check sums no point twice.
+Every evaluation takes one path: one ``_kernels.grid_sum`` call sums the box
+at radius + 2 as a grid of g axes and, from the same terms, its core at
+radius, and the two sums must agree to ``target_tol / 10`` plus a rounding
+allowance.  So the refinement check sums no point twice.
 """
 
 from __future__ import annotations
@@ -48,37 +49,31 @@ _ONE_DIM_SPAN = 64
 _EPS = float(np.finfo(float).eps)
 # smallest target_tol a policy accepts: 16 machine epsilons, about 3.6e-15
 _MIN_TARGET_TOL = 16 * _EPS
-# rounding allowance of the adaptive check, in machine epsilons of the
+# rounding allowance of the refinement check, in machine epsilons of the
 # product of envelope totals (which bounds the sum of |term| over the box)
 _ROUNDING_ULPS = 8
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Controls the lattice box used for every series evaluation.
+    """The requested accuracy of every series evaluation.
 
-    ``radius`` is a floor; the evaluator takes the first radius from it on
-    whose tail bound outside the box clears ``target_tol`` (``target_tol / 20``
-    with ``adaptive`` on).  With ``adaptive`` on, the evaluation is repeated
-    with the radius increased by 2 and the change is required to stay below
-    ``target_tol / 10`` plus a rounding allowance of 8 machine epsilons
-    times the product of the per-coordinate envelope totals, which bounds
-    the sum of |term| over the box.
+    The evaluator takes the first radius whose tail bound outside the box
+    clears ``target_tol / 20``, sums the box at radius + 2, and requires the
+    change from the box at radius to stay below ``target_tol / 10`` plus a
+    rounding allowance of 8 machine epsilons times the product of the
+    per-coordinate envelope totals, which bounds the sum of |term| over the
+    box.
 
     ``target_tol`` must be finite and at least 16 machine epsilons (about
     3.6e-15): below that, rounding alone moves an order-one theta value by
-    more than the tolerance, so no evaluation could be certified.  ``radius``
-    must lie in 1..24, the largest box the tail bound covers.  Anything else
-    raises ``DomainError``.
+    more than the tolerance, so no evaluation could be certified.  Anything
+    else raises ``DomainError``.
     """
 
-    radius: int = 1
     target_tol: float = 1e-12
-    adaptive: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.radius <= _MAX_RADIUS:
-            raise DomainError(f"policy radius must lie in 1..{_MAX_RADIUS}, got {self.radius}")
         if not _MIN_TARGET_TOL <= self.target_tol < np.inf:
             raise DomainError(
                 f"target_tol must be finite and at least {_MIN_TARGET_TOL:.2g} "
@@ -156,17 +151,15 @@ def _tail_bound(lam, b, m_prime, weighted):
 
 
 def _choose_radius(lam, b, m_prime, policy: TruncationPolicy, weighted):
-    """Smallest radius >= the policy floor whose tail bound is under the goal."""
-    goal = policy.target_tol / 20.0 if policy.adaptive else policy.target_tol
-    floor = max(policy.radius, 1)
+    """Smallest radius >= 1 whose tail bound is under ``target_tol / 20``."""
     bounds = _tail_bound(lam, b, m_prime, weighted)
-    hits = np.flatnonzero(bounds[floor : _MAX_RADIUS + 1] < goal)
+    hits = np.flatnonzero(bounds[1 : _MAX_RADIUS + 1] < policy.target_tol / 20.0)
     if hits.size == 0:
         raise ConvergenceError(
             f"no radius <= {_MAX_RADIUS} reaches target_tol={policy.target_tol:g} "
             f"(lambda_min={lam:.3g})"
         )
-    radius = floor + int(hits[0])
+    radius = 1 + int(hits[0])
     return radius, float(bounds[radius])
 
 
@@ -182,33 +175,29 @@ def _eval_cached(m_key, tau_bytes, z_bytes, g, policy: TruncationPolicy, want_gr
     weighted = want_grad or want_dtau
     y = z + np.asarray(m_double, dtype=float) / 2.0
 
-    radius, bound = _choose_radius(lam, b, m_prime, policy, weighted)
-    # with adaptive on, one sum at radius + 2 whose core is the box at radius;
-    # per coordinate, the box holds x = n + m'/2 with |x| <= r
-    trim = 2 if policy.adaptive else 0
-    r = radius + trim
+    radius, _ = _choose_radius(lam, b, m_prime, policy, weighted)
+    # one sum at radius + 2 whose core is the box at radius; per coordinate,
+    # the box holds x = n + m'/2 with |x| <= r
+    r = radius + 2
     axes = [np.arange(-r, r + 1 - u, dtype=float) + 0.5 * u for u in m_prime]
     with np.errstate(**_QUIET_OVERFLOW):
-        full, core = grid_sum(axes, tau, y, trim, weighted, want_dtau)
+        full, core = grid_sum(axes, tau, y, 2, weighted, want_dtau)
     if not all(np.isfinite(slot).all() for slot in full):
         # a term past the float range, which the tail bound (the envelope
         # mass outside the box) need not see
         raise ConvergenceError(f"the lattice sum overflows at radius {r}")
     val, grad, dtau = full
-    if policy.adaptive:
-        # slots not requested are zero in both sums
-        change = max(float(np.max(np.abs(np.subtract(f, c)))) for f, c in zip(full, core))
-        envelope = math.prod(_one_dim_sums(lam, b, u == 1, weighted)[0] for u in m_prime)
-        allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
-        if not change <= allowed:  # nan fails too
-            raise ConvergenceError(
-                f"adaptive refinement moved the value by {change:g} "
-                f"(> {allowed:g}) at radius {radius}"
-            )
-        bound = _tail_bound(lam, b, m_prime, weighted)[radius + 2]
+    # slots not requested are zero in both sums
+    change = max(float(np.max(np.abs(np.subtract(f, c)))) for f, c in zip(full, core))
+    envelope = math.prod(_one_dim_sums(lam, b, u == 1, weighted)[0] for u in m_prime)
+    allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
+    if not change <= allowed:  # nan fails too
+        raise ConvergenceError(
+            f"refinement moved the value by {change:g} (> {allowed:g}) at radius {radius}"
+        )
     grad.setflags(write=False)
     dtau.setflags(write=False)
-    return val, grad, dtau, float(bound)
+    return val, grad, dtau, float(_tail_bound(lam, b, m_prime, weighted)[r])
 
 
 def _coerce_tau(tau) -> np.ndarray:

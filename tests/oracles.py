@@ -193,11 +193,11 @@ def loop_tail_bound(lam, b, m_prime, radius, weighted):
 
 
 def loop_choose_radius(lam, b, m_prime, policy, weighted, max_radius=24):
-    """Raise the radius from the policy floor until the bound clears the goal."""
+    """Raise the radius from 1 until the bound clears target_tol / 20."""
     from theta_forge.errors import ConvergenceError
 
-    goal = policy.target_tol / 20.0 if policy.adaptive else policy.target_tol
-    radius = max(policy.radius, 1)
+    goal = policy.target_tol / 20.0
+    radius = 1
     while radius <= max_radius:
         bound = loop_tail_bound(lam, b, m_prime, radius, weighted)
         if bound < goal:

@@ -73,6 +73,34 @@ def test_eval_invalid_tau(tmp_path, capsys):
     assert main(["eval", "T[0|0]", "--tau", str(bad)]) == 4
 
 
+def test_eval_genus_outside_1_to_4_exits_3(capsys):
+    # refused before any sum, as verify and audit refuse it
+    assert main(["eval", "T[0,0,0,0,0|0,0,0,0,0]", "--g", "5"]) == 3
+    assert capsys.readouterr().err == "error: genus 5 outside 1..4\n"
+
+
+@pytest.mark.parametrize(
+    "content, code",
+    [
+        (None, 2),  # a directory
+        ("[1, 2]", 4),  # JSON that is not an object
+        (json.dumps(SiegelPoint(1j * np.eye(5)).to_json()), 4),  # genus 5
+    ],
+    ids=["directory", "list", "genus-5"],
+)
+def test_eval_unusable_tau_file(tmp_path, capsys, content, code):
+    # one error line and the documented exit code, no traceback
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "tau.json"
+        path.write_text(content)
+    out = tmp_path / "out.json"
+    assert main(["eval", "T[0,0,0,0,0|0,0,0,0,0]", "--tau", str(path), "--out", str(out)]) == code
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eval_random_tau(capsys):
     code = main(["eval", "S[0,0]", "--g", "2", "--seed", "5"])
     assert code == 0
@@ -95,7 +123,8 @@ def test_verify_filter_and_report(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "theta-forge/report/2"
+    assert payload["schema"] == "theta-forge/report/3"
+    assert payload["config"]["truncation"] == {"target_tol": 1e-12}
     assert payload["all_passed"] is True
     assert payload["config"]["genus"] == 1
     names = {r["identity_name"] for r in payload["reports"]}
@@ -159,7 +188,8 @@ _COMMANDS = {
         ["--tol", "-1"],
         ["--tol", "0"],
         ["--tol", "inf"],
-        ["--radius", "25"],
+        ["--g", "0"],
+        ["--g", "5"],
         ["--series-tol", "inf"],
         ["--series-tol", "nan"],
     ],
@@ -172,6 +202,18 @@ def test_unusable_options_exit_3(tmp_path, capsys, command, option):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize(
+    "option", [["--radius", "3"], ["--radius", "25"], ["--no-adaptive"]], ids="=".join
+)
+def test_removed_truncation_options_exit_3(tmp_path, capsys, command, option):
+    # the truncation policy is its tolerance: no radius floor, no second path
+    out = tmp_path / "out.json"
+    assert main(_COMMANDS[command] + option + ["--out", str(out)]) == 3
+    assert not out.exists()
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +302,33 @@ def test_unusable_input_exits_3_before_any_word(tmp_path, capsys, monkeypatch, a
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("words", ["0", "1"])
+@pytest.mark.parametrize(
+    "g, form, group",
+    [
+        ("2", "W:00|00", "gamma2"),  # an even characteristic
+        ("2", "W:n1,n1", "gamma2"),  # a repeated factor
+        ("2", "W:n1,n2,n3", "gamma2"),  # more factors than the genus
+        ("3", "W:10|11", "gamma2"),  # a genus-2 characteristic at genus 3
+        ("2", "A:00,10;00,01;00,11", "gamma24"),  # level above the ambient dimension
+    ],
+)
+def test_audit_unusable_form_exits_4_before_any_word(tmp_path, capsys, monkeypatch, g, form,
+                                                     group, words):
+    # the form is evaluated once at the base point, so the outcome does not
+    # depend on --words and no word is sampled
+    def no_words(*args, **kwargs):
+        raise AssertionError("a word was sampled")
+
+    monkeypatch.setattr(cli, "conditioned_words", no_words)
+    out = tmp_path / "out.json"
+    argv = ["audit", "--form", form, "--group", group, "--g", g, "--words", words]
+    assert main(argv + ["--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

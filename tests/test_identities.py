@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from theta_forge import identities
-from theta_forge.errors import DomainError
+from theta_forge.errors import DomainError, NumericalDegeneracyError
 from theta_forge.forms import theta_constant_product
 from theta_forge.identities import (
     HESSIAN_BRIDGE,
@@ -84,7 +84,7 @@ def test_jacobi_g2_ratio_constancy(rng):
 def test_jacobi_fit_stable_under_policy_refinement(rng):
     taus = [sample_siegel_point(1, rng) for _ in range(3)]
     c_default = complex(*check_jacobi(1, taus).params["fitted_constant"])
-    tight = TruncationPolicy(target_tol=1e-14, adaptive=False)
+    tight = TruncationPolicy(target_tol=1e-14)
     c_tight = complex(*check_jacobi(1, taus, policy=tight).params["fitted_constant"])
     assert abs(c_default - c_tight) < 1e-9
 
@@ -130,7 +130,7 @@ def test_main_theorem_fit_stable_under_policy_refinement(rng):
     c_default = complex(
         *check_main_theorem(2, 1, pairs, taus).params["fitted_constant"]
     )
-    tight = TruncationPolicy(target_tol=1e-14, adaptive=False)
+    tight = TruncationPolicy(target_tol=1e-14)
     c_tight = complex(
         *check_main_theorem(2, 1, pairs, taus, policy=tight).params["fitted_constant"]
     )
@@ -181,6 +181,27 @@ def test_conditioned_words_deterministic(rng):
     a = conditioned_words("Gamma(2)", 2, [t], 3, 5)
     b = conditioned_words("Gamma(2)", 2, [t], 3, 5)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "raised, expected, message",
+    [
+        (NumericalDegeneracyError, DomainError, "could not sample 1 usable words"),
+        (DomainError, DomainError, "could not sample 1 usable words"),
+        (TypeError, TypeError, "from act_on_tau"),
+    ],
+    ids=["degenerate", "domain", "bug"],
+)
+def test_conditioned_words_rejects_only_documented_errors(monkeypatch, rng, raised, expected,
+                                                         message):
+    # the documented refusals of act_on_tau mark a word unusable; a bug propagates
+    def act(gamma, point):
+        raise raised("from act_on_tau")
+
+    monkeypatch.setattr(identities, "act_on_tau", act)
+    t = sample_siegel_point(2, rng)
+    with pytest.raises(expected, match=message):
+        conditioned_words("Gamma(2)", 2, [t], 1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +347,7 @@ def test_report_serialization_contract():
         seed=7,
     )
     payload = json.loads(reports_to_json([rep], config={"genus": 2}))
-    assert payload["schema"] == "theta-forge/report/2"
+    assert payload["schema"] == "theta-forge/report/3"
     entry = payload["reports"][0]
     assert set(entry) == {
         "identity_name",

@@ -204,16 +204,12 @@ def test_quasi_periodicity_sign(rng):
 
 def test_policy_validation():
     with pytest.raises(DomainError):
-        TruncationPolicy(radius=0)
-    with pytest.raises(DomainError):
         TruncationPolicy(target_tol=-1.0)
     with pytest.raises(DomainError):
         TruncationPolicy(target_tol=float("nan"))
-    # past radius 24 the tail bound covers no box; an infinite goal certifies nothing
-    TruncationPolicy(radius=24)
-    for bad in (dict(radius=25), dict(target_tol=float("inf"))):
-        with pytest.raises(DomainError):
-            TruncationPolicy(**bad)
+    # an infinite goal certifies nothing
+    with pytest.raises(DomainError):
+        TruncationPolicy(target_tol=float("inf"))
 
 
 def test_policy_tolerance_floor():
@@ -231,20 +227,13 @@ def test_policy_tolerance_floor():
     b=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
     m_prime=st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
     weighted=st.booleans(),
-    floor=st.integers(1, 26),
     tol=st.floats(16 * np.finfo(float).eps, 1e-3),
-    adaptive=st.booleans(),
 )
-@example(lam=0.004, b=0.0, m_prime=(0,), weighted=False, floor=1, tol=1e-12,
-         adaptive=True)  # envelope too flat
-@example(lam=0.02, b=0.0, m_prime=(0, 1, 0, 1), weighted=True, floor=1,
-         tol=1e-14, adaptive=True)  # no radius <= 24 reaches the goal
-def test_radius_selection_matches_loop_oracle(lam, b, m_prime, weighted, floor, tol, adaptive):
-    if floor > 24:  # the tail bound covers no box past 24: the policy is refused
-        with pytest.raises(DomainError):
-            TruncationPolicy(radius=floor, target_tol=tol, adaptive=adaptive)
-        return
-    policy = TruncationPolicy(radius=floor, target_tol=tol, adaptive=adaptive)
+@example(lam=0.004, b=0.0, m_prime=(0,), weighted=False, tol=1e-12)  # envelope too flat
+@example(lam=0.02, b=0.0, m_prime=(0, 1, 0, 1), weighted=True,
+         tol=1e-14)  # no radius <= 24 reaches the goal
+def test_radius_selection_matches_loop_oracle(lam, b, m_prime, weighted, tol):
+    policy = TruncationPolicy(target_tol=tol)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             want = loop_choose_radius(lam, b, m_prime, policy, weighted)
@@ -278,10 +267,9 @@ def _random_point(g, lam, seed):
     im_frac=st.floats(0.0, 1.2),
     seed=st.integers(0, 2**32 - 1),
     tol=st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]),
-    adaptive=st.booleans(),
     slots=st.sampled_from(["value", "gradient", "tau_derivative"]),
 )
-def test_est_tail_bounds_the_truncation_error(g, lam, im_frac, seed, tol, adaptive, slots):
+def test_est_tail_bounds_the_truncation_error(g, lam, im_frac, seed, tol, slots):
     # |S(r) - S(R)| <= est_tail + rounding, with S(R) a box sum at radius R
     # far past any radius the evaluator picks (<= 26)
     tau, rng = _random_point(g, lam, seed)
@@ -291,7 +279,7 @@ def test_est_tail_bounds_the_truncation_error(g, lam, im_frac, seed, tol, adapti
     b_edge = max(0.0, (np.pi * lam * 24**2 - 30.0) / (2 * np.pi * 24))
     direction = rng.standard_normal(g)
     z = rng.uniform(-0.5, 0.5, g) + 1j * im_frac * b_edge * direction / np.linalg.norm(direction)
-    policy = TruncationPolicy(target_tol=tol, adaptive=adaptive)
+    policy = TruncationPolicy(target_tol=tol)
     want_grad = slots != "value"
     want_dtau = slots == "tau_derivative"
     try:
@@ -331,19 +319,10 @@ def test_overflowing_input_raises_only_convergence_error(tau, z):
 def test_adaptive_refinement_consistency(rng):
     t = sample_siegel_point(2, rng)
     m = Characteristic((0, 1), (1, 1))
-    loose = theta_eval(m, t, policy=TruncationPolicy(target_tol=1e-8, adaptive=True))
-    tight = theta_eval(m, t, policy=TruncationPolicy(target_tol=1e-14, adaptive=False))
+    loose = theta_eval(m, t, policy=TruncationPolicy(target_tol=1e-8))
+    tight = theta_eval(m, t, policy=TruncationPolicy(target_tol=1e-14))
     assert loose.value == pytest.approx(tight.value, abs=1e-9)
     assert loose.est_tail <= 1e-8
-
-
-def test_radius_floor_respected(rng):
-    t = sample_siegel_point(1, rng)
-    m = Characteristic((0,), (0,))
-    a = theta_eval(m, t, policy=TruncationPolicy(radius=12, adaptive=False))
-    b = theta_eval(m, t, policy=TruncationPolicy(radius=1, adaptive=False))
-    assert a.value == pytest.approx(b.value, abs=1e-12)
-    assert a.est_tail <= b.est_tail
 
 
 def test_convergence_error_on_flat_point():
