@@ -5,20 +5,27 @@ lattice points p.  The box is the Cartesian grid of g one-dimensional axes,
 and the exponent is built over that grid by broadcasting rather than over
 an N x g matrix of points: each term (x_a tau_ab) x_b of the quadratic form
 is a table over two axes and each x_a y_a a table over one, added into the
-grid in the order a sum over the point matrix adds them.  One np.exp over
-the grid then gives every term.  The termwise z-gradient and tau-derivative
-are read off the one- and two-dimensional marginals of the term array:
-sum_p p_a term = x_a . m_a and sum_p p_a p_b term = x_a^T M_ab x_b.
+grid in the order a sum over the point matrix adds them.  The quadratic
+part does not depend on y, so it is built once per (tau, axes) and kept as
+a read-only grid in a small cache: the characteristics that share a box at
+one tau share it.  Each call adds its linear part, scales by 2 pi i and
+takes one np.exp over the grid, so every term is the same bit for bit
+whether the quadratic grid was cached or not.  The termwise z-gradient
+and tau-derivative are read off the one- and two-dimensional marginals of
+the term array: sum_p p_a term = x_a . m_a and
+sum_p p_a p_b term = x_a^T M_ab x_b.
 
 With ``trim`` > 0 the kernel also sums the core of the grid: the same term
 array with ``trim`` points cut from both ends of every axis, a strided view
-rather than a copy.  The evaluator's refinement check reads the sum at
-radius r from the terms of the sum at radius r + 2 this way.  Every
+rather than a copy.  The evaluator's refinement check reads the sum over
+its box from the terms of the sum over the box widened by 2 this way.  Every
 reduction runs in a fixed order, so each result is bit-stable run to run,
 and no step hands a grid-sized array to BLAS.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +38,26 @@ def _on_axis(x, a, g):
     return x.reshape((1,) * a + (-1,) + (1,) * (g - 1 - a))
 
 
+@lru_cache(maxsize=2)
+def _quadratic(tau_key, axes_key):
+    """0.5 * sum_a sum_b (x_a tau_ab) x_b over the grid, read-only.
+
+    Keyed by the bytes of tau and of each axis, so the 2^g characteristics
+    with the same m' at one tau, which share the box, share this grid too.
+    """
+    g = len(axes_key)
+    tau = np.frombuffer(tau_key, dtype=np.complex128).reshape(g, g)
+    axes = [np.frombuffer(x) for x in axes_key]
+    grid = np.zeros(tuple(len(x) for x in axes), dtype=complex)
+    for a, xa in enumerate(axes):
+        row = xa[:, None] * tau[a]
+        for b, xb in enumerate(axes):
+            grid += _on_axis(row[:, b], a, g) * _on_axis(xb, b, g)
+    grid *= 0.5
+    grid.setflags(write=False)
+    return grid
+
+
 def _grid_terms(axes, tau, y):
     """exp(2 pi i (p tau p / 2 + p y)) over the grid of ``axes``.
 
@@ -40,18 +67,16 @@ def _grid_terms(axes, tau, y):
     over a point matrix P (at genus 4 BLAS may round ``P @ y`` otherwise).
     The order matters: on a large term one unit in the last place of the
     exponent is hundreds of machine epsilons of the term, more than any
-    rounding allowance on the sum.
+    rounding allowance on the sum.  The quadratic part does not depend on
+    y and is shared through ``_quadratic``.
     """
     g = len(axes)
-    grid = np.zeros(tuple(len(x) for x in axes), dtype=complex)
     lin = 0.0
     for a, xa in enumerate(axes):
-        row = xa[:, None] * tau[a]
-        for b, xb in enumerate(axes):
-            grid += _on_axis(row[:, b], a, g) * _on_axis(xb, b, g)
         lin = lin + _on_axis(xa * y[a], a, g)
-    grid *= 0.5
-    grid += lin
+    # the last step above made ``lin`` a fresh array over the whole grid
+    grid = lin
+    grid += _quadratic(tau.tobytes(), tuple(x.tobytes() for x in axes))
     grid *= TWO_PI_I
     return np.exp(grid, out=grid)
 

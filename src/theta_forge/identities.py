@@ -67,7 +67,8 @@ from ._kernels import grid_sum
 from .theta import (
     DEFAULT_POLICY,
     TruncationPolicy,
-    _choose_radius,
+    _choose_box,
+    _rates,
     kappa_squared,
     min_im_eigenvalue,
     second_order_theta,
@@ -624,20 +625,21 @@ def _family_theta_basics(genus, rng, policy, seed=0):
 
 def _theta_unnormalized(mp, mpp, tau, z, policy):
     """Series with an unnormalized integer characteristic (test helper),
-    summed over n + mp/2 for |n| <= R, not through the periodicity law.
-    R adds the largest integer shift (mp - mp mod 2) / 2 to the certified
-    radius of the normalized characteristic, so the box contains its box."""
+    summed over n + mp/2 for |n| <= w_i + s_i, not through the periodicity
+    law.  w_i is the certified width of axis i for the normalized
+    characteristic and s_i = |mp_i - mp_i mod 2| / 2 its integer shift, so
+    the box contains that characteristic's box."""
     policy = policy or DEFAULT_POLICY
     g = len(mp)
     tau_arr = tau.tau if isinstance(tau, SiegelPoint) else np.asarray(tau)
     z_arr = np.zeros(g, dtype=complex) if z is None else np.asarray(z, dtype=complex)
     frac = tuple(int(x) % 2 for x in mp)
-    shift = max(abs(int(x) - f) // 2 for x, f in zip(mp, frac))
-    lam = min_im_eigenvalue(tau_arr)
-    radius, _ = _choose_radius(lam, float(np.linalg.norm(z_arr.imag)), frac, policy, False)
-    n = np.arange(-(radius + shift), radius + shift + 1, dtype=float)
+    b = float(np.linalg.norm(z_arr.imag))
+    widths, _ = _choose_box(*_rates(tau_arr.imag), b, frac, policy, False)
+    reach = [w + abs(int(x) - f) // 2 for w, x, f in zip(widths, mp, frac)]
+    axes = [np.arange(-r, r + 1, dtype=float) + x / 2.0 for r, x in zip(reach, mp)]
     y = z_arr + np.asarray(mpp, dtype=float) / 2.0
-    (val, _, _), _ = grid_sum([n + x / 2.0 for x in mp], tau_arr, y)
+    (val, _, _), _ = grid_sum(axes, tau_arr, y)
     return val
 
 

@@ -125,6 +125,8 @@ class SiegelPoint:
         arr = np.array(self.tau, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError("tau must be a square matrix")
+        if not np.isfinite(arr).all():
+            raise DomainError("tau has an entry that is not finite")
         if np.max(np.abs(arr - arr.T)) > 1e-12 * max(1.0, np.max(np.abs(arr))):
             raise DomainError("tau is not symmetric to 1e-12")
         try:
@@ -153,7 +155,11 @@ class SiegelPoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "SiegelPoint":
-        tau = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+        re, im = np.broadcast_arrays(np.asarray(data["re"], dtype=float),
+                                     np.asarray(data["im"], dtype=float))
+        # set, not multiplied by 1j: 1j * inf would turn the real part into nan
+        tau = re.astype(complex)
+        tau.imag = im
         return cls(tau)
 
 

@@ -5,22 +5,30 @@ The series convention is exp(t) = e^{2 pi i t} throughout:
 
     theta_m(tau, z) = sum_n exp( (1/2) (n+m'/2) tau (n+m'/2) + (n+m'/2) (z+m''/2) )
 
-summed over an axis-aligned box of shifted lattice points.  The box radius
-is chosen from a rigorous Gaussian tail bound driven by the smallest
-eigenvalue of Im(tau); derivatives are always termwise (each lattice point
-contributes polynomial weights), never finite differences.
+summed over an axis-aligned box of shifted lattice points whose half-width
+is chosen per axis from a rigorous Gaussian tail bound; derivatives are
+always termwise (each lattice point contributes polynomial weights), never
+finite differences.
 
-The tail bound is computed for every radius 0 .. _MAX_RADIUS + 2 at once,
-as numpy arrays, from one-dimensional envelope sums that are memoised per
-coordinate: a coordinate has two offsets (integer or half-integer), so one
-tau and z need at most four of them.  Radius selection reads the first
-radius whose bound clears ``target_tol / 20``; the reported tail is the
-bound at radius + 2, read from the same array.
+Tail bounds are products of one-dimensional envelope sums, computed for
+every radius 0 .. _MAX_RADIUS + 2 at once as numpy arrays.  With
+Y = Im(tau), lam = lambda_min(Y) and mu_i = 1 / (Y^-1)_ii >= lam, every x
+has x^T Y x >= (1 - t) lam |x|^2 + t mu_i x_i^2 for t in [0, 1], so the
+envelope mass of the points with |x_i| > w is at most the tail at rate
+(1 - t) lam + t mu_i times the totals of the other coordinates at rate
+(1 - t) lam.  Axis i's bound is the least of these over a fixed set of
+splits t (t = 0 is the isotropic bound); the splits of one tau are one
+array operation, memoised.  Each axis takes the first width whose bound
+clears ``target_tol / 20 / g``, so the mass outside the box stays under
+``target_tol / 20``.  The box is used only if it holds fewer points than
+the cube at the first radius whose isotropic bound clears
+``target_tol / 20``; otherwise the cube is summed.  The reported tail is
+the bound at width + 2.
 
 Every evaluation takes one path: one ``_kernels.grid_sum`` call sums the box
-at radius + 2 as a grid of g axes and, from the same terms, its core at
-radius, and the two sums must agree to ``target_tol / 10`` plus a rounding
-allowance.  So the refinement check sums no point twice.
+at width + 2 as a grid of g axes and, from the same terms, its core at the
+chosen widths, and the two sums must agree to ``target_tol / 10`` plus a
+rounding allowance.  So the refinement check sums no point twice.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import grid_sum
+from ._kernels import _quadratic, grid_sum
 from .errors import ConvergenceError, DegenerateBasePointError, DomainError
 from .symplectic import (
     Characteristic,
@@ -58,12 +66,12 @@ _ROUNDING_ULPS = 8
 class TruncationPolicy:
     """The requested accuracy of every series evaluation.
 
-    The evaluator takes the first radius whose tail bound outside the box
-    clears ``target_tol / 20``, sums the box at radius + 2, and requires the
-    change from the box at radius to stay below ``target_tol / 10`` plus a
-    rounding allowance of 8 machine epsilons times the product of the
-    per-coordinate envelope totals, which bounds the sum of |term| over the
-    box.
+    The evaluator picks a box whose tail bound (the envelope mass outside
+    it) clears ``target_tol / 20``, sums it widened by 2 on every axis, and
+    requires the change from the box itself to stay below
+    ``target_tol / 10`` plus a rounding allowance of 8 machine epsilons
+    times the product of the per-coordinate envelope totals, which bounds
+    the sum of |term| over any box.
 
     ``target_tol`` must be finite and at least 16 machine epsilons (about
     3.6e-15): below that, rounding alone moves an order-one theta value by
@@ -96,46 +104,62 @@ class ThetaValue:
 # then no radius clears the goal, or the sum is rejected: ConvergenceError
 _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
 
+# the splits t of the per-axis bound; t = 0 is the isotropic bound
+_SPLITS = np.array([0.0, 0.25, 0.5, 0.75, 0.875])
 
-@lru_cache(maxsize=4096)
+
 @np.errstate(**_QUIET_OVERFLOW)
-def _one_dim_sums(lam: float, b: float, half_offset: bool, weighted: bool):
-    """Full sum and tail sums of the per-coordinate envelope.
+def _envelope_sums(lams, b, offsets, weighted):
+    """Full and tail sums of the per-coordinate envelope at every rate in
+    ``lams`` and every offset (0 or 0.5) in ``offsets``.
 
-    The envelope dominates |term| contributions per coordinate; with
-    ``weighted`` it carries the factor (2 + 2 pi x^2), which bounds every
-    termwise derivative weight used here (2 pi |x| and pi |x_a x_b| alike).
-    Returns ``(total, tails)``: ``tails[r]`` sums the envelope over |x| > r
-    for every radius r = 0 .. _MAX_RADIUS + 2.  Every sum runs over the
-    points in increasing order of x, so each value is exactly the one a
-    sequential loop over the span would give.
+    The envelope exp(-pi lam x^2 + 2 pi b |x|) dominates |term|
+    contributions per coordinate; with ``weighted`` it carries the factor
+    (2 + 2 pi x^2), which bounds every termwise derivative weight used here
+    (2 pi |x| and pi |x_a x_b| alike).  Returns ``(flat, totals, tails)``:
+    ``flat[k]`` is True where rate ``lams[k]`` leaves material mass beyond
+    the summation span, ``totals[u, k]`` is the full sum at offset
+    ``offsets[u]`` and ``tails[u, k, r]`` sums over |x| > r for every radius
+    r = 0 .. _MAX_RADIUS + 2.  Each sum is read off one running sum over
+    the points in decreasing order of |x|, so the smallest terms come first.
     """
+    lams = np.asarray(lams, dtype=float)[:, None]
     # mass beyond the summation span must be immaterial at any certified tolerance
     edge = (2.0 + 2.0 * np.pi * _ONE_DIM_SPAN**2) * np.exp(
-        -np.pi * lam * _ONE_DIM_SPAN**2 + 2.0 * np.pi * b * _ONE_DIM_SPAN
+        -np.pi * lams[:, 0] * _ONE_DIM_SPAN**2 + 2.0 * np.pi * b * _ONE_DIM_SPAN
     )
-    if edge > 1e-30:
-        raise ConvergenceError("tail bound unreliable: envelope too flat")
-    x = np.arange(-_ONE_DIM_SPAN, _ONE_DIM_SPAN + 1) + (0.5 if half_offset else 0.0)
-    terms = np.exp(-np.pi * lam * x * x + 2.0 * np.pi * b * np.abs(x))
+    # per offset, the points of the span from the outside in
+    x = np.abs(np.arange(-_ONE_DIM_SPAN, _ONE_DIM_SPAN + 1) + np.asarray(offsets)[:, None])
+    x = -np.sort(-x, axis=1)[:, None, :]
+    terms = np.exp(-np.pi * lams * x * x + 2.0 * np.pi * b * x)
     if weighted:
         terms = (2.0 + 2.0 * np.pi * x * x) * terms
-    # row 0 keeps every point (the total), row r + 1 the points with |x| > r
-    keep = np.abs(x) > np.arange(-1, _MAX_RADIUS + 3)[:, None]
-    # copied: a column view would keep the whole cumulative array cached
-    sums = np.cumsum(np.where(keep, terms, 0.0), axis=1)[:, -1].copy()
-    tails = sums[1:]
+    running = np.cumsum(terms, axis=-1)
+    # the points with |x| > r are the first ``count[r]`` (r = -1: all of them)
+    count = (x[..., None, :] > np.arange(-1, _MAX_RADIUS + 3)[:, None]).sum(axis=-1)
+    sums = np.take_along_axis(running, count - 1, axis=-1)
+    return edge > 1e-30, sums[..., 0], sums[..., 1:]
+
+
+@lru_cache(maxsize=4096)
+def _one_dim_sums(lam: float, b: float, half_offset: bool, weighted: bool):
+    """``(total, tails)`` of ``_envelope_sums`` at one rate and one offset."""
+    flat, totals, tails = _envelope_sums([lam], b, [0.5 if half_offset else 0.0], weighted)
+    if flat[0]:
+        raise ConvergenceError("tail bound unreliable: envelope too flat")
+    tails = tails[0, 0]
     tails.setflags(write=False)
-    return float(sums[0]), tails
+    return float(totals[0, 0]), tails
 
 
 @lru_cache(maxsize=4096)
 @np.errstate(**_QUIET_OVERFLOW)
 def _tail_bound(lam, b, m_prime, weighted):
-    """Envelope mass outside the box, for every radius 0 .. _MAX_RADIUS + 2.
+    """Isotropic envelope mass outside the cube, for every radius
+    0 .. _MAX_RADIUS + 2.
 
-    A point outside the box of radius r has some coordinate beyond r, so the
-    mass is at most the sum over coordinates i of tail_i(r) times the
+    A point outside the cube of radius r has some coordinate beyond r, so
+    the mass is at most the sum over coordinates i of tail_i(r) times the
     product of the other coordinates' totals.
     """
     per_coord = [_one_dim_sums(lam, b, u == 1, weighted) for u in m_prime]
@@ -151,7 +175,8 @@ def _tail_bound(lam, b, m_prime, weighted):
 
 
 def _choose_radius(lam, b, m_prime, policy: TruncationPolicy, weighted):
-    """Smallest radius >= 1 whose tail bound is under ``target_tol / 20``."""
+    """Smallest cube radius >= 1 whose isotropic tail bound is under
+    ``target_tol / 20``."""
     bounds = _tail_bound(lam, b, m_prime, weighted)
     hits = np.flatnonzero(bounds[1 : _MAX_RADIUS + 1] < policy.target_tol / 20.0)
     if hits.size == 0:
@@ -163,41 +188,118 @@ def _choose_radius(lam, b, m_prime, policy: TruncationPolicy, weighted):
     return radius, float(bounds[radius])
 
 
+@lru_cache(maxsize=256)
+def _split_sums(lam, mus, b, weighted):
+    """Envelope sums of every split of one tau's per-axis bound.
+
+    Split k puts every coordinate at rate (1 - t_k) lam except axis i, at
+    (1 - t_k) lam + t_k mu_i.  Returns ``(usable, totals, tails)``:
+    ``usable[k]`` is False where rate (1 - t_k) lam is too flat (the split
+    is skipped), ``totals[u, k]`` is the total at that rate and offset u/2,
+    and ``tails[u, k, i]`` the tails at axis i's rate.
+    """
+    base = (1.0 - _SPLITS) * lam
+    own = base[:, None] + _SPLITS[:, None] * np.asarray(mus)
+    flat, totals, tails = _envelope_sums(np.concatenate([base, own.ravel()]), b,
+                                         [0.0, 0.5], weighted)
+    k = len(_SPLITS)
+    sums = ~flat[:k], totals[:, :k], tails[:, k:].reshape(2, k, len(mus), -1)
+    for a in sums:
+        a.setflags(write=False)
+    return sums
+
+
+@lru_cache(maxsize=1024)
+@np.errstate(**_QUIET_OVERFLOW)
+def _axis_bounds(lam, mus, b, m_prime, weighted):
+    """Envelope mass of the points beyond radius r on axis i, as a
+    read-only (g, _MAX_RADIUS + 3) array: the least bound over the usable
+    splits, inf where none is finite."""
+    usable, totals, tails = _split_sums(lam, mus, b, weighted)
+    if not usable.any():
+        raise ConvergenceError("tail bound unreliable: envelope too flat")
+    g = len(m_prime)
+    u = np.asarray(m_prime)
+    # per axis i and split k: the product of the other coordinates' totals
+    others = np.prod(np.where(np.eye(g, dtype=bool)[:, :, None], 1.0, totals[u]), axis=1)
+    per_split = tails[u, :, np.arange(g)] * others[:, :, None]
+    keep = usable[:, None] & ~np.isnan(per_split)
+    bounds = np.where(keep, per_split, np.inf).min(axis=1)
+    bounds.setflags(write=False)
+    return bounds
+
+
+def _rates(Y):
+    """lambda_min(Y) and the per-axis rates mu_i = 1 / (Y^-1)_ii."""
+    lam = float(np.linalg.eigvalsh(Y)[0])
+    if lam <= 0:
+        raise DomainError("imaginary part of tau is not positive definite")
+    return lam, tuple(float(v) for v in 1.0 / np.diag(np.linalg.inv(Y)))
+
+
+def _box_axes(widths, m_prime):
+    """Per axis, the shifted points x = n + m'/2 with |x| <= width."""
+    return [np.arange(-w, w + 1 - u, dtype=float) + 0.5 * u for w, u in zip(widths, m_prime)]
+
+
+def _box_points(widths, m_prime):
+    """Number of points of ``_box_axes(widths, m_prime)``."""
+    return math.prod(2 * w + 1 - u for w, u in zip(widths, m_prime))
+
+
+def _choose_box(lam, mus, b, m_prime, policy: TruncationPolicy, weighted):
+    """Per-axis widths of the certified box and the envelope mass outside
+    the box at width + 2.
+
+    Each axis takes the first width >= 1 whose bound clears
+    ``target_tol / 20 / g``.  If that box, widened by 2, holds no fewer
+    points than the cube at ``_choose_radius``'s radius + 2, the cube is
+    returned with its isotropic bound.
+    """
+    radius, _ = _choose_radius(lam, b, m_prime, policy, weighted)
+    g = len(m_prime)
+    bounds = _axis_bounds(lam, mus, b, m_prime, weighted)
+    hits = bounds[:, 1 : _MAX_RADIUS + 1] < policy.target_tol / 20.0 / g
+    if hits.any(axis=1).all():
+        widths = tuple(1 + int(w) for w in hits.argmax(axis=1))
+        wide = tuple(w + 2 for w in widths)
+        if _box_points(wide, m_prime) < _box_points((radius + 2,) * g, m_prime):
+            return widths, float(bounds[np.arange(g), wide].sum())
+    return (radius,) * g, float(_tail_bound(lam, b, m_prime, weighted)[radius + 2])
+
+
 @lru_cache(maxsize=8192)
 def _eval_cached(m_key, tau_bytes, z_bytes, g, policy: TruncationPolicy, want_grad, want_dtau):
     m_prime, m_double = m_key
     tau = np.frombuffer(tau_bytes, dtype=complex).reshape(g, g)
     z = np.frombuffer(z_bytes, dtype=complex)
-    lam = float(np.linalg.eigvalsh(tau.imag)[0])
-    if lam <= 0:
-        raise DomainError("imaginary part of tau is not positive definite")
+    lam, mus = _rates(tau.imag)
     b = float(np.linalg.norm(z.imag))
     weighted = want_grad or want_dtau
     y = z + np.asarray(m_double, dtype=float) / 2.0
 
-    radius, _ = _choose_radius(lam, b, m_prime, policy, weighted)
-    # one sum at radius + 2 whose core is the box at radius; per coordinate,
-    # the box holds x = n + m'/2 with |x| <= r
-    r = radius + 2
-    axes = [np.arange(-r, r + 1 - u, dtype=float) + 0.5 * u for u in m_prime]
+    widths, est_tail = _choose_box(lam, mus, b, m_prime, policy, weighted)
+    # one sum over the box at width + 2 whose core is the box at width
+    wide = [w + 2 for w in widths]
     with np.errstate(**_QUIET_OVERFLOW):
-        full, core = grid_sum(axes, tau, y, 2, weighted, want_dtau)
+        full, core = grid_sum(_box_axes(wide, m_prime), tau, y, 2, weighted, want_dtau)
     if not all(np.isfinite(slot).all() for slot in full):
         # a term past the float range, which the tail bound (the envelope
         # mass outside the box) need not see
-        raise ConvergenceError(f"the lattice sum overflows at radius {r}")
+        raise ConvergenceError(f"the lattice sum overflows at widths {wide}")
     val, grad, dtau = full
     # slots not requested are zero in both sums
     change = max(float(np.max(np.abs(np.subtract(f, c)))) for f, c in zip(full, core))
+    # the isotropic totals bound the sum of |term| over any box
     envelope = math.prod(_one_dim_sums(lam, b, u == 1, weighted)[0] for u in m_prime)
     allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
     if not change <= allowed:  # nan fails too
         raise ConvergenceError(
-            f"refinement moved the value by {change:g} (> {allowed:g}) at radius {radius}"
+            f"refinement moved the value by {change:g} (> {allowed:g}) at widths {list(widths)}"
         )
     grad.setflags(write=False)
     dtau.setflags(write=False)
-    return val, grad, dtau, float(_tail_bound(lam, b, m_prime, weighted)[r])
+    return val, grad, dtau, est_tail
 
 
 def _coerce_tau(tau) -> np.ndarray:
@@ -364,7 +466,8 @@ def min_im_eigenvalue(tau) -> float:
 
 
 def clear_caches():
-    """Drop memoized tail bounds and series values (mainly for tests)."""
-    _one_dim_sums.cache_clear()
-    _tail_bound.cache_clear()
-    _eval_cached.cache_clear()
+    """Drop memoized tail bounds, quadratic grids and series values (mainly
+    for tests)."""
+    for cache in (_one_dim_sums, _tail_bound, _split_sums, _axis_bounds, _quadratic,
+                  _eval_cached):
+        cache.cache_clear()

@@ -192,6 +192,36 @@ def loop_tail_bound(lam, b, m_prime, radius, weighted):
     return bound
 
 
+def loop_axis_bound(lam, mus, b, m_prime, axis, radius, weighted,
+                    splits=(0.0, 0.25, 0.5, 0.75, 0.875)):
+    """Envelope mass of the points with |x_axis| > radius, one split at a
+    time: x^T Y x >= (1 - t) lam |x|^2 + t mu_axis x_axis^2, so the mass is
+    at most the axis's tail at rate (1 - t) lam + t mu_axis times the other
+    coordinates' totals at rate (1 - t) lam.  Splits whose rate (1 - t) lam
+    is too flat are skipped, and nan (0 * inf) counts as no bound."""
+    from theta_forge.errors import ConvergenceError
+
+    best = math.inf
+    usable = False
+    for t in splits:
+        base = (1.0 - t) * lam
+        try:
+            per_coord = [loop_one_dim_sums(base, b, u == 1, radius, weighted) for u in m_prime]
+        except ConvergenceError:
+            continue
+        usable = True
+        _, prod = loop_one_dim_sums(base + t * mus[axis], b, m_prime[axis] == 1, radius,
+                                    weighted)
+        for j, (total, _) in enumerate(per_coord):
+            if j != axis:
+                prod *= total
+        if not math.isnan(prod):
+            best = min(best, prod)
+    if not usable:
+        raise ConvergenceError("tail bound unreliable: envelope too flat")
+    return best
+
+
 def loop_choose_radius(lam, b, m_prime, policy, weighted, max_radius=24):
     """Raise the radius from 1 until the bound clears target_tol / 20."""
     from theta_forge.errors import ConvergenceError

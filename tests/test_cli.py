@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ def test_eval_unusable_tau_file(tmp_path, capsys, content, code):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "part, entry",
+    [("re", float("nan")), ("im", float("nan")), ("im", float("inf"))],
+    ids=["nan-re", "nan-im", "inf-im"],
+)
+def test_eval_non_finite_tau_exits_4(tmp_path, capsys, part, entry):
+    # refused when the point is built, before any bound or sum sees it
+    data = SiegelPoint(1j * np.eye(2)).to_json()
+    data[part][0][0] = entry
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(data))  # NaN and Infinity literals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "T[0,0|0,0]", "--tau", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid tau input: tau has an entry that is not finite\n"
 
 
 def test_eval_random_tau(capsys):

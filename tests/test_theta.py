@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import box_sum, loop_choose_radius, loop_tail_bound
+from oracles import box_sum, loop_axis_bound, loop_choose_radius, loop_tail_bound
 from theta_forge import theta as theta_module
 from theta_forge._kernels import grid_sum
 from theta_forge.errors import ConvergenceError, DomainError
@@ -251,6 +251,100 @@ def test_radius_selection_matches_loop_oracle(lam, b, m_prime, weighted, tol):
     assert np.allclose(bounds, loop_bounds, rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    lam=st.floats(0.004, 10.0),
+    spread=st.lists(st.floats(1.0, 30.0), min_size=4, max_size=4),
+    b=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    m_prime=st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
+    weighted=st.booleans(),
+    radius=st.integers(0, 26),
+)
+@example(lam=0.004, spread=[1.0] * 4, b=0.0, m_prime=(0,), weighted=False,
+         radius=3)  # every split too flat
+@example(lam=0.007, spread=[20.0] * 4, b=0.0, m_prime=(0, 1), weighted=True,
+         radius=5)  # t = 0 usable, the flatter splits skipped
+def test_axis_bounds_match_loop_oracle(lam, spread, b, m_prime, weighted, radius):
+    mus = tuple(lam * s for s in spread[: len(m_prime)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = [loop_axis_bound(lam, mus, b, m_prime, i, radius, weighted)
+                    for i in range(len(m_prime))]
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError, match="too flat"):
+                theta_module._axis_bounds(lam, mus, b, m_prime, weighted)
+            return
+        bounds = theta_module._axis_bounds(lam, mus, b, m_prime, weighted)
+    assert bounds.shape == (len(m_prime), 27)
+    assert not bounds.flags.writeable
+    for got, w in zip(bounds[:, radius], want):
+        assert got == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.integers(1, 3),
+    lam=st.floats(0.3, 3.0),
+    ratio=st.floats(1.0, 30.0),
+    b=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    seed=st.integers(0, 2**32 - 1),
+    weighted=st.booleans(),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]),
+)
+def test_est_tail_bounds_the_envelope_outside_the_box(g, lam, ratio, b, seed, weighted, tol):
+    # the envelope (|term| times every derivative weight) summed directly
+    # over the points of a far larger cube outside the summed box: no
+    # rounding of the series enters, only the mathematics of the bound
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+    Y = Q @ np.diag(lam * np.geomspace(1.0, ratio, g)) @ Q.T
+    Y = (Y + Y.T) / 2
+    m_prime = tuple(int(u) for u in rng.integers(0, 2, g))
+    policy = TruncationPolicy(target_tol=tol)
+    try:
+        widths, est_tail = theta_module._choose_box(
+            *theta_module._rates(Y), b, m_prime, policy, weighted)
+    except ConvergenceError:
+        assume(False)
+    wide = np.array(widths) + 2
+    n = np.arange(-(wide.max() + 8), wide.max() + 9, dtype=float)
+    P = np.stack([a.ravel() for a in np.meshgrid(*([n] * g), indexing="ij")], axis=1)
+    P = P + np.asarray(m_prime) / 2.0
+    P = P[(np.abs(P) > wide).any(axis=1)]
+    exponent = -np.pi * np.einsum("na,ab,nb->n", P, Y, P) + 2 * np.pi * b * np.abs(P).sum(1)
+    env = np.exp(exponent)
+    if weighted:
+        env = env * np.prod(2.0 + 2.0 * np.pi * P * P, axis=1)
+    # at g = 1 the bound is this very sum with its exponents rounded
+    # another way: a term moves by up to a few eps times its |exponent|
+    rounding = 64 * np.finfo(float).eps * np.sum(env * (1.0 + np.abs(exponent)))
+    assert env.sum() <= est_tail + rounding
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_box_never_holds_more_points_than_the_cube(g):
+    def points(widths, m_prime):
+        return math.prod(len(x) for x in theta_module._box_axes(widths, m_prime))
+
+    rng = np.random.default_rng(7)
+    boxes, cubes = [], []
+    for _ in range(40):
+        tau = sample_siegel_point(g, rng).tau
+        for Y in (tau.imag, 2 * tau.imag):
+            rates = theta_module._rates(Y)
+            for m_prime in itertools.product((0, 1), repeat=g):
+                for weighted in (False, True):
+                    radius, _ = theta_module._choose_radius(
+                        rates[0], 0.0, m_prime, DEFAULT_POLICY, weighted)
+                    widths, _ = theta_module._choose_box(
+                        *rates, 0.0, m_prime, DEFAULT_POLICY, weighted)
+                    boxes.append(points([w + 2 for w in widths], m_prime))
+                    cubes.append(points([radius + 2] * g, m_prime))
+    assert all(box <= cube for box, cube in zip(boxes, cubes))
+    if g >= 3:
+        assert np.median(boxes) < np.median(cubes)
+
+
 def _random_point(g, lam, seed):
     """tau with lambda_min(Im tau) = lam and a random eigenbasis."""
     rng = np.random.default_rng(seed)
@@ -363,6 +457,30 @@ def test_grid_sum_matches_oracle(g, radius, rng):
     assert no_core is None
 
 
+def test_shared_quadratic_grid_is_bit_identical(rng):
+    from theta_forge._kernels import _quadratic
+
+    g = 3
+    tau = sample_siegel_point(g, rng).tau
+    axes = [np.arange(-4, 5 - u, dtype=float) + 0.5 * u for u in (0, 1, 0)]
+    ys = [rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-0.3, 0.3, g) for _ in range(3)]
+    fresh = []
+    for y in ys:
+        theta_module.clear_caches()
+        fresh.append(grid_sum(axes, tau, y, 2, True, True))
+    hits = _quadratic.cache_info().hits
+    shared = [grid_sum(axes, tau, y, 2, True, True) for y in ys]
+    assert _quadratic.cache_info().hits == hits + len(ys)
+    for a, b in zip(fresh, shared):
+        for part_a, part_b in zip(a, b):  # the full grid and its core
+            for slot_a, slot_b in zip(part_a, part_b):
+                assert np.array_equal(slot_a, slot_b)
+    assert not _quadratic(tau.tobytes(), tuple(x.tobytes() for x in axes)).flags.writeable
+    for _ in range(10):
+        grid_sum(axes, sample_siegel_point(g, rng).tau, ys[0])
+    assert _quadratic.cache_info().currsize <= 2
+
+
 def test_evaluation_is_deterministic(rng):
     from theta_forge.theta import clear_caches
 
@@ -370,7 +488,8 @@ def test_evaluation_is_deterministic(rng):
     m = Characteristic((1, 1), (0, 0))
     a = theta_eval(m, t, want_tau_derivative=True)
     caches = [getattr(theta_module, name) for name in
-              ("_one_dim_sums", "_tail_bound", "_eval_cached")]
+              ("_one_dim_sums", "_tail_bound", "_split_sums", "_axis_bounds", "_quadratic",
+               "_eval_cached")]
     assert all(c.cache_info().currsize > 0 for c in caches)
     clear_caches()
     assert all(c.cache_info().currsize == 0 for c in caches)
