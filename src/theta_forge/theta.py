@@ -20,10 +20,10 @@ envelope mass of the points with |x_i| > w is at most the tail at rate
 splits t (t = 0 is the isotropic bound); the splits of one tau are one
 array operation, memoised.  Each axis takes the first width whose bound
 clears ``target_tol / 20 / g``, so the mass outside the box stays under
-``target_tol / 20``.  The box is used only if it holds fewer points than
-the cube at the first radius whose isotropic bound clears
-``target_tol / 20``; otherwise the cube is summed.  The reported tail is
-the bound at width + 2.
+``target_tol / 20``; if some axis has no such width up to _MAX_RADIUS, the
+evaluation raises ``ConvergenceError``.  The reported tail is the bound at
+width + 2, and the isotropic totals (split t = 0) scale the rounding
+allowance of the refinement check.
 
 Every evaluation takes one path: one ``_kernels.grid_sum`` call sums the box
 at width + 2 as a grid of g axes and, from the same terms, its core at the
@@ -101,7 +101,7 @@ class ThetaValue:
 
 
 # past the float range an envelope or a sum overflows to inf (0 * inf: nan);
-# then no radius clears the goal, or the sum is rejected: ConvergenceError
+# then no width clears the goal, or the sum is rejected: ConvergenceError
 _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
 
 # the splits t of the per-axis bound; t = 0 is the isotropic bound
@@ -139,53 +139,6 @@ def _envelope_sums(lams, b, offsets, weighted):
     count = (x[..., None, :] > np.arange(-1, _MAX_RADIUS + 3)[:, None]).sum(axis=-1)
     sums = np.take_along_axis(running, count - 1, axis=-1)
     return edge > 1e-30, sums[..., 0], sums[..., 1:]
-
-
-@lru_cache(maxsize=4096)
-def _one_dim_sums(lam: float, b: float, half_offset: bool, weighted: bool):
-    """``(total, tails)`` of ``_envelope_sums`` at one rate and one offset."""
-    flat, totals, tails = _envelope_sums([lam], b, [0.5 if half_offset else 0.0], weighted)
-    if flat[0]:
-        raise ConvergenceError("tail bound unreliable: envelope too flat")
-    tails = tails[0, 0]
-    tails.setflags(write=False)
-    return float(totals[0, 0]), tails
-
-
-@lru_cache(maxsize=4096)
-@np.errstate(**_QUIET_OVERFLOW)
-def _tail_bound(lam, b, m_prime, weighted):
-    """Isotropic envelope mass outside the cube, for every radius
-    0 .. _MAX_RADIUS + 2.
-
-    A point outside the cube of radius r has some coordinate beyond r, so
-    the mass is at most the sum over coordinates i of tail_i(r) times the
-    product of the other coordinates' totals.
-    """
-    per_coord = [_one_dim_sums(lam, b, u == 1, weighted) for u in m_prime]
-    bound = 0.0
-    for i, (_, tail) in enumerate(per_coord):
-        prod = tail
-        for j, (total, _) in enumerate(per_coord):
-            if j != i:
-                prod = prod * total
-        bound = bound + prod
-    bound.setflags(write=False)
-    return bound
-
-
-def _choose_radius(lam, b, m_prime, policy: TruncationPolicy, weighted):
-    """Smallest cube radius >= 1 whose isotropic tail bound is under
-    ``target_tol / 20``."""
-    bounds = _tail_bound(lam, b, m_prime, weighted)
-    hits = np.flatnonzero(bounds[1 : _MAX_RADIUS + 1] < policy.target_tol / 20.0)
-    if hits.size == 0:
-        raise ConvergenceError(
-            f"no radius <= {_MAX_RADIUS} reaches target_tol={policy.target_tol:g} "
-            f"(lambda_min={lam:.3g})"
-        )
-    radius = 1 + int(hits[0])
-    return radius, float(bounds[radius])
 
 
 @lru_cache(maxsize=256)
@@ -242,30 +195,23 @@ def _box_axes(widths, m_prime):
     return [np.arange(-w, w + 1 - u, dtype=float) + 0.5 * u for w, u in zip(widths, m_prime)]
 
 
-def _box_points(widths, m_prime):
-    """Number of points of ``_box_axes(widths, m_prime)``."""
-    return math.prod(2 * w + 1 - u for w, u in zip(widths, m_prime))
-
-
 def _choose_box(lam, mus, b, m_prime, policy: TruncationPolicy, weighted):
     """Per-axis widths of the certified box and the envelope mass outside
     the box at width + 2.
 
     Each axis takes the first width >= 1 whose bound clears
-    ``target_tol / 20 / g``.  If that box, widened by 2, holds no fewer
-    points than the cube at ``_choose_radius``'s radius + 2, the cube is
-    returned with its isotropic bound.
+    ``target_tol / 20 / g``.
     """
-    radius, _ = _choose_radius(lam, b, m_prime, policy, weighted)
     g = len(m_prime)
     bounds = _axis_bounds(lam, mus, b, m_prime, weighted)
     hits = bounds[:, 1 : _MAX_RADIUS + 1] < policy.target_tol / 20.0 / g
-    if hits.any(axis=1).all():
-        widths = tuple(1 + int(w) for w in hits.argmax(axis=1))
-        wide = tuple(w + 2 for w in widths)
-        if _box_points(wide, m_prime) < _box_points((radius + 2,) * g, m_prime):
-            return widths, float(bounds[np.arange(g), wide].sum())
-    return (radius,) * g, float(_tail_bound(lam, b, m_prime, weighted)[radius + 2])
+    if not hits.any(axis=1).all():
+        raise ConvergenceError(
+            f"no width <= {_MAX_RADIUS} reaches target_tol={policy.target_tol:g} "
+            f"on every axis (lambda_min={lam:.3g})"
+        )
+    widths = tuple(1 + int(w) for w in hits.argmax(axis=1))
+    return widths, float(bounds[np.arange(g), [w + 2 for w in widths]].sum())
 
 
 @lru_cache(maxsize=8192)
@@ -290,8 +236,9 @@ def _eval_cached(m_key, tau_bytes, z_bytes, g, policy: TruncationPolicy, want_gr
     val, grad, dtau = full
     # slots not requested are zero in both sums
     change = max(float(np.max(np.abs(np.subtract(f, c)))) for f, c in zip(full, core))
-    # the isotropic totals bound the sum of |term| over any box
-    envelope = math.prod(_one_dim_sums(lam, b, u == 1, weighted)[0] for u in m_prime)
+    # the isotropic totals (split t = 0) bound the sum of |term| over any box
+    totals = _split_sums(lam, mus, b, weighted)[1]
+    envelope = math.prod(float(totals[u, 0]) for u in m_prime)
     allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
     if not change <= allowed:  # nan fails too
         raise ConvergenceError(
@@ -468,6 +415,5 @@ def min_im_eigenvalue(tau) -> float:
 def clear_caches():
     """Drop memoized tail bounds, quadratic grids and series values (mainly
     for tests)."""
-    for cache in (_one_dim_sums, _tail_bound, _split_sums, _axis_bounds, _quadratic,
-                  _eval_cached):
+    for cache in (_split_sums, _axis_bounds, _quadratic, _eval_cached):
         cache.cache_clear()

@@ -5,6 +5,7 @@ first-row cofactor recursion, signs by explicit inversion counting, set
 predicates by brute-force enumeration.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -156,8 +157,10 @@ def loop_box_many(factors):
 # radius selection: the original scalar loop, one radius at a time
 
 
+@functools.lru_cache(maxsize=4096)
 def loop_one_dim_sums(lam, b, half_offset, radius, weighted, span=64):
-    """Full and tail sums of the per-coordinate envelope at one radius."""
+    """Full and tail sums of the per-coordinate envelope at one radius
+    (memoised: the box and cube searches ask for the same sums often)."""
     import numpy as np
 
     from theta_forge.errors import ConvergenceError
@@ -210,11 +213,15 @@ def loop_axis_bound(lam, mus, b, m_prime, axis, radius, weighted,
         except ConvergenceError:
             continue
         usable = True
-        _, prod = loop_one_dim_sums(base + t * mus[axis], b, m_prime[axis] == 1, radius,
+        _, tail = loop_one_dim_sums(base + t * mus[axis], b, m_prime[axis] == 1, radius,
                                     weighted)
+        # the totals first: a tail that underflows to 0 times totals that
+        # overflow is nan, not a bound of 0
+        others = 1.0
         for j, (total, _) in enumerate(per_coord):
             if j != axis:
-                prod *= total
+                others *= total
+        prod = tail * others
         if not math.isnan(prod):
             best = min(best, prod)
     if not usable:
@@ -234,6 +241,27 @@ def loop_choose_radius(lam, b, m_prime, policy, weighted, max_radius=24):
             return radius, bound
         radius += 1
     raise ConvergenceError(f"no radius <= {max_radius} reaches the goal")
+
+
+def loop_choose_box(lam, mus, b, m_prime, policy, weighted, max_radius=24):
+    """Raise each axis's width from 1 until its bound clears
+    target_tol / 20 / g; return the widths and the sum of the axes' bounds
+    at width + 2."""
+    from theta_forge.errors import ConvergenceError
+
+    g = len(m_prime)
+    goal = policy.target_tol / 20.0 / g
+    widths = []
+    for axis in range(g):
+        width = 1
+        while loop_axis_bound(lam, mus, b, m_prime, axis, width, weighted) >= goal:
+            width += 1
+            if width > max_radius:
+                raise ConvergenceError(f"no width <= {max_radius} reaches the goal")
+        widths.append(width)
+    est_tail = sum(loop_axis_bound(lam, mus, b, m_prime, axis, w + 2, weighted)
+                   for axis, w in enumerate(widths))
+    return tuple(widths), est_tail
 
 
 def box_sum(tau, z, m_prime, m_double, radius):

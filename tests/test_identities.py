@@ -315,11 +315,14 @@ def test_benchmark_tracer_hooks_the_suite():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        # the point-list kernel and its lattice cache are gone; every hook
-        # on the identity layer must still find its target
+        # the point-list kernel, its lattice cache and the cube's radius
+        # selection are gone; every hook on the identity layer must still
+        # find its target
         assert set(tracer.missing) <= {
             "theta_forge.theta._lattice",
             "theta_forge._kernels.theta_sum",
+            "theta_forge.theta._choose_radius",
+            "theta_forge.theta._tail_bound",
         }
         run_suite([2], name_filter="heat_*")
         metrics = tracer.metrics()
