@@ -63,24 +63,50 @@ from .symplectic import (
     odd_characteristics,
     sample_siegel_point,
 )
-from ._kernels import grid_sum
 from .theta import (
-    DEFAULT_POLICY,
     TruncationPolicy,
-    _choose_box,
-    _rates,
     kappa_squared,
     min_im_eigenvalue,
     second_order_theta,
     theta_eval,
     theta_gradient,
     theta_tau_derivative,
+    theta_unnormalized,
 )
 
 # z-Hessian normalization of the A-forms over the halved-tau-derivative one
 HESSIAN_BRIDGE = 8j * np.pi
 
 SCHEMA_VERSION = "theta-forge/report/3"
+
+
+# row name -> (family that reports it, pass tolerance, whether the tolerance
+# override of run_suite replaces it)
+_ROWS = {
+    "exact_laplace_expansion": ("exact_layer", 1e-15, False),
+    "exact_compound_power": ("exact_layer", 1e-15, False),
+    "exact_sigma_determinant": ("exact_layer", 1e-15, False),
+    "exact_adjoint_identity": ("exact_layer", 1e-15, False),
+    "exact_rank_one_wedge": ("exact_layer", 1e-15, False),
+    "exact_binomial_power": ("exact_layer", 1e-15, False),
+    "theta_parity_periodicity": ("theta_basics", 1e-10, True),
+    "heat_equation": ("heat", 1e-7, True),
+    "riemann_addition": ("riemann", 1e-9, True),
+    "riemann_addition_inverse": ("riemann", 1e-9, True),
+    "rank_vanishing": ("rank_vanishing", 1e-8, True),
+    "pairing_permutation_expansion": ("pairing_permutation", 1e-8, True),
+    "pairing_power_cofactor": ("pairing_power", 1e-8, True),
+    "omega_consistency": ("pairing_power", 1e-8, True),
+    "det_pairing_scalar": ("det_remark", 1e-8, True),
+    "gsm_forward": ("gsm", 1e-8, True),
+    "gsm_backward": ("gsm", 1e-8, True),
+    "jacobi": ("jacobi", 1e-8, True),
+    "main_theorem": ("main_theorem", 1e-7, True),
+    "main_theorem_constant": ("main_theorem", 1e-7, True),
+    "audit_astar": ("audit_astar", 1e-7, True),
+    "kappa_fourth_power": ("audit_astar", 1e-9, False),
+    "audit_gradient_wedge": ("audit_w", 1e-7, True),
+}
 
 
 @dataclass(frozen=True)
@@ -176,7 +202,7 @@ def check_gsm_forward(
     n: Characteristic,
     tau: SiegelPoint,
     policy: TruncationPolicy | None = None,
-    tolerance: float = 1e-8,
+    tolerance: float = _ROWS["gsm_forward"][1],
     seed: int = 0,
 ) -> IdentityReport:
     """Gradient outer product against the alternating A-form sum."""
@@ -209,7 +235,7 @@ def check_gsm_backward(
     delta,
     tau: SiegelPoint,
     policy: TruncationPolicy | None = None,
-    tolerance: float = 1e-8,
+    tolerance: float = _ROWS["gsm_backward"][1],
     seed: int = 0,
 ) -> IdentityReport:
     """A-form against the signed sum of gradient outer products."""
@@ -238,7 +264,7 @@ def check_jacobi(
     genus: int,
     taus,
     policy: TruncationPolicy | None = None,
-    tolerance: float = 1e-8,
+    tolerance: float = _ROWS["jacobi"][1],
     seed: int = 0,
 ) -> IdentityReport:
     """Derivative-formula checks: fitted constants must be base-point free.
@@ -250,6 +276,8 @@ def check_jacobi(
     """
     started = time.perf_counter()
     taus = list(taus)
+    if not taus:
+        raise DomainError("jacobi check needs at least one base point")
     if genus == 1:
         n = Characteristic((1,), (1,))
         evens = [Characteristic((0,), (0,)), Characteristic((1,), (0,)), Characteristic((0,), (1,))]
@@ -321,7 +349,7 @@ def check_main_theorem(
     pairs,
     taus,
     policy: TruncationPolicy | None = None,
-    tolerance: float = 1e-7,
+    tolerance: float = _ROWS["main_theorem"][1],
     seed: int = 0,
 ) -> IdentityReport:
     """Fit the constant linking the A-form star product to the W-form sum.
@@ -338,6 +366,8 @@ def check_main_theorem(
     if len(pairs) != k:
         raise DomainError(f"need exactly k={k} label pairs")
     taus = list(taus)
+    if not taus:
+        raise DomainError("main theorem check needs at least one base point")
     ratios = []
     sides = []
     for t in taus:
@@ -372,7 +402,7 @@ def check_omega_consistency(
     H: ThetaProduct,
     tau: SiegelPoint,
     policy: TruncationPolicy | None = None,
-    tolerance: float = 1e-8,
+    tolerance: float = _ROWS["omega_consistency"][1],
     seed: int = 0,
 ) -> IdentityReport:
     """Top-order pairing of (g-1)-th powers against the scaled cofactor matrix."""
@@ -421,10 +451,13 @@ def check_exact_layer(
     The entries are Python ints, and the box products, compounds, cofactor
     tensors and determinants stay exact: integers, with a Fraction only
     where a normalization does not divide.  Each identity is evaluated with
-    zero tolerance: any mismatch flips the residual to 1.0.  Reported
-    tolerance is epsilon-level because the pass predicate is a strict
-    inequality.
+    zero tolerance: any mismatch flips the residual to 1.0.  The reported
+    tolerance, from ``_ROWS``, is epsilon-level because the pass predicate
+    is a strict inequality.
     """
+    genus_range = tuple(genus_range)
+    if not genus_range or any(int(g) < 2 for g in genus_range):
+        raise DomainError(f"exact layer needs genera >= 2, got {genus_range}")
     rng = np.random.default_rng([seed, 97])
     started = time.perf_counter()
     fails = {name: 0 for name, (fam, _, _) in _ROWS.items() if fam == "exact_layer"}
@@ -494,7 +527,7 @@ def check_exact_layer(
 
     return [
         _report(name, 0, {"instances": instances, "failures": bad},
-                0.0 if bad == 0 else 1.0, 1e-15, seed, started)
+                0.0 if bad == 0 else 1.0, _ROWS[name][1], seed, started)
         for name, bad in fails.items()
     ]
 
@@ -618,29 +651,9 @@ def _family_theta_basics(genus, rng, policy, seed=0):
         mp = tuple(int(x) for x in np.array(m.m_prime) + 2 * shift[:genus])
         mpp = tuple(int(x) for x in np.array(m.m_double_prime) + 2 * shift[genus:])
         sgn2 = -1 if sum(a1 * b1 for a1, b1 in zip(m.m_prime, shift[genus:])) % 2 else 1
-        val_shift = _theta_unnormalized(mp, mpp, t, z, policy)
+        val_shift = theta_unnormalized(mp, mpp, t, z, policy)
         worst = max(worst, abs(val_shift - sgn2 * a) / max(1.0, abs(a)))
     return [_row("theta_parity_periodicity", {}, worst)]
-
-
-def _theta_unnormalized(mp, mpp, tau, z, policy):
-    """Series with an unnormalized integer characteristic (test helper),
-    summed over n + mp/2 for |n| <= w_i + s_i, not through the periodicity
-    law.  w_i is the certified width of axis i for the normalized
-    characteristic and s_i = |mp_i - mp_i mod 2| / 2 its integer shift, so
-    the box contains that characteristic's box."""
-    policy = policy or DEFAULT_POLICY
-    g = len(mp)
-    tau_arr = tau.tau if isinstance(tau, SiegelPoint) else np.asarray(tau)
-    z_arr = np.zeros(g, dtype=complex) if z is None else np.asarray(z, dtype=complex)
-    frac = tuple(int(x) % 2 for x in mp)
-    b = float(np.linalg.norm(z_arr.imag))
-    widths, _ = _choose_box(*_rates(tau_arr.imag), b, frac, policy, False)
-    reach = [w + abs(int(x) - f) // 2 for w, x, f in zip(widths, mp, frac)]
-    axes = [np.arange(-r, r + 1, dtype=float) + x / 2.0 for r, x in zip(reach, mp)]
-    y = z_arr + np.asarray(mpp, dtype=float) / 2.0
-    (val, _, _), _ = grid_sum(axes, tau_arr, y)
-    return val
 
 
 def _family_rank_vanishing(genus, rng, policy, seed=0, step=1e-3):
@@ -911,34 +924,6 @@ _FAMILIES = (
     ("audit_astar", _family_audit_astar, (2, 3)),
     ("audit_w", _family_audit_w, (2, 3)),
 )
-
-# row name -> (family that reports it, pass tolerance, whether the tolerance
-# override of run_suite replaces it)
-_ROWS = {
-    "exact_laplace_expansion": ("exact_layer", 1e-15, False),
-    "exact_compound_power": ("exact_layer", 1e-15, False),
-    "exact_sigma_determinant": ("exact_layer", 1e-15, False),
-    "exact_adjoint_identity": ("exact_layer", 1e-15, False),
-    "exact_rank_one_wedge": ("exact_layer", 1e-15, False),
-    "exact_binomial_power": ("exact_layer", 1e-15, False),
-    "theta_parity_periodicity": ("theta_basics", 1e-10, True),
-    "heat_equation": ("heat", 1e-7, True),
-    "riemann_addition": ("riemann", 1e-9, True),
-    "riemann_addition_inverse": ("riemann", 1e-9, True),
-    "rank_vanishing": ("rank_vanishing", 1e-8, True),
-    "pairing_permutation_expansion": ("pairing_permutation", 1e-8, True),
-    "pairing_power_cofactor": ("pairing_power", 1e-8, True),
-    "omega_consistency": ("pairing_power", 1e-8, True),
-    "det_pairing_scalar": ("det_remark", 1e-8, True),
-    "gsm_forward": ("gsm", 1e-8, True),
-    "gsm_backward": ("gsm", 1e-8, True),
-    "jacobi": ("jacobi", 1e-8, True),
-    "main_theorem": ("main_theorem", 1e-7, True),
-    "main_theorem_constant": ("main_theorem", 1e-7, True),
-    "audit_astar": ("audit_astar", 1e-7, True),
-    "kappa_fourth_power": ("audit_astar", 1e-9, False),
-    "audit_gradient_wedge": ("audit_w", 1e-7, True),
-}
 
 
 def _params_key(report: IdentityReport) -> str:

@@ -123,8 +123,8 @@ class SiegelPoint:
 
     def __post_init__(self):
         arr = np.array(self.tau, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DomainError("tau must be a square matrix")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise DomainError("tau must be a nonempty square matrix")
         if not np.isfinite(arr).all():
             raise DomainError("tau has an entry that is not finite")
         if np.max(np.abs(arr - arr.T)) > 1e-12 * max(1.0, np.max(np.abs(arr))):
@@ -274,6 +274,8 @@ def membership(gamma: SymplecticElement, group: str, **probe_kwargs) -> bool:
     if not match:
         raise DomainError(f"unknown group spec {group!r}")
     n = int(match.group(1))
+    if n < 1:
+        raise DomainError(f"group level must be positive in {group!r}")
     two_n = match.group(2)
     starred = match.group(3)
     g = gamma.g
@@ -292,6 +294,8 @@ def membership(gamma: SymplecticElement, group: str, **probe_kwargs) -> bool:
     if starred:
         if (n, two_n) != (2, "4"):
             raise DomainError("starred refinement only defined for Gamma(2,4)")
+        if "tau" not in probe_kwargs:
+            raise DomainError("Gamma(2,4)* is decided numerically: pass the probe point tau")
         from .theta import kappa_squared  # local import: theta depends on this module
 
         k2 = kappa_squared(gamma, **probe_kwargs)
@@ -429,8 +433,7 @@ def sample_siegel_point(g: int, rng: np.random.Generator) -> SiegelPoint:
     """Random base point with smallest eigenvalue of the imaginary part >= 1/2.
 
     Real part entries are uniform in [-1/2, 1/2]; the imaginary part is
-    L^T L + 1/2 identity for a random L, which keeps a fixed box radius
-    sufficient in double precision.
+    L^T L + 1/2 identity for a random L.
     """
     X = rng.uniform(-0.5, 0.5, (g, g))
     X = (X + X.T) / 2

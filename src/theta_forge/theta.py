@@ -17,13 +17,15 @@ has x^T Y x >= (1 - t) lam |x|^2 + t mu_i x_i^2 for t in [0, 1], so the
 envelope mass of the points with |x_i| > w is at most the tail at rate
 (1 - t) lam + t mu_i times the totals of the other coordinates at rate
 (1 - t) lam.  Axis i's bound is the least of these over a fixed set of
-splits t (t = 0 is the isotropic bound); the splits of one tau are one
-array operation, memoised.  Each axis takes the first width whose bound
-clears ``target_tol / 20 / g``, so the mass outside the box stays under
-``target_tol / 20``; if some axis has no such width up to _MAX_RADIUS, the
-evaluation raises ``ConvergenceError``.  The reported tail is the bound at
-width + 2, and the isotropic totals (split t = 0) scale the rounding
-allowance of the refinement check.
+splits t (t = 0 is the isotropic bound), all in one array operation.  Each
+axis takes the first width whose bound clears ``target_tol / 20 / g``, so
+the mass outside the box stays under ``target_tol / 20``; if some axis has
+no such width up to _MAX_RADIUS, the evaluation raises ``ConvergenceError``.
+The reported tail is the bound at width + 2, and the isotropic totals
+(split t = 0) scale the rounding allowance of the refinement check.
+The box depends on tau only through Im tau: ``_certified_box`` memoises it
+once per (Im tau, |Im z|, m', weighting, policy), so a stencil tau +- hE
+with E real shares the box of tau.
 
 Every evaluation takes one path: one ``_kernels.grid_sum`` call sums the box
 at width + 2 as a grid of g axes and, from the same terms, its core at the
@@ -107,19 +109,24 @@ _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
 # the splits t of the per-axis bound; t = 0 is the isotropic bound
 _SPLITS = np.array([0.0, 0.25, 0.5, 0.75, 0.875])
 
+# per offset 0 and 1/2, the points |x| of the span from the outside in, and
+# the number of them with |x| > r for r = -1 .. _MAX_RADIUS + 2
+_SPAN = -np.sort(-np.abs(np.arange(-_ONE_DIM_SPAN, _ONE_DIM_SPAN + 1) + np.array([[0.0], [0.5]])))
+_SPAN_COUNT = (_SPAN[:, None, :] > np.arange(-1, _MAX_RADIUS + 3)[:, None]).sum(axis=-1)
+
 
 @np.errstate(**_QUIET_OVERFLOW)
-def _envelope_sums(lams, b, offsets, weighted):
-    """Full and tail sums of the per-coordinate envelope at every rate in
-    ``lams`` and every offset (0 or 0.5) in ``offsets``.
+def _envelope_sums(lams, b, halves, weighted):
+    """Full and tail sums of the per-coordinate envelope, row k at rate
+    ``lams[k]`` over the points x in Z + ``halves[k]`` / 2.
 
     The envelope exp(-pi lam x^2 + 2 pi b |x|) dominates |term|
     contributions per coordinate; with ``weighted`` it carries the factor
     (2 + 2 pi x^2), which bounds every termwise derivative weight used here
     (2 pi |x| and pi |x_a x_b| alike).  Returns ``(flat, totals, tails)``:
     ``flat[k]`` is True where rate ``lams[k]`` leaves material mass beyond
-    the summation span, ``totals[u, k]`` is the full sum at offset
-    ``offsets[u]`` and ``tails[u, k, r]`` sums over |x| > r for every radius
+    the summation span, ``totals[k]`` is the full sum of row k and
+    ``tails[k, r]`` its sum over |x| > r for every radius
     r = 0 .. _MAX_RADIUS + 2.  Each sum is read off one running sum over
     the points in decreasing order of |x|, so the smallest terms come first.
     """
@@ -128,54 +135,39 @@ def _envelope_sums(lams, b, offsets, weighted):
     edge = (2.0 + 2.0 * np.pi * _ONE_DIM_SPAN**2) * np.exp(
         -np.pi * lams[:, 0] * _ONE_DIM_SPAN**2 + 2.0 * np.pi * b * _ONE_DIM_SPAN
     )
-    # per offset, the points of the span from the outside in
-    x = np.abs(np.arange(-_ONE_DIM_SPAN, _ONE_DIM_SPAN + 1) + np.asarray(offsets)[:, None])
-    x = -np.sort(-x, axis=1)[:, None, :]
+    halves = np.asarray(halves)
+    x = _SPAN[halves]
     terms = np.exp(-np.pi * lams * x * x + 2.0 * np.pi * b * x)
     if weighted:
         terms = (2.0 + 2.0 * np.pi * x * x) * terms
     running = np.cumsum(terms, axis=-1)
-    # the points with |x| > r are the first ``count[r]`` (r = -1: all of them)
-    count = (x[..., None, :] > np.arange(-1, _MAX_RADIUS + 3)[:, None]).sum(axis=-1)
-    sums = np.take_along_axis(running, count - 1, axis=-1)
-    return edge > 1e-30, sums[..., 0], sums[..., 1:]
+    # the points with |x| > r are the first _SPAN_COUNT[r] (r = -1: all of them)
+    sums = np.take_along_axis(running, _SPAN_COUNT[halves] - 1, axis=-1)
+    return edge > 1e-30, sums[:, 0], sums[:, 1:]
 
 
-@lru_cache(maxsize=256)
-def _split_sums(lam, mus, b, weighted):
-    """Envelope sums of every split of one tau's per-axis bound.
-
-    Split k puts every coordinate at rate (1 - t_k) lam except axis i, at
-    (1 - t_k) lam + t_k mu_i.  Returns ``(usable, totals, tails)``:
-    ``usable[k]`` is False where rate (1 - t_k) lam is too flat (the split
-    is skipped), ``totals[u, k]`` is the total at that rate and offset u/2,
-    and ``tails[u, k, i]`` the tails at axis i's rate.
-    """
-    base = (1.0 - _SPLITS) * lam
-    own = base[:, None] + _SPLITS[:, None] * np.asarray(mus)
-    flat, totals, tails = _envelope_sums(np.concatenate([base, own.ravel()]), b,
-                                         [0.0, 0.5], weighted)
-    k = len(_SPLITS)
-    sums = ~flat[:k], totals[:, :k], tails[:, k:].reshape(2, k, len(mus), -1)
-    for a in sums:
-        a.setflags(write=False)
-    return sums
-
-
-@lru_cache(maxsize=1024)
 @np.errstate(**_QUIET_OVERFLOW)
 def _axis_bounds(lam, mus, b, m_prime, weighted):
     """Envelope mass of the points beyond radius r on axis i, as a
-    read-only (g, _MAX_RADIUS + 3) array: the least bound over the usable
-    splits, inf where none is finite."""
-    usable, totals, tails = _split_sums(lam, mus, b, weighted)
+    read-only (g, _MAX_RADIUS + 3) array: the least bound over the splits,
+    inf where none is finite.  Split k puts every coordinate at rate
+    (1 - t_k) lam except axis i, at (1 - t_k) lam + t_k mu_i; it is skipped
+    where rate (1 - t_k) lam is too flat."""
+    g, k = len(m_prime), len(_SPLITS)
+    u = np.asarray(m_prime)
+    base = (1.0 - _SPLITS) * lam
+    own = base + _SPLITS * np.asarray(mus)[:, None]
+    # rows of k splits: the base rates at offsets 0 and 1/2, then axis i's
+    # own rates at offset u_i / 2
+    flat, totals, tails = _envelope_sums(np.concatenate([base, base, own.ravel()]), b,
+                                         np.repeat([0, 1, *m_prime], k), weighted)
+    usable = ~flat[:k]
     if not usable.any():
         raise ConvergenceError("tail bound unreliable: envelope too flat")
-    g = len(m_prime)
-    u = np.asarray(m_prime)
     # per axis i and split k: the product of the other coordinates' totals
-    others = np.prod(np.where(np.eye(g, dtype=bool)[:, :, None], 1.0, totals[u]), axis=1)
-    per_split = tails[u, :, np.arange(g)] * others[:, :, None]
+    others = np.prod(np.where(np.eye(g, dtype=bool)[:, :, None], 1.0,
+                              totals[: 2 * k].reshape(2, k)[u]), axis=1)
+    per_split = tails[2 * k :].reshape(g, k, -1) * others[:, :, None]
     keep = usable[:, None] & ~np.isnan(per_split)
     bounds = np.where(keep, per_split, np.inf).min(axis=1)
     bounds.setflags(write=False)
@@ -214,17 +206,25 @@ def _choose_box(lam, mus, b, m_prime, policy: TruncationPolicy, weighted):
     return widths, float(bounds[np.arange(g), [w + 2 for w in widths]].sum())
 
 
+@lru_cache(maxsize=1024)
+def _certified_box(im_bytes, g, b, m_prime, weighted, policy: TruncationPolicy):
+    """Widths, ``est_tail`` and rounding envelope (the product of the
+    isotropic totals, which bounds sum |term| over any box) of one box."""
+    lam, mus = _rates(np.frombuffer(im_bytes).reshape(g, g))
+    widths, est_tail = _choose_box(lam, mus, b, m_prime, policy, weighted)
+    totals = _envelope_sums([lam] * g, b, m_prime, weighted)[1]
+    return widths, est_tail, math.prod(float(t) for t in totals)
+
+
 @lru_cache(maxsize=8192)
 def _eval_cached(m_key, tau_bytes, z_bytes, g, policy: TruncationPolicy, want_grad, want_dtau):
     m_prime, m_double = m_key
     tau = np.frombuffer(tau_bytes, dtype=complex).reshape(g, g)
     z = np.frombuffer(z_bytes, dtype=complex)
-    lam, mus = _rates(tau.imag)
-    b = float(np.linalg.norm(z.imag))
     weighted = want_grad or want_dtau
+    widths, est_tail, envelope = _certified_box(
+        tau.imag.tobytes(), g, float(np.linalg.norm(z.imag)), m_prime, weighted, policy)
     y = z + np.asarray(m_double, dtype=float) / 2.0
-
-    widths, est_tail = _choose_box(lam, mus, b, m_prime, policy, weighted)
     # one sum over the box at width + 2 whose core is the box at width
     wide = [w + 2 for w in widths]
     with np.errstate(**_QUIET_OVERFLOW):
@@ -236,9 +236,6 @@ def _eval_cached(m_key, tau_bytes, z_bytes, g, policy: TruncationPolicy, want_gr
     val, grad, dtau = full
     # slots not requested are zero in both sums
     change = max(float(np.max(np.abs(np.subtract(f, c)))) for f, c in zip(full, core))
-    # the isotropic totals (split t = 0) bound the sum of |term| over any box
-    totals = _split_sums(lam, mus, b, weighted)[1]
-    envelope = math.prod(float(totals[u, 0]) for u in m_prime)
     allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
     if not change <= allowed:  # nan fails too
         raise ConvergenceError(
@@ -255,19 +252,26 @@ def _coerce_tau(tau) -> np.ndarray:
     return SiegelPoint(np.asarray(tau, dtype=complex)).tau
 
 
+def _coerce_z(z, g) -> np.ndarray:
+    if z is None:
+        return np.zeros(g, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    if z.size != g:
+        raise DomainError(f"z has {z.size} entries, genus is {g}")
+    if not np.isfinite(z).all():
+        raise DomainError("z has an entry that is not finite")
+    return np.ascontiguousarray(z.reshape(g))
+
+
 def _evaluate(m, tau, z, policy, want_grad, want_dtau):
     tau_arr = np.ascontiguousarray(_coerce_tau(tau))
     g = tau_arr.shape[0]
     if m.g != g:
         raise DomainError(f"characteristic genus {m.g} != tau genus {g}")
-    if z is None:
-        z_arr = np.zeros(g, dtype=complex)
-    else:
-        z_arr = np.ascontiguousarray(np.asarray(z, dtype=complex).reshape(g))
     return _eval_cached(
         (m.m_prime, m.m_double_prime),
         tau_arr.tobytes(),
-        z_arr.tobytes(),
+        _coerce_z(z, g).tobytes(),
         g,
         policy or DEFAULT_POLICY,
         bool(want_grad),
@@ -342,11 +346,10 @@ def second_order_theta(
     if len(eps) != g:
         raise DomainError(f"label length {len(eps)} != genus {g}")
     m = Characteristic(eps, (0,) * g)
-    z_arr = np.zeros(g, dtype=complex) if z is None else np.asarray(z, dtype=complex)
     inner = theta_eval(
         m,
         SiegelPoint(2 * tau_arr),
-        2 * z_arr,
+        2 * _coerce_z(z, g),
         policy,
         want_gradient=want_gradient,
         want_tau_derivative=want_tau_derivative,
@@ -357,6 +360,28 @@ def second_order_theta(
         tau_derivative=None if inner.tau_derivative is None else 2 * inner.tau_derivative,
         est_tail=inner.est_tail,
     )
+
+
+def theta_unnormalized(mp, mpp, tau, z=None, policy: TruncationPolicy | None = None) -> complex:
+    """The series with an integer characteristic (mp, mpp) not reduced mod 2,
+    summed over n + mp/2 for |n| <= w_i + s_i, not through the periodicity
+    law.  w_i is the certified width of axis i for the reduced
+    characteristic and s_i = |mp_i - mp_i mod 2| / 2 its integer shift, so
+    the box contains that characteristic's box."""
+    policy = policy or DEFAULT_POLICY
+    tau_arr = _coerce_tau(tau)
+    g = tau_arr.shape[0]
+    if len(mp) != g or len(mpp) != g:
+        raise DomainError(f"characteristic lengths {len(mp)}, {len(mpp)} != genus {g}")
+    z_arr = _coerce_z(z, g)
+    frac = tuple(int(x) % 2 for x in mp)
+    widths = _certified_box(tau_arr.imag.tobytes(), g, float(np.linalg.norm(z_arr.imag)),
+                            frac, False, policy)[0]
+    reach = [w + abs(int(x) - f) // 2 for w, x, f in zip(widths, mp, frac)]
+    axes = [np.arange(-r, r + 1, dtype=float) + x / 2.0 for r, x in zip(reach, mp)]
+    y = z_arr + np.asarray(mpp, dtype=float) / 2.0
+    (val, _, _), _ = grid_sum(axes, tau_arr, y)
+    return val
 
 
 def _det_cd(gamma: SymplecticElement, tau_arr: np.ndarray) -> complex:
@@ -413,7 +438,7 @@ def min_im_eigenvalue(tau) -> float:
 
 
 def clear_caches():
-    """Drop memoized tail bounds, quadratic grids and series values (mainly
-    for tests)."""
-    for cache in (_split_sums, _axis_bounds, _quadratic, _eval_cached):
+    """Drop memoized boxes, quadratic grids and series values (mainly for
+    tests)."""
+    for cache in (_certified_box, _quadratic, _eval_cached):
         cache.cache_clear()

@@ -290,3 +290,77 @@ def box_sum(tau, z, m_prime, m_double, radius):
         np.pi * np.einsum("n,na,nb->ab", mag, np.abs(P), np.abs(P)),
     )
     return (value, grad, dtau), abs_sums
+
+
+def mp_theta(tau, m_prime, m_double, z=None, dps=30, tol=1e-25):
+    """Theta value, z-gradient and weighted tau-derivative summed in mpmath
+    at ``dps`` digits, for genus g <= 3.
+
+    The sum runs over the cube |x_i| <= R of shifted lattice points x, with
+    R the first radius whose Gaussian bound on the mass outside the cube is
+    below ``tol``: with lam = lambda_min(Im tau) and c_i = |Im z_i|,
+    |term| <= prod_i exp(-pi lam x_i^2 + 2 pi c_i |x_i|), and every
+    derivative weight (1, 2 pi |x_a|, pi |x_a x_b|) is at most
+    pi prod_i (1 + x_i^2).  Returns ``(slots, scales)``: the three slots as
+    Python complex numbers, and per slot the sum of |weight * term| times
+    (1 + |exponent|), with exponent 2 pi i (x tau x / 2 + x y) of each term,
+    the scale of the rounding of a double-precision sum of the same terms.
+    """
+    import mpmath
+    import numpy as np
+
+    tau = np.asarray(tau, dtype=complex)
+    g = tau.shape[0]
+    z = np.zeros(g, dtype=complex) if z is None else np.asarray(z, dtype=complex)
+    lam = float(np.linalg.eigvalsh(tau.imag)[0])
+    span = np.arange(-200, 201, dtype=float)
+
+    def envelope(u, c):
+        x = np.abs(span + 0.5 * u)
+        return x, (1.0 + x * x) * np.exp(-np.pi * lam * x * x + 2.0 * np.pi * c * x)
+
+    env = [envelope(u, abs(c)) for u, c in zip(m_prime, z.imag)]
+    radius = 1
+    while True:
+        bound = sum(
+            e[ax > radius].sum() * math.prod(f.sum() for j, (_, f) in enumerate(env) if j != i)
+            for i, (ax, e) in enumerate(env)
+        )
+        if np.pi * bound < tol:
+            break
+        radius += 1
+
+    pairs = [(a, b) for a in range(g) for b in range(a, g)]
+    with mpmath.workdps(dps):
+        # x tau x / 2 = sum over a <= b of x_a x_b times tau_ab (halved on the diagonal)
+        coef = [mpmath.mpc(complex(tau[a, b])) / (2 if a == b else 1) for a, b in pairs]
+        y = [mpmath.mpc(complex(v)) + mpmath.mpf(d) / 2 for v, d in zip(z, m_double)]
+        two_pi_i = mpmath.mpc(0, 2) * mpmath.pi
+        value = mpmath.mpc(0)
+        grad = [mpmath.mpc(0)] * g
+        dtau = [mpmath.mpc(0)] * len(pairs)
+        scales = [0.0, np.zeros(g), np.zeros((g, g))]
+        for n in itertools.product(range(-radius, radius + 1), repeat=g):
+            x = [mpmath.mpf(k) + mpmath.mpf(u) / 2 for k, u in zip(n, m_prime)]
+            if any(abs(v) > radius for v in x):
+                continue
+            xx = [x[a] * x[b] for a, b in pairs]
+            w = mpmath.fsum(c * v for c, v in zip(coef, xx)) + mpmath.fsum(
+                v * t for v, t in zip(x, y))
+            exponent = two_pi_i * w
+            term = mpmath.exp(exponent)
+            value += term
+            for a in range(g):
+                grad[a] += x[a] * term
+            for k, v in enumerate(xx):
+                dtau[k] += v * term
+            size = float(abs(term)) * (1.0 + float(abs(exponent)))
+            xf = np.abs([float(v) for v in x])
+            scales[0] += size
+            scales[1] += 2 * np.pi * xf * size
+            scales[2] += np.pi * np.outer(xf, xf) * size
+        dmat = np.zeros((g, g), dtype=complex)
+        for (a, b), v in zip(pairs, dtau):
+            dmat[a, b] = dmat[b, a] = complex(two_pi_i / 2 * v)
+        slots = (complex(value), np.array([complex(two_pi_i * v) for v in grad]), dmat)
+    return slots, tuple(scales)

@@ -1,5 +1,6 @@
 import fnmatch
 import importlib.util
+import inspect
 import itertools
 import json
 import time
@@ -26,11 +27,20 @@ from theta_forge.identities import (
 )
 from theta_forge.symplectic import (
     Characteristic,
+    SiegelPoint,
+    SymplecticElement,
     even_characteristics,
+    membership,
     odd_characteristics,
     sample_siegel_point,
 )
-from theta_forge.theta import TruncationPolicy, clear_caches
+from theta_forge.theta import (
+    TruncationPolicy,
+    clear_caches,
+    second_order_theta,
+    theta_eval,
+    theta_unnormalized,
+)
 
 
 def test_gsm_forward_example_g1(rng):
@@ -174,6 +184,7 @@ def test_exact_layer_clean(rng):
     for rep in reports:
         assert rep.passed and rep.residual == 0.0
         assert rep.params["failures"] == 0
+        assert rep.tolerance == identities._ROWS[rep.identity_name][1]
 
 
 def test_conditioned_words_deterministic(rng):
@@ -202,6 +213,45 @@ def test_conditioned_words_rejects_only_documented_errors(monkeypatch, rng, rais
     t = sample_siegel_point(2, rng)
     with pytest.raises(expected, match=message):
         conditioned_words("Gamma(2)", 2, [t], 1, 5)
+
+
+TAU_G2 = SiegelPoint(np.array([[0.1 + 1.0j, 0.2j], [0.2j, -0.3 + 0.8j]]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: theta_eval(Characteristic((0, 0), (0, 0)), TAU_G2, [0.1, 0.2, 0.3]),
+    lambda: second_order_theta((0, 1), TAU_G2, [0.1]),
+    lambda: theta_eval(Characteristic((0, 1), (1, 0)), TAU_G2, [np.nan, 0.0]),
+    lambda: second_order_theta((1, 0), TAU_G2, [0.0, 1j * np.inf]),
+    lambda: theta_unnormalized((1, 0), (1,), TAU_G2),
+    lambda: SiegelPoint(np.zeros((0, 0), dtype=complex)),
+    lambda: membership(SymplecticElement.identity(2), "Gamma(0)"),
+    lambda: membership(SymplecticElement.identity(2), "Gamma(2,4)*"),
+    lambda: check_jacobi(1, []),
+    lambda: check_main_theorem(3, 2, [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0))], []),
+    lambda: check_exact_layer(4, genus_range=(1,)),
+    lambda: check_exact_layer(4, genus_range=()),
+], ids=["z-length", "second-order-z-length", "z-nan", "z-inf", "unnormalized-length",
+        "empty-tau", "level-0",
+        "starred-without-tau", "jacobi-no-points", "main-theorem-no-points",
+        "exact-genus-1", "exact-no-genus"])
+def test_malformed_input_raises_domain_error(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    # an empty list of base points is not blamed on the label pairs
+    assert "degenerate" not in str(info.value)
+
+
+@pytest.mark.parametrize("check, row", [
+    (check_gsm_forward, "gsm_forward"),
+    (check_gsm_backward, "gsm_backward"),
+    (check_jacobi, "jacobi"),
+    (check_main_theorem, "main_theorem"),
+    (check_omega_consistency, "omega_consistency"),
+])
+def test_check_tolerance_defaults_are_the_suite_tolerances(check, row):
+    default = inspect.signature(check).parameters["tolerance"].default
+    assert default == identities._ROWS[row][1]
 
 
 # ---------------------------------------------------------------------------

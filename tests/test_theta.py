@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import box_sum, loop_axis_bound, loop_choose_box, loop_choose_radius
+from oracles import box_sum, loop_axis_bound, loop_choose_box, loop_choose_radius, mp_theta
+from theta_forge import _kernels as kernels_module
 from theta_forge import theta as theta_module
 from theta_forge._kernels import grid_sum
 from theta_forge.errors import ConvergenceError, DomainError
@@ -185,16 +186,16 @@ def test_riemann_addition_g1(rng):
 
 def test_quasi_periodicity_sign(rng):
     # shifting the characteristic by two flips the sign by the pairing parity
-    from theta_forge.identities import _theta_unnormalized
+    from theta_forge.theta import theta_unnormalized
 
     g = 2
     t = sample_siegel_point(g, rng)
     z = rng.standard_normal(g) * 0.2
     m = Characteristic((1, 0), (1, 1))
     base = theta_eval(m, t, z).value
-    shifted = _theta_unnormalized((1, 2), (1, 1), t, z, None)  # m' + 2*(0,1)
+    shifted = theta_unnormalized((1, 2), (1, 1), t, z, None)  # m' + 2*(0,1)
     assert shifted == pytest.approx(base, abs=1e-10)
-    shifted2 = _theta_unnormalized((1, 0), (3, 1), t, z, None)  # m'' + 2*(1,0)
+    shifted2 = theta_unnormalized((1, 0), (3, 1), t, z, None)  # m'' + 2*(1,0)
     assert shifted2 == pytest.approx(-base, abs=1e-10)
 
 
@@ -410,6 +411,46 @@ def test_est_tail_bounds_the_truncation_error(g, lam, im_frac, seed, tol, slots)
         assert np.all(err <= got.est_tail + allowance * abs_sums[2])
 
 
+def _hex_matrix(rows):
+    return np.array([[float.fromhex(x) for x in row] for row in rows])
+
+
+# the base point that ``verify --g 3 --seed 898`` draws for main_theorem,
+# where that check misses its tolerance
+SEED_898_TAU = _hex_matrix((
+    ("-0x1.0637b4cd60ee0p-4", "-0x1.88c456d2e5b86p-3", "0x1.c833d7cc376d0p-3"),
+    ("-0x1.88c456d2e5b86p-3", "0x1.533205998adb0p-3", "0x1.452f64f334780p-6"),
+    ("0x1.c833d7cc376d0p-3", "0x1.452f64f334780p-6", "-0x1.427938b1fe824p-2"),
+)) + 1j * _hex_matrix((
+    ("0x1.64703d7794078p-1", "0x1.b815f49fc65bcp-4", "-0x1.618d7e9119922p-4"),
+    ("0x1.b815f49fc65bcp-4", "0x1.43a8605960cd2p+2", "-0x1.32d6a16748776p-3"),
+    ("-0x1.618d7e9119922p-4", "-0x1.32d6a16748776p-3", "0x1.4decd3f4796b7p-1"),
+))
+
+
+@pytest.mark.parametrize(
+    "tau, z, chars",
+    [
+        (np.array([[0.31 + 0.12j]]), [0.1 - 0.05j], all_characteristics(1)),
+        (np.array([[0.21 + 0.9j, -0.3 + 0.35j], [-0.3 + 0.35j, 0.4 + 0.7j]]),
+         [0.12 - 0.07j, -0.31 + 0.04j], all_characteristics(2)),
+        # one even and one odd characteristic: each costs about 0.5 s at genus 3
+        (SEED_898_TAU, None, [Characteristic((0, 1, 0), (1, 1, 0)),
+                              Characteristic((1, 0, 1), (0, 1, 1))]),
+    ],
+)
+def test_theta_matches_30_digit_reference(tau, z, chars):
+    # against an mpmath box sum at 30 digits, to est_tail plus 64 eps of
+    # sum |weight * term| * (1 + |exponent|)
+    allowance = 64 * np.finfo(float).eps
+    for m in chars:
+        got = theta_eval(m, tau, z, want_gradient=True, want_tau_derivative=True)
+        ref, scales = mp_theta(tau, m.m_prime, m.m_double_prime, z)
+        for got_slot, ref_slot, scale in zip(
+                (got.value, got.gradient_z, got.tau_derivative), ref, scales):
+            assert np.all(np.abs(got_slot - ref_slot) <= got.est_tail + allowance * scale)
+
+
 @pytest.mark.parametrize(
     "tau, z",
     [
@@ -499,14 +540,36 @@ def test_shared_quadratic_grid_is_bit_identical(rng):
     assert _quadratic.cache_info().currsize <= 2
 
 
+def test_one_box_entry_per_im_tau(rng, monkeypatch):
+    # tau and tau + hE (E real symmetric) share Im tau, so they share one
+    # certified box and the rates are computed once
+    calls = []
+    rates = theta_module._rates
+    monkeypatch.setattr(theta_module, "_rates", lambda Y: calls.append(Y) or rates(Y))
+    theta_module.clear_caches()
+    t = sample_siegel_point(3, rng)
+    E = np.zeros((3, 3))
+    E[0, 2] = E[2, 0] = 1.0
+    m = Characteristic((0, 1, 1), (1, 0, 1))
+    for point in (t, SiegelPoint(t.tau + 1e-3 * E), SiegelPoint(t.tau - 1e-3 * E)):
+        theta_tau_derivative(m, point)
+    assert theta_module._eval_cached.cache_info().misses == 3
+    info = theta_module._certified_box.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    assert len(calls) == 1
+
+
 def test_evaluation_is_deterministic(rng):
     from theta_forge.theta import clear_caches
 
     t = sample_siegel_point(2, rng)
     m = Characteristic((1, 1), (0, 0))
     a = theta_eval(m, t, want_tau_derivative=True)
-    caches = [getattr(theta_module, name) for name in
-              ("_split_sums", "_axis_bounds", "_quadratic", "_eval_cached")]
+    names = {"_certified_box", "_quadratic", "_eval_cached"}
+    # the box, the quadratic grid and the series value are the only memos
+    assert {name for mod in (theta_module, kernels_module) for name, fn in vars(mod).items()
+            if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__} == names
+    caches = [getattr(theta_module, name) for name in names]
     assert all(c.cache_info().currsize > 0 for c in caches)
     clear_caches()
     assert all(c.cache_info().currsize == 0 for c in caches)
