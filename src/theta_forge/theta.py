@@ -21,21 +21,21 @@ splits t (t = 0 is the isotropic bound), all in one array operation.  Each
 axis takes the first width whose bound clears ``target_tol / 20 / g``, so
 the mass outside the box stays under ``target_tol / 20``; if some axis has
 no such width up to _MAX_RADIUS, the evaluation raises ``ConvergenceError``.
-The reported tail is the bound at width + 2, and the isotropic totals
+The reported tail is the bound at width + 1, and the isotropic totals
 (split t = 0) scale the rounding allowance of the refinement check.
-The box depends on tau only through Im tau: ``_certified_box`` memoises it
-once per (Im tau, |Im z|, m', weighting, policy), so a stencil tau +- hE
-with E real shares the box of tau.
+The box depends on tau only through Im tau: ``_certified_box`` memoises
+the boxes of every m' per (Im tau, |Im z|, weighting, policy), so every
+characteristic at tau, and a stencil tau +- hE with E real, share one entry.
 
 Every evaluation takes one path: one ``_kernels.grid_sum`` call sums the box
-at width + 2 as a grid of g axes and, from the same terms, its core at the
-chosen widths, and the two sums must agree to ``target_tol / 10`` plus a
-rounding allowance.  So the refinement check sums no point twice.
+widened by one point per axis (the shell just outside the box carries nearly
+all the mass beyond it) and, from the same terms, its core at the chosen
+widths; the two must agree to ``target_tol / 10`` plus a rounding allowance.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,7 +69,7 @@ class TruncationPolicy:
     """The requested accuracy of every series evaluation.
 
     The evaluator picks a box whose tail bound (the envelope mass outside
-    it) clears ``target_tol / 20``, sums it widened by 2 on every axis, and
+    it) clears ``target_tol / 20``, sums it widened by 1 on every axis, and
     requires the change from the box itself to stay below
     ``target_tol / 10`` plus a rounding allowance of 8 machine epsilons
     times the product of the per-coordinate envelope totals, which bounds
@@ -148,30 +148,32 @@ def _envelope_sums(lams, b, halves, weighted):
 
 @np.errstate(**_QUIET_OVERFLOW)
 def _axis_bounds(lam, mus, b, m_prime, weighted):
-    """Envelope mass of the points beyond radius r on axis i, as a
-    read-only (g, _MAX_RADIUS + 3) array: the least bound over the splits,
-    inf where none is finite.  Split k puts every coordinate at rate
-    (1 - t_k) lam except axis i, at (1 - t_k) lam + t_k mu_i; it is skipped
-    where rate (1 - t_k) lam is too flat."""
-    g, k = len(m_prime), len(_SPLITS)
+    """Envelope mass of the points beyond radius r on axis i, as a read-only
+    (..., g, _MAX_RADIUS + 3) array for m' of shape (..., g): the least bound
+    over the splits, inf where none is finite.  Split k puts every coordinate
+    at rate (1 - t_k) lam except axis i, at (1 - t_k) lam + t_k mu_i; it is
+    skipped where rate (1 - t_k) lam is too flat.  Also returns the rounding
+    envelope of each m', the product of its isotropic totals."""
+    g, k = len(mus), len(_SPLITS)
     u = np.asarray(m_prime)
     base = (1.0 - _SPLITS) * lam
-    own = base + _SPLITS * np.asarray(mus)[:, None]
-    # rows of k splits: the base rates at offsets 0 and 1/2, then axis i's
-    # own rates at offset u_i / 2
-    flat, totals, tails = _envelope_sums(np.concatenate([base, base, own.ravel()]), b,
-                                         np.repeat([0, 1, *m_prime], k), weighted)
+    own = (base + _SPLITS * np.asarray(mus)[:, None]).ravel()
+    # rows of k splits at offsets 0 and 1/2: the base rates, then each
+    # axis's own rates, so every m' reads its sums off the same rows
+    flat, totals, tails = _envelope_sums(np.concatenate([base, base, own, own]), b,
+                                         np.repeat([0, 1, 0, 1], [k, k, g * k, g * k]), weighted)
     usable = ~flat[:k]
     if not usable.any():
         raise ConvergenceError("tail bound unreliable: envelope too flat")
+    per_axis = totals[: 2 * k].reshape(2, k)[u]
     # per axis i and split k: the product of the other coordinates' totals
     others = np.prod(np.where(np.eye(g, dtype=bool)[:, :, None], 1.0,
-                              totals[: 2 * k].reshape(2, k)[u]), axis=1)
-    per_split = tails[2 * k :].reshape(g, k, -1) * others[:, :, None]
+                              per_axis[..., None, :, :]), axis=-2)
+    per_split = tails[2 * k :].reshape(2, g, k, -1)[u, np.arange(g)] * others[..., None]
     keep = usable[:, None] & ~np.isnan(per_split)
-    bounds = np.where(keep, per_split, np.inf).min(axis=1)
+    bounds = np.where(keep, per_split, np.inf).min(axis=-2)
     bounds.setflags(write=False)
-    return bounds
+    return bounds, np.prod(per_axis[..., 0], axis=-1)
 
 
 def _rates(Y):
@@ -187,33 +189,40 @@ def _box_axes(widths, m_prime):
     return [np.arange(-w, w + 1 - u, dtype=float) + 0.5 * u for w, u in zip(widths, m_prime)]
 
 
-def _choose_box(lam, mus, b, m_prime, policy: TruncationPolicy, weighted):
-    """Per-axis widths of the certified box and the envelope mass outside
-    the box at width + 2.
-
-    Each axis takes the first width >= 1 whose bound clears
-    ``target_tol / 20 / g``.
-    """
-    g = len(m_prime)
-    bounds = _axis_bounds(lam, mus, b, m_prime, weighted)
-    hits = bounds[:, 1 : _MAX_RADIUS + 1] < policy.target_tol / 20.0 / g
-    if not hits.any(axis=1).all():
-        raise ConvergenceError(
-            f"no width <= {_MAX_RADIUS} reaches target_tol={policy.target_tol:g} "
-            f"on every axis (lambda_min={lam:.3g})"
-        )
-    widths = tuple(1 + int(w) for w in hits.argmax(axis=1))
-    return widths, float(bounds[np.arange(g), [w + 2 for w in widths]].sum())
+def _choose_boxes(lam, mus, b, policy: TruncationPolicy, weighted):
+    """The boxes of every m' in {0, 1}^g, in lexicographic order, as a
+    read-only (2^g, g + 2) array: per m' the widths of its certified box (per
+    axis the first width >= 1 whose bound clears ``target_tol / 20 / g``, 0
+    if none up to _MAX_RADIUS does), est_tail at width + 1 and the envelope."""
+    m_primes = list(itertools.product((0, 1), repeat=len(mus)))
+    bounds, envelopes = _axis_bounds(lam, mus, b, m_primes, weighted)
+    hits = bounds[..., 1 : _MAX_RADIUS + 1] < policy.target_tol / 20.0 / len(mus)
+    widths = np.where(hits.any(axis=-1), 1 + hits.argmax(axis=-1), 0)
+    tails = np.take_along_axis(bounds, widths[..., None] + 1, axis=-1)[..., 0].sum(axis=-1)
+    boxes = np.column_stack([widths, tails, envelopes])
+    boxes.setflags(write=False)
+    return boxes
 
 
 @lru_cache(maxsize=1024)
-def _certified_box(im_bytes, g, b, m_prime, weighted, policy: TruncationPolicy):
-    """Widths, ``est_tail`` and rounding envelope (the product of the
-    isotropic totals, which bounds sum |term| over any box) of one box."""
+def _certified_box(im_bytes, g, b, weighted, policy: TruncationPolicy):
+    """lambda_min(Im tau) and the boxes of every m' at one Im tau, all read
+    off one set of envelope rows and kept as one small array."""
     lam, mus = _rates(np.frombuffer(im_bytes).reshape(g, g))
-    widths, est_tail = _choose_box(lam, mus, b, m_prime, policy, weighted)
-    totals = _envelope_sums([lam] * g, b, m_prime, weighted)[1]
-    return widths, est_tail, math.prod(float(t) for t in totals)
+    return lam, _choose_boxes(lam, mus, b, policy, weighted)
+
+
+def _box(tau, z, m_prime, weighted, policy: TruncationPolicy):
+    """Widths, ``est_tail`` and rounding envelope of the box of m' at
+    (tau, z), from the memo of every m' at Im tau."""
+    g = len(z)
+    lam, boxes = _certified_box(tau.imag.tobytes(), g, float(np.linalg.norm(z.imag)), weighted,
+                                policy)
+    box = boxes[np.ravel_multi_index(m_prime, (2,) * g)]
+    if not box[:g].all():
+        raise ConvergenceError(f"no width <= {_MAX_RADIUS} reaches target_tol="
+                               f"{policy.target_tol:g} on every axis (lambda_min={lam:.3g})")
+    return tuple(int(w) for w in box[:g]), float(box[g]), float(box[g + 1])
 
 
 @lru_cache(maxsize=8192)
@@ -222,13 +231,12 @@ def _eval_cached(m_key, tau_bytes, z_bytes, g, policy: TruncationPolicy, want_gr
     tau = np.frombuffer(tau_bytes, dtype=complex).reshape(g, g)
     z = np.frombuffer(z_bytes, dtype=complex)
     weighted = want_grad or want_dtau
-    widths, est_tail, envelope = _certified_box(
-        tau.imag.tobytes(), g, float(np.linalg.norm(z.imag)), m_prime, weighted, policy)
+    widths, est_tail, envelope = _box(tau, z, m_prime, weighted, policy)
     y = z + np.asarray(m_double, dtype=float) / 2.0
-    # one sum over the box at width + 2 whose core is the box at width
-    wide = [w + 2 for w in widths]
+    # one sum over the box at width + 1 whose core is the box at width
+    wide = [w + 1 for w in widths]
     with np.errstate(**_QUIET_OVERFLOW):
-        full, core = grid_sum(_box_axes(wide, m_prime), tau, y, 2, weighted, want_dtau)
+        full, core = grid_sum(_box_axes(wide, m_prime), tau, y, 1, weighted, want_dtau)
     if not all(np.isfinite(slot).all() for slot in full):
         # a term past the float range, which the tail bound (the envelope
         # mass outside the box) need not see
@@ -238,9 +246,8 @@ def _eval_cached(m_key, tau_bytes, z_bytes, g, policy: TruncationPolicy, want_gr
     change = max(float(np.max(np.abs(np.subtract(f, c)))) for f, c in zip(full, core))
     allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
     if not change <= allowed:  # nan fails too
-        raise ConvergenceError(
-            f"refinement moved the value by {change:g} (> {allowed:g}) at widths {list(widths)}"
-        )
+        raise ConvergenceError(f"refinement moved the value by {change:g} (> {allowed:g}) "
+                               f"at widths {list(widths)}")
     grad.setflags(write=False)
     dtau.setflags(write=False)
     return val, grad, dtau, est_tail
@@ -268,15 +275,9 @@ def _evaluate(m, tau, z, policy, want_grad, want_dtau):
     g = tau_arr.shape[0]
     if m.g != g:
         raise DomainError(f"characteristic genus {m.g} != tau genus {g}")
-    return _eval_cached(
-        (m.m_prime, m.m_double_prime),
-        tau_arr.tobytes(),
-        _coerce_z(z, g).tobytes(),
-        g,
-        policy or DEFAULT_POLICY,
-        bool(want_grad),
-        bool(want_dtau),
-    )
+    return _eval_cached((m.m_prime, m.m_double_prime), tau_arr.tobytes(),
+                        _coerce_z(z, g).tobytes(), g, policy or DEFAULT_POLICY,
+                        bool(want_grad), bool(want_dtau))
 
 
 def theta_eval(
@@ -375,8 +376,7 @@ def theta_unnormalized(mp, mpp, tau, z=None, policy: TruncationPolicy | None = N
         raise DomainError(f"characteristic lengths {len(mp)}, {len(mpp)} != genus {g}")
     z_arr = _coerce_z(z, g)
     frac = tuple(int(x) % 2 for x in mp)
-    widths = _certified_box(tau_arr.imag.tobytes(), g, float(np.linalg.norm(z_arr.imag)),
-                            frac, False, policy)[0]
+    widths = _box(tau_arr, z_arr, frac, False, policy)[0]
     reach = [w + abs(int(x) - f) // 2 for w, x, f in zip(widths, mp, frac)]
     axes = [np.arange(-r, r + 1, dtype=float) + x / 2.0 for r, x in zip(reach, mp)]
     y = z_arr + np.asarray(mpp, dtype=float) / 2.0

@@ -246,7 +246,7 @@ def loop_choose_radius(lam, b, m_prime, policy, weighted, max_radius=24):
 def loop_choose_box(lam, mus, b, m_prime, policy, weighted, max_radius=24):
     """Raise each axis's width from 1 until its bound clears
     target_tol / 20 / g; return the widths and the sum of the axes' bounds
-    at width + 2."""
+    at width + 1."""
     from theta_forge.errors import ConvergenceError
 
     g = len(m_prime)
@@ -259,7 +259,7 @@ def loop_choose_box(lam, mus, b, m_prime, policy, weighted, max_radius=24):
             if width > max_radius:
                 raise ConvergenceError(f"no width <= {max_radius} reaches the goal")
         widths.append(width)
-    est_tail = sum(loop_axis_bound(lam, mus, b, m_prime, axis, w + 2, weighted)
+    est_tail = sum(loop_axis_bound(lam, mus, b, m_prime, axis, w + 1, weighted)
                    for axis, w in enumerate(widths))
     return tuple(widths), est_tail
 

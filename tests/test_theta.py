@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import box_sum, loop_axis_bound, loop_choose_box, loop_choose_radius, mp_theta
+from oracles import (
+    box_sum,
+    loop_axis_bound,
+    loop_choose_box,
+    loop_choose_radius,
+    loop_one_dim_sums,
+    mp_theta,
+)
 from theta_forge import _kernels as kernels_module
 from theta_forge import theta as theta_module
 from theta_forge._kernels import grid_sum
@@ -222,6 +229,18 @@ def test_policy_tolerance_floor():
         TruncationPolicy(target_tol=1e-15)
 
 
+def _choose_box(lam, mus, b, m_prime, policy, weighted):
+    """The widths and est_tail of the box of m', picked from the boxes of
+    every m' of its genus as the memo computes them, raising as an
+    evaluation of m' does."""
+    g = len(m_prime)
+    boxes = theta_module._choose_boxes(lam, mus, b, policy, weighted)
+    box = boxes[list(itertools.product((0, 1), repeat=g)).index(tuple(m_prime))]
+    if not box[:g].all():
+        raise ConvergenceError("no width <= 24 reaches the goal")
+    return tuple(int(w) for w in box[:g]), float(box[g])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     lam=st.floats(0.004, 10.0),
@@ -244,10 +263,10 @@ def test_box_widths_match_loop_oracle(lam, spread, b, m_prime, weighted, tol):
             want = loop_choose_box(lam, mus, b, m_prime, policy, weighted)
         except ConvergenceError as exc:
             with pytest.raises(ConvergenceError) as got:
-                theta_module._choose_box(lam, mus, b, m_prime, policy, weighted)
+                _choose_box(lam, mus, b, m_prime, policy, weighted)
             assert ("too flat" in str(got.value)) == ("too flat" in str(exc))
             return
-        widths, est_tail = theta_module._choose_box(lam, mus, b, m_prime, policy, weighted)
+        widths, est_tail = _choose_box(lam, mus, b, m_prime, policy, weighted)
     assert widths == want[0]
     assert est_tail == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
@@ -261,7 +280,7 @@ def test_box_certifies_where_the_cube_cannot_reach():
     lam, mus = theta_module._rates(im)
     with pytest.raises(ConvergenceError):
         loop_choose_radius(lam, 0.0, (0, 0), DEFAULT_POLICY, False)
-    assert theta_module._choose_box(lam, mus, 0.0, (0, 0), DEFAULT_POLICY, False)[0] == (24, 12)
+    assert _choose_box(lam, mus, 0.0, (0, 0), DEFAULT_POLICY, False)[0] == (24, 12)
     got = theta_eval(Characteristic((0, 0), (1, 0)), re + 1j * im)
     ref, abs_sums = box_sum(re + 1j * im, np.zeros(2), (0, 0), (1, 0), 40)
     assert abs(got.value - ref[0]) <= got.est_tail + 64 * np.finfo(float).eps * abs_sums[0]
@@ -290,11 +309,14 @@ def test_axis_bounds_match_loop_oracle(lam, spread, b, m_prime, weighted, radius
             with pytest.raises(ConvergenceError, match="too flat"):
                 theta_module._axis_bounds(lam, mus, b, m_prime, weighted)
             return
-        bounds = theta_module._axis_bounds(lam, mus, b, m_prime, weighted)
+        bounds, envelope = theta_module._axis_bounds(lam, mus, b, m_prime, weighted)
     assert bounds.shape == (len(m_prime), 27)
     assert not bounds.flags.writeable
     for got, w in zip(bounds[:, radius], want):
         assert got == pytest.approx(w, rel=1e-12, abs=0.0)
+    # the rounding envelope: the product of the isotropic totals
+    totals = [loop_one_dim_sums(lam, b, u == 1, radius, weighted)[0] for u in m_prime]
+    assert envelope == pytest.approx(math.prod(totals), rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,11 +340,11 @@ def test_est_tail_bounds_the_envelope_outside_the_box(g, lam, ratio, b, seed, we
     m_prime = tuple(int(u) for u in rng.integers(0, 2, g))
     policy = TruncationPolicy(target_tol=tol)
     try:
-        widths, est_tail = theta_module._choose_box(
+        widths, est_tail = _choose_box(
             *theta_module._rates(Y), b, m_prime, policy, weighted)
     except ConvergenceError:
         assume(False)
-    wide = np.array(widths) + 2
+    wide = np.array(widths) + 1
     n = np.arange(-(wide.max() + 8), wide.max() + 9, dtype=float)
     P = np.stack([a.ravel() for a in np.meshgrid(*([n] * g), indexing="ij")], axis=1)
     P = P + np.asarray(m_prime) / 2.0
@@ -355,10 +377,10 @@ def test_box_never_holds_more_points_than_the_cube(g):
                 for weighted in (False, True):
                     radius, _ = loop_choose_radius(rates[0], 0.0, m_prime, DEFAULT_POLICY,
                                                    weighted)
-                    widths, _ = theta_module._choose_box(
+                    widths, _ = _choose_box(
                         *rates, 0.0, m_prime, DEFAULT_POLICY, weighted)
-                    boxes.append(points([w + 2 for w in widths], m_prime))
-                    cubes.append(points([radius + 2] * g, m_prime))
+                    boxes.append(points([w + 1 for w in widths], m_prime))
+                    cubes.append(points([radius + 1] * g, m_prime))
     assert sum(boxes) <= sum(cubes)
     if g >= 3:
         assert np.median(boxes) < np.median(cubes)
@@ -409,6 +431,28 @@ def test_est_tail_bounds_the_truncation_error(g, lam, im_frac, seed, tol, slots)
     if want_dtau:
         err = np.abs(got.tau_derivative - ref[2])
         assert np.all(err <= got.est_tail + allowance * abs_sums[2])
+
+
+@pytest.mark.parametrize("lam, seed, im_frac, tol", [
+    (0.3, 1, 0.0, 1e-6), (0.45, 2, 0.3, 1e-10), (0.7, 3, 0.5, 1e-12), (1.0, 4, 0.8, 1e-8),
+])
+def test_est_tail_bounds_the_truncation_error_at_genus_4(lam, seed, im_frac, tol):
+    # the check above at fixed genus-4 draws, against a box sum at radius 10,
+    # at least 3 points past every box the evaluator sums here
+    tau, rng = _random_point(4, lam, seed)
+    chars = all_characteristics(4)
+    m = chars[int(rng.integers(len(chars)))]
+    z = rng.uniform(-0.5, 0.5, 4) + 1j * im_frac * rng.uniform(-0.5, 0.5, 4)
+    policy = TruncationPolicy(target_tol=tol)
+    plain = theta_eval(m, tau, z, policy)
+    weighted = theta_eval(m, tau, z, policy, want_gradient=True, want_tau_derivative=True)
+    ref, abs_sums = box_sum(tau, z, m.m_prime, m.m_double_prime, 10)
+    allowance = 64 * np.finfo(float).eps
+    for got in (plain, weighted):
+        assert abs(got.value - ref[0]) <= got.est_tail + allowance * abs_sums[0]
+    for got, want, scale in zip((weighted.gradient_z, weighted.tau_derivative), ref[1:],
+                                abs_sums[1:]):
+        assert np.all(np.abs(got - want) <= weighted.est_tail + allowance * scale)
 
 
 def _hex_matrix(rows):
@@ -557,6 +601,58 @@ def test_one_box_entry_per_im_tau(rng, monkeypatch):
     info = theta_module._certified_box.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
     assert len(calls) == 1
+
+
+def test_one_box_entry_per_weighting_at_one_tau(rng, monkeypatch):
+    # every characteristic at one tau, with and without derivative weights:
+    # one box entry and one rates call per weighting, each holding the box
+    # of every m', whose est_tail and envelope are bit for bit those of the
+    # bounds of that m' computed alone
+    calls = []
+    rates = theta_module._rates
+    monkeypatch.setattr(theta_module, "_rates", lambda Y: calls.append(Y) or rates(Y))
+    theta_module.clear_caches()
+    t = sample_siegel_point(3, rng)
+    for m in all_characteristics(3):
+        theta_eval(m, t)
+        theta_eval(m, t, want_gradient=True)
+    info = theta_module._certified_box.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2 * 64 - 2)
+    assert len(calls) == 2
+    lam, mus = rates(t.tau.imag)
+    for weighted in (False, True):
+        got_lam, boxes = theta_module._certified_box(t.tau.imag.tobytes(), 3, 0.0, weighted,
+                                                     DEFAULT_POLICY)
+        assert got_lam == lam and boxes.shape == (8, 5) and not boxes.flags.writeable
+        for m_prime, box in zip(itertools.product((0, 1), repeat=3), boxes):
+            bounds, envelope = theta_module._axis_bounds(lam, mus, 0.0, m_prime, weighted)
+            widths = tuple(int(w) for w in box[:3])
+            assert box[3] == bounds[np.arange(3), [w + 1 for w in widths]].sum()
+            assert box[4] == envelope
+
+
+def test_refinement_catches_a_box_one_point_short(monkeypatch):
+    # the one-point shell carries enough of the mass outside the box that a
+    # box one point short on every axis fails the refinement check
+    tau = np.array([[0.3 + 1.1j, 0.2 + 0.4j], [0.2 + 0.4j, -0.1 + 0.9j]])
+    m = Characteristic((0, 1), (1, 0))
+    theta_module.clear_caches()
+    theta_eval(m, tau)
+    choose = theta_module._choose_boxes
+
+    def short(*args):
+        boxes = choose(*args).copy()
+        assert boxes[:, :2].min() >= 2
+        boxes[:, :2] -= 1
+        return boxes
+
+    monkeypatch.setattr(theta_module, "_choose_boxes", short)
+    theta_module.clear_caches()
+    try:
+        with pytest.raises(ConvergenceError, match="refinement moved"):
+            theta_eval(m, tau)
+    finally:
+        theta_module.clear_caches()
 
 
 def test_evaluation_is_deterministic(rng):
