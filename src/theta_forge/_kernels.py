@@ -1,4 +1,4 @@
-"""The lattice-sum kernel for theta evaluation.
+"""The lattice-sum kernels for theta evaluation.
 
 The theta series sums exp(2 pi i (p tau p / 2 + p y)) over a box of shifted
 lattice points p.  The box is the Cartesian grid of g one-dimensional axes,
@@ -6,21 +6,17 @@ and the exponent is built over that grid by broadcasting rather than over
 an N x g matrix of points: each term (x_a tau_ab) x_b of the quadratic form
 is a table over two axes and each x_a y_a a table over one, added into the
 grid in the order a sum over the point matrix adds them.  The quadratic
-part does not depend on y, so it is built once per (tau, axes) and kept as
-a read-only grid in a small cache: the characteristics that share a box at
-one tau share it.  Each call adds its linear part, scales by 2 pi i and
-takes one np.exp over the grid, so every term is the same bit for bit
-whether the quadratic grid was cached or not.  The termwise z-gradient
-and tau-derivative are read off the one- and two-dimensional marginals of
-the term array: sum_p p_a term = x_a . m_a and
-sum_p p_a p_b term = x_a^T M_ab x_b.
-
-With ``trim`` > 0 the kernel also sums the core of the grid: the same term
-array with ``trim`` points cut from both ends of every axis, a strided view
-rather than a copy.  The evaluator's refinement check reads the sum over
-its box from the terms of the sum over the box widened by 1 this way.  Every
-reduction runs in a fixed order, so each result is bit-stable run to run,
-and no step hands a grid-sized array to BLAS.
+part does not depend on y, so ``_quadratic`` keeps it as a read-only grid
+per (tau, axes), and every term is the same bit for bit whether it was
+cached or not.  Both kernels take one np.exp over the grid and also sum its
+core, ``trim`` points cut from both ends of every axis, from which the
+evaluator's refinement check reads the sum over its box.  ``grid_sum`` sums
+one y, for every evaluation at z != 0 and for ``theta_unnormalized``; the
+termwise z-gradient and tau-derivative are read off the one- and
+two-dimensional marginals of the term array.  ``class_sums`` sums every
+y = m''/2, the theta constants at z = 0, from the parity classes of the
+points.  Every reduction runs in a fixed order, so each result is
+bit-stable run to run, and no step hands an array to BLAS.
 """
 
 from __future__ import annotations
@@ -42,8 +38,8 @@ def _on_axis(x, a, g):
 def _quadratic(tau_key, axes_key):
     """0.5 * sum_a sum_b (x_a tau_ab) x_b over the grid, read-only.
 
-    Keyed by the bytes of tau and of each axis, so the 2^g characteristics
-    with the same m' at one tau, which share the box, share this grid too.
+    Keyed by the bytes of tau and of each axis, so the sums at one tau that
+    share a box (the m'' of one m' at z != 0) share this grid too.
     """
     g = len(axes_key)
     tau = np.frombuffer(tau_key, dtype=np.complex128).reshape(g, g)
@@ -81,11 +77,6 @@ def _grid_terms(axes, tau, y):
     return np.exp(grid, out=grid)
 
 
-def _marginal(T, keep):
-    """Sum of ``T`` over every axis not in ``keep``."""
-    return T.sum(axis=tuple(c for c in range(T.ndim) if c not in keep))
-
-
 def _sums(T, axes, want_grad, want_dtau):
     """Value, z-gradient and tau-derivative of the term array ``T``."""
     g = T.ndim
@@ -97,7 +88,7 @@ def _sums(T, axes, want_grad, want_dtau):
         if want_dtau:
             for a in range(g):
                 for b in range(a + 1, g):
-                    M = pair[a, b] = _marginal(T, (a, b))
+                    M = pair[a, b] = T.sum(axis=tuple(c for c in range(g) if c not in (a, b)))
                     dtau[a, b] = dtau[b, a] = PI_I * ((axes[a][:, None] * M) * axes[b]).sum()
         for a, x in enumerate(axes):
             if (a, a + 1) in pair:
@@ -105,7 +96,7 @@ def _sums(T, axes, want_grad, want_dtau):
             elif (a - 1, a) in pair:
                 m = pair[a - 1, a].sum(axis=0)
             else:
-                m = _marginal(T, (a,))
+                m = T.sum(axis=tuple(c for c in range(g) if c != a))
             if want_grad:
                 grad[a] = TWO_PI_I * (x * m).sum()
             if want_dtau:
@@ -132,3 +123,43 @@ def grid_sum(axes, tau, y, trim=0, want_grad=False, want_dtau=False):
     inner = slice(trim, -trim)
     core = _sums(T[(inner,) * len(axes)], [x[inner] for x in axes], want_grad, want_dtau)
     return full, core
+
+
+def class_sums(axes, tau, want_grad=False, want_dtau=False):
+    """``grid_sum(axes, tau, m''/2, 1, ...)`` for all 2^g m'' at once, each
+    slot with a leading axis over the m'' in lexicographic order.
+
+    With x = n + m'/2 the term is exp(x tau x / 2) i^(2 x.m''), and the factor
+    i^(2 x.m'') depends on x only through the parity of its index on each
+    axis.  Each axis in turn is folded, as a (length / 2, 2) view of the terms
+    as pairs of floats, into its two parities, for the full grid and its core
+    and for each power of the points a weight needs; a table of the factors
+    of the 2^g parities for each m'' then gives every m''.
+    """
+    axes = [np.asarray(x, dtype=np.float64) for x in axes]
+    g, degree = len(axes), 2 if want_dtau else 1 if want_grad else 0
+    terms = _grid_terms(axes, np.asarray(tau, dtype=np.complex128), np.zeros(g, dtype=complex))
+    # (region, weight: the axes whose points it multiplies, parities so far, rest)
+    C, weights, powers = terms.view(np.float64).reshape(1, 1, 1, -1), [()], degree + 1
+    for a, x in enumerate(axes):
+        n, h, b, rest = len(x), len(x) // 2, C.shape[2], C.shape[3] // len(x)
+        # rows for the full grid and for its core, without the first and last index
+        W = np.array([x**0, np.arange(n) % (n - 1) > 0])[:, None] * x ** np.arange(powers)[:, None]
+        src = C.reshape(len(C), -1, b, n, rest)
+        # each weight times each power of x, summed over each parity with no weighted copy
+        pairs = src[..., : 2 * h, :].reshape(len(C), -1, b, h, 2, rest)
+        C = np.einsum("rsbktm,rjkt->rsjbtm", pairs, W[..., : 2 * h].reshape(2, powers, h, 2))
+        if n % 2:  # the last index is even
+            C[..., 0, :] += src[:, :, None, :, -1] * W[:, None, :, -1, None, None]
+        keep = [k * powers + j for k, w in enumerate(weights) for j in range(powers - len(w))]
+        weights = [weights[k // powers] + (a,) * (k % powers) for k in keep]
+        C = C.reshape(2, -1, 2 * b, rest)[:, keep]
+    wanted = [(), *((a,) for a in range(g)), *(tuple(sorted(ab)) for ab in np.ndindex(g, g))]
+    slots = [weights.index(w) for w in wanted[: (1, 1 + g, 1 + g + g * g)[degree]]]
+    bits = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
+    twice_first = np.rint([2 * x[:1] for x in axes]).astype(int)
+    signs = np.array([1, 1j, -1, -1j])[(bits @ twice_first + 2 * bits @ bits.T) % 4]
+    out = np.zeros((2, 1 + g + g * g, 2**g), dtype=complex)
+    out[:, : len(slots)] = (C.view(complex)[..., 0][:, slots, None] * signs).sum(axis=-1)
+    out *= np.repeat([1.0, TWO_PI_I, PI_I], [1, g, g * g])[:, None]
+    return tuple((part[0], part[1 : g + 1].T, part[g + 1 :].T.reshape(-1, g, g)) for part in out)

@@ -165,16 +165,14 @@ def partial_bracket(
         raise DomainError(f"bracket order k={k} outside 0..{g}")
     factors = f.factors
     l = len(factors)
-    if k == 0:
-        return scalar_compound(g, eval_product(f, tau, policy))
     if k > l:
         return zero_compound(g, k)
-    memo: dict[Factor, ThetaValue] = {}
-    for factor in factors:
-        if factor not in memo:
-            memo[factor] = _factor_theta(factor, tau, policy, True)
-    values = [memo[factor].value for factor in factors]
-    dmats = [from_matrix(memo[factor].tau_derivative) for factor in factors]
+    # the values come with the derivative evaluations, at k = 0 too
+    evals = [_factor_theta(factor, tau, policy, True) for factor in factors]
+    values = [e.value for e in evals]
+    if k == 0:
+        return scalar_compound(g, math.prod(values, start=complex(1.0)))
+    dmats = [from_matrix(e.tau_derivative) for e in evals]
     total = zero_compound(g, k)
     for subset in subset_tuples(l, k):
         chosen = set(subset)

@@ -11,7 +11,7 @@ always termwise (each lattice point contributes polynomial weights), never
 finite differences.
 
 Tail bounds are products of one-dimensional envelope sums, computed for
-every radius 0 .. _MAX_RADIUS + 2 at once as numpy arrays.  With
+every radius 0 .. _MAX_RADIUS + 1 at once as numpy arrays.  With
 Y = Im(tau), lam = lambda_min(Y) and mu_i = 1 / (Y^-1)_ii >= lam, every x
 has x^T Y x >= (1 - t) lam |x|^2 + t mu_i x_i^2 for t in [0, 1], so the
 envelope mass of the points with |x_i| > w is at most the tail at rate
@@ -27,10 +27,11 @@ The box depends on tau only through Im tau: ``_certified_box`` memoises
 the boxes of every m' per (Im tau, |Im z|, weighting, policy), so every
 characteristic at tau, and a stencil tau +- hE with E real, share one entry.
 
-Every evaluation takes one path: one ``_kernels.grid_sum`` call sums the box
-widened by one point per axis (the shell just outside the box carries nearly
-all the mass beyond it) and, from the same terms, its core at the chosen
-widths; the two must agree to ``target_tol / 10`` plus a rounding allowance.
+Every evaluation sums the box widened by one point per axis (the shell just
+outside the box carries nearly all the mass beyond it) and, from the same
+terms, its core; the two must agree to ``target_tol / 10`` plus a rounding
+allowance.  At z = 0 one ``_kernels.class_sums`` call, kept in ``_eval_cached``,
+does so for every m'' of an m'; at z != 0 one ``grid_sum`` call, not memoised.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import _quadratic, grid_sum
+from ._kernels import _quadratic, class_sums, grid_sum
 from .errors import ConvergenceError, DegenerateBasePointError, DomainError
 from .symplectic import (
     Characteristic,
@@ -110,9 +111,9 @@ _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
 _SPLITS = np.array([0.0, 0.25, 0.5, 0.75, 0.875])
 
 # per offset 0 and 1/2, the points |x| of the span from the outside in, and
-# the number of them with |x| > r for r = -1 .. _MAX_RADIUS + 2
+# the number of them with |x| > r for r = -1 .. _MAX_RADIUS + 1
 _SPAN = -np.sort(-np.abs(np.arange(-_ONE_DIM_SPAN, _ONE_DIM_SPAN + 1) + np.array([[0.0], [0.5]])))
-_SPAN_COUNT = (_SPAN[:, None, :] > np.arange(-1, _MAX_RADIUS + 3)[:, None]).sum(axis=-1)
+_SPAN_COUNT = (_SPAN[:, None, :] > np.arange(-1, _MAX_RADIUS + 2)[:, None]).sum(axis=-1)
 
 
 @np.errstate(**_QUIET_OVERFLOW)
@@ -127,7 +128,7 @@ def _envelope_sums(lams, b, halves, weighted):
     ``flat[k]`` is True where rate ``lams[k]`` leaves material mass beyond
     the summation span, ``totals[k]`` is the full sum of row k and
     ``tails[k, r]`` its sum over |x| > r for every radius
-    r = 0 .. _MAX_RADIUS + 2.  Each sum is read off one running sum over
+    r = 0 .. _MAX_RADIUS + 1.  Each sum is read off one running sum over
     the points in decreasing order of |x|, so the smallest terms come first.
     """
     lams = np.asarray(lams, dtype=float)[:, None]
@@ -149,7 +150,7 @@ def _envelope_sums(lams, b, halves, weighted):
 @np.errstate(**_QUIET_OVERFLOW)
 def _axis_bounds(lam, mus, b, m_prime, weighted):
     """Envelope mass of the points beyond radius r on axis i, as a read-only
-    (..., g, _MAX_RADIUS + 3) array for m' of shape (..., g): the least bound
+    (..., g, _MAX_RADIUS + 2) array for m' of shape (..., g): the least bound
     over the splits, inf where none is finite.  Split k puts every coordinate
     at rate (1 - t_k) lam except axis i, at (1 - t_k) lam + t_k mu_i; it is
     skipped where rate (1 - t_k) lam is too flat.  Also returns the rounding
@@ -225,32 +226,33 @@ def _box(tau, z, m_prime, weighted, policy: TruncationPolicy):
     return tuple(int(w) for w in box[:g]), float(box[g]), float(box[g + 1])
 
 
-@lru_cache(maxsize=8192)
-def _eval_cached(m_key, tau_bytes, z_bytes, g, policy: TruncationPolicy, want_grad, want_dtau):
-    m_prime, m_double = m_key
-    tau = np.frombuffer(tau_bytes, dtype=complex).reshape(g, g)
-    z = np.frombuffer(z_bytes, dtype=complex)
-    weighted = want_grad or want_dtau
+def _certified_sums(tau, z, m_prime, weighted, policy: TruncationPolicy, kernel):
+    """``kernel``'s sums over the box of m' widened by 1, as one read-only row
+    (value, gradient, tau-derivative) per m'', with ``est_tail`` and per row
+    None if it is certified, else why it is not."""
     widths, est_tail, envelope = _box(tau, z, m_prime, weighted, policy)
-    y = z + np.asarray(m_double, dtype=float) / 2.0
-    # one sum over the box at width + 1 whose core is the box at width
     wide = [w + 1 for w in widths]
     with np.errstate(**_QUIET_OVERFLOW):
-        full, core = grid_sum(_box_axes(wide, m_prime), tau, y, 1, weighted, want_dtau)
-    if not all(np.isfinite(slot).all() for slot in full):
-        # a term past the float range, which the tail bound (the envelope
-        # mass outside the box) need not see
-        raise ConvergenceError(f"the lattice sum overflows at widths {wide}")
-    val, grad, dtau = full
-    # slots not requested are zero in both sums
-    change = max(float(np.max(np.abs(np.subtract(f, c)))) for f, c in zip(full, core))
+        full, core = (np.concatenate([np.reshape(s, (np.size(sums[0]), -1)) for s in sums], axis=1)
+                      for sums in kernel(_box_axes(wide, m_prime)))
+        changes = np.abs(full - core).max(axis=1)
     allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
-    if not change <= allowed:  # nan fails too
-        raise ConvergenceError(f"refinement moved the value by {change:g} (> {allowed:g}) "
-                               f"at widths {list(widths)}")
-    grad.setflags(write=False)
-    dtau.setflags(write=False)
-    return val, grad, dtau, est_tail
+    # a term past the float range, which the tail bound (the envelope mass
+    # outside the box) need not see, overflows the sum; nan fails the check
+    errors = tuple(f"the lattice sum overflows at widths {wide}" if not np.isfinite(row).all()
+                   else None if change <= allowed else f"refinement moved the value by "
+                   f"{change:g} (> {allowed:g}) at widths {list(widths)}"
+                   for row, change in zip(full, changes))
+    full.setflags(write=False)
+    return full, est_tail, errors
+
+
+@lru_cache(maxsize=8192)
+def _eval_cached(m_prime, tau_bytes, g, policy: TruncationPolicy, weighted, want_dtau):
+    """Every characteristic [m'; m''] at (tau, 0), from one ``class_sums`` call."""
+    tau = np.frombuffer(tau_bytes, dtype=complex).reshape(g, g)
+    return _certified_sums(tau, np.zeros(g), m_prime, weighted, policy,
+                           lambda axes: class_sums(axes, tau, weighted, want_dtau))
 
 
 def _coerce_tau(tau) -> np.ndarray:
@@ -275,9 +277,19 @@ def _evaluate(m, tau, z, policy, want_grad, want_dtau):
     g = tau_arr.shape[0]
     if m.g != g:
         raise DomainError(f"characteristic genus {m.g} != tau genus {g}")
-    return _eval_cached((m.m_prime, m.m_double_prime), tau_arr.tobytes(),
-                        _coerce_z(z, g).tobytes(), g, policy or DEFAULT_POLICY,
-                        bool(want_grad), bool(want_dtau))
+    z, policy, weighted = _coerce_z(z, g), policy or DEFAULT_POLICY, bool(want_grad or want_dtau)
+    if z.any():  # off z = 0 the m'' share no terms: one sum each, not memoised
+        y, row = z + np.asarray(m.m_double_prime, dtype=float) / 2.0, 0
+        sums, est_tail, errors = _certified_sums(
+            tau_arr, z, m.m_prime, weighted, policy,
+            lambda axes: grid_sum(axes, tau_arr, y, 1, weighted, want_dtau))
+    else:
+        row = int("".join(map(str, m.m_double_prime)), 2)
+        sums, est_tail, errors = _eval_cached(
+            m.m_prime, tau_arr.tobytes(), g, policy, weighted, bool(want_dtau))
+    if errors[row]:
+        raise ConvergenceError(errors[row])
+    return complex(sums[row, 0]), sums[row, 1 : g + 1], sums[row, g + 1 :].reshape(g, g), est_tail
 
 
 def theta_eval(
@@ -438,7 +450,6 @@ def min_im_eigenvalue(tau) -> float:
 
 
 def clear_caches():
-    """Drop memoized boxes, quadratic grids and series values (mainly for
-    tests)."""
+    """Drop the memoised boxes, quadratic grids and series values."""
     for cache in (_certified_box, _quadratic, _eval_cached):
         cache.cache_clear()

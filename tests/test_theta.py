@@ -293,7 +293,7 @@ def test_box_certifies_where_the_cube_cannot_reach():
     b=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
     m_prime=st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
     weighted=st.booleans(),
-    radius=st.integers(0, 26),
+    radius=st.integers(0, 25),
 )
 @example(lam=0.004, spread=[1.0] * 4, b=0.0, m_prime=(0,), weighted=False,
          radius=3)  # every split too flat
@@ -310,7 +310,7 @@ def test_axis_bounds_match_loop_oracle(lam, spread, b, m_prime, weighted, radius
                 theta_module._axis_bounds(lam, mus, b, m_prime, weighted)
             return
         bounds, envelope = theta_module._axis_bounds(lam, mus, b, m_prime, weighted)
-    assert bounds.shape == (len(m_prime), 27)
+    assert bounds.shape == (len(m_prime), 26)
     assert not bounds.flags.writeable
     for got, w in zip(bounds[:, radius], want):
         assert got == pytest.approx(w, rel=1e-12, abs=0.0)
@@ -481,6 +481,9 @@ SEED_898_TAU = _hex_matrix((
         # one even and one odd characteristic: each costs about 0.5 s at genus 3
         (SEED_898_TAU, None, [Characteristic((0, 1, 0), (1, 1, 0)),
                               Characteristic((1, 0, 1), (0, 1, 1))]),
+        # at z = 0 the characteristics of one m' come from one class sum
+        (np.array([[0.21 + 0.9j, -0.3 + 0.35j], [-0.3 + 0.35j, 0.4 + 0.7j]]),
+         None, all_characteristics(2)),
     ],
 )
 def test_theta_matches_30_digit_reference(tau, z, chars):
@@ -605,9 +608,10 @@ def test_one_box_entry_per_im_tau(rng, monkeypatch):
 
 def test_one_box_entry_per_weighting_at_one_tau(rng, monkeypatch):
     # every characteristic at one tau, with and without derivative weights:
-    # one box entry and one rates call per weighting, each holding the box
-    # of every m', whose est_tail and envelope are bit for bit those of the
-    # bounds of that m' computed alone
+    # one box entry and one rates call per weighting, consulted once per
+    # (m', weighting) because the m'' of an m' share one evaluation; each
+    # entry holds the box of every m', whose est_tail and envelope are bit
+    # for bit those of the bounds of that m' computed alone
     calls = []
     rates = theta_module._rates
     monkeypatch.setattr(theta_module, "_rates", lambda Y: calls.append(Y) or rates(Y))
@@ -617,7 +621,7 @@ def test_one_box_entry_per_weighting_at_one_tau(rng, monkeypatch):
         theta_eval(m, t)
         theta_eval(m, t, want_gradient=True)
     info = theta_module._certified_box.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 2, 2 * 64 - 2)
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2 * 8 - 2)
     assert len(calls) == 2
     lam, mus = rates(t.tau.imag)
     for weighted in (False, True):
@@ -629,6 +633,35 @@ def test_one_box_entry_per_weighting_at_one_tau(rng, monkeypatch):
             widths = tuple(int(w) for w in box[:3])
             assert box[3] == bounds[np.arange(3), [w + 1 for w in widths]].sum()
             assert box[4] == envelope
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_every_m_double_prime_of_one_m_prime_takes_one_evaluation(g, rng):
+    # at z = 0 the 2^g characteristics [m'; m''] of one m' share one
+    # evaluation, and each agrees with grid_sum over the same widened box at
+    # y = m''/2 to 64 eps of sum |weight * term| * (1 + |exponent|)
+    tau = sample_siegel_point(g, rng).tau
+    m_prime = tuple(int(u) for u in rng.integers(0, 2, g))
+    theta_module.clear_caches()
+    got = {m_double: theta_eval(Characteristic(m_prime, m_double), tau, want_gradient=True,
+                                want_tau_derivative=True)
+           for m_double in itertools.product((0, 1), repeat=g)}
+    info = theta_module._eval_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2**g - 1, 1)
+    widths, _, _ = theta_module._box(tau, np.zeros(g), m_prime, True, DEFAULT_POLICY)
+    axes = theta_module._box_axes([w + 1 for w in widths], m_prime)
+    P = np.array(list(itertools.product(*axes)))
+    allowance = 64 * np.finfo(float).eps
+    for m_double, value in got.items():
+        y = np.asarray(m_double) / 2.0
+        (ref_value, ref_grad, ref_dtau), _ = grid_sum(axes, tau, y, 1, True, True)
+        exponent = 2j * np.pi * (0.5 * np.einsum("na,ab,nb->n", P, tau, P) + P @ y)
+        size = np.abs(np.exp(exponent)) * (1.0 + np.abs(exponent))
+        assert abs(value.value - ref_value) <= allowance * size.sum()
+        assert np.all(np.abs(value.gradient_z - ref_grad)
+                      <= allowance * 2 * np.pi * np.abs(P).T @ size)
+        assert np.all(np.abs(value.tau_derivative - ref_dtau)
+                      <= allowance * np.pi * (np.abs(P).T * size) @ np.abs(P))
 
 
 def test_refinement_catches_a_box_one_point_short(monkeypatch):
