@@ -9,14 +9,16 @@ grid in the order a sum over the point matrix adds them.  The quadratic
 part does not depend on y, so ``_quadratic`` keeps it as a read-only grid
 per (tau, axes), and every term is the same bit for bit whether it was
 cached or not.  Both kernels take one np.exp over the grid and also sum its
-core, ``trim`` points cut from both ends of every axis, from which the
-evaluator's refinement check reads the sum over its box.  ``grid_sum`` sums
-one y, for every evaluation at z != 0 and for ``theta_unnormalized``; the
-termwise z-gradient and tau-derivative are read off the one- and
-two-dimensional marginals of the term array.  ``class_sums`` sums every
-y = m''/2, the theta constants at z = 0, from the parity classes of the
-points.  Every reduction runs in a fixed order, so each result is
-bit-stable run to run, and no step hands an array to BLAS.
+core, one point cut from both ends of every axis, from which the
+evaluator's refinement check reads the sum over its box.  ``class_sums`` is
+the one place that applies termwise derivative weights: it sums every
+y + m''/2 at once from the parity classes of the points, the theta
+constants at z = 0 with y = 0, and any evaluation at z != 0 that asks for a
+derivative as its row m'' = 0 at y = z + m''/2.  ``grid_sum`` sums the
+value alone at one y, for the value-only evaluations at z != 0 and for
+``theta_unnormalized``; on their small boxes it costs a fraction of a
+``class_sums`` call.  Every reduction runs in a fixed order, so each result
+is bit-stable run to run, and no step hands an array to BLAS.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _grid_terms(axes, tau, y):
     rounding allowance on the sum.  The quadratic part does not depend on
     y and is shared through ``_quadratic``.
     """
-    g = len(axes)
+    g, tau, y = len(axes), np.asarray(tau, dtype=np.complex128), np.asarray(y, dtype=np.complex128)
     lin = 0.0
     for a, xa in enumerate(axes):
         lin = lin + _on_axis(xa * y[a], a, g)
@@ -77,68 +79,33 @@ def _grid_terms(axes, tau, y):
     return np.exp(grid, out=grid)
 
 
-def _sums(T, axes, want_grad, want_dtau):
-    """Value, z-gradient and tau-derivative of the term array ``T``."""
-    g = T.ndim
-    grad = np.zeros(g, dtype=complex)
-    dtau = np.zeros((g, g), dtype=complex)
-    if want_grad or want_dtau:
-        # the 2-D marginals of neighbouring axes also give every 1-D one
-        pair = {}
-        if want_dtau:
-            for a in range(g):
-                for b in range(a + 1, g):
-                    M = pair[a, b] = T.sum(axis=tuple(c for c in range(g) if c not in (a, b)))
-                    dtau[a, b] = dtau[b, a] = PI_I * ((axes[a][:, None] * M) * axes[b]).sum()
-        for a, x in enumerate(axes):
-            if (a, a + 1) in pair:
-                m = pair[a, a + 1].sum(axis=1)
-            elif (a - 1, a) in pair:
-                m = pair[a - 1, a].sum(axis=0)
-            else:
-                m = T.sum(axis=tuple(c for c in range(g) if c != a))
-            if want_grad:
-                grad[a] = TWO_PI_I * (x * m).sum()
-            if want_dtau:
-                dtau[a, a] = PI_I * ((x * x) * m).sum()
-    return complex(T.sum()), grad, dtau
-
-
-def grid_sum(axes, tau, y, trim=0, want_grad=False, want_dtau=False):
-    """Sum the theta series over the grid of the 1-D ``axes``.
-
-    Returns ``(full, core)``: each is ``(value, gradient, dtau_matrix)``,
-    ``full`` over the whole grid and ``core`` over the grid with ``trim``
-    points cut from both ends of every axis (``None`` when ``trim`` is 0).
-    The derivative slots are zero arrays when not requested; the
-    tau-derivative matrix is symmetric by construction.
-    """
+def grid_sum(axes, tau, y):
+    """Sum the theta series at ``y`` over the grid of the 1-D ``axes`` and
+    over its core, one point cut from both ends of every axis: returns
+    ``(value, core value)``."""
     axes = [np.asarray(x, dtype=np.float64) for x in axes]
-    tau = np.asarray(tau, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
     T = _grid_terms(axes, tau, y)
-    full = _sums(T, axes, want_grad, want_dtau)
-    if not trim:
-        return full, None
-    inner = slice(trim, -trim)
-    core = _sums(T[(inner,) * len(axes)], [x[inner] for x in axes], want_grad, want_dtau)
-    return full, core
+    return complex(T.sum()), complex(T[(slice(1, -1),) * len(axes)].sum())
 
 
-def class_sums(axes, tau, want_grad=False, want_dtau=False):
-    """``grid_sum(axes, tau, m''/2, 1, ...)`` for all 2^g m'' at once, each
-    slot with a leading axis over the m'' in lexicographic order.
+def class_sums(axes, tau, y, want_grad=False, want_dtau=False):
+    """The theta series and its termwise derivatives at every y + m''/2 at
+    once, over the grid of the 1-D ``axes`` and over its core as in
+    ``grid_sum``: returns ``(full, core)``, each with one row per m'' in
+    lexicographic order, the value followed by the z-gradient (with
+    ``want_grad``) and the flattened, symmetric tau-derivative matrix (with
+    ``want_dtau``).  Row m'' = 0 sums the terms ``grid_sum`` sums at y.
 
-    With x = n + m'/2 the term is exp(x tau x / 2) i^(2 x.m''), and the factor
-    i^(2 x.m'') depends on x only through the parity of its index on each
-    axis.  Each axis in turn is folded, as a (length / 2, 2) view of the terms
-    as pairs of floats, into its two parities, for the full grid and its core
-    and for each power of the points a weight needs; a table of the factors
-    of the 2^g parities for each m'' then gives every m''.
+    With x = n + m'/2 the term at y + m''/2 is the term at y times
+    i^(2 x.m''), which depends on x only through the parity of its index on
+    each axis.  Each axis in turn is folded, as a (length / 2, 2) view of the
+    terms as pairs of floats, into its two parities, for the full grid and
+    its core and for each power of the points a weight needs; a table of the
+    factors of the 2^g parities for each m'' then gives every m''.
     """
     axes = [np.asarray(x, dtype=np.float64) for x in axes]
     g, degree = len(axes), 2 if want_dtau else 1 if want_grad else 0
-    terms = _grid_terms(axes, np.asarray(tau, dtype=np.complex128), np.zeros(g, dtype=complex))
+    terms = _grid_terms(axes, tau, y)
     # (region, weight: the axes whose points it multiplies, parities so far, rest)
     C, weights, powers = terms.view(np.float64).reshape(1, 1, 1, -1), [()], degree + 1
     for a, x in enumerate(axes):
@@ -159,7 +126,6 @@ def class_sums(axes, tau, want_grad=False, want_dtau=False):
     bits = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
     twice_first = np.rint([2 * x[:1] for x in axes]).astype(int)
     signs = np.array([1, 1j, -1, -1j])[(bits @ twice_first + 2 * bits @ bits.T) % 4]
-    out = np.zeros((2, 1 + g + g * g, 2**g), dtype=complex)
-    out[:, : len(slots)] = (C.view(complex)[..., 0][:, slots, None] * signs).sum(axis=-1)
-    out *= np.repeat([1.0, TWO_PI_I, PI_I], [1, g, g * g])[:, None]
-    return tuple((part[0], part[1 : g + 1].T, part[g + 1 :].T.reshape(-1, g, g)) for part in out)
+    scale = np.repeat([1.0, TWO_PI_I, PI_I], [1, g, g * g])[: len(slots)]
+    sums = (C.view(complex)[..., 0][:, slots, None] * signs).sum(axis=-1)
+    return tuple(part.T * scale for part in sums)

@@ -37,6 +37,7 @@ from .symplectic import (
     SiegelPoint,
     SymplecticElement,
     act_on_tau,
+    integer_entries,
     membership,
     parity,
     phi_factor,
@@ -76,7 +77,7 @@ class SecondOrderFactor:
     eps: tuple[int, ...]
 
     def __post_init__(self):
-        eps = tuple(int(x) for x in self.eps)
+        eps = integer_entries(self.eps, "second-order label")
         if any(x not in (0, 1) for x in eps):
             raise DomainError("second-order label entries must be 0 or 1")
         object.__setattr__(self, "eps", eps)

@@ -60,6 +60,7 @@ from .symplectic import (
     all_characteristics,
     even_characteristics,
     generate_subgroup_element,
+    integer_entries,
     odd_characteristics,
     sample_siegel_point,
 )
@@ -240,8 +241,7 @@ def check_gsm_backward(
 ) -> IdentityReport:
     """A-form against the signed sum of gradient outer products."""
     started = time.perf_counter()
-    eps = tuple(int(x) for x in eps)
-    delta = tuple(int(x) for x in delta)
+    eps, delta = integer_entries(eps, "label"), integer_entries(delta, "label")
     g = len(eps)
     lhs = _second_order_A(eps, delta, tau, policy)
     acc = np.zeros((g, g), dtype=complex)
@@ -360,9 +360,7 @@ def check_main_theorem(
     started = time.perf_counter()
     if not 1 <= k < g:
         raise DomainError(f"need 1 <= k < g, got k={k}, g={g}")
-    pairs = [
-        (tuple(int(x) for x in e), tuple(int(x) for x in d)) for (e, d) in pairs
-    ]
+    pairs = [(integer_entries(e, "label"), integer_entries(d, "label")) for e, d in pairs]
     if len(pairs) != k:
         raise DomainError(f"need exactly k={k} label pairs")
     taus = list(taus)
@@ -552,10 +550,10 @@ def _heat_residual(m, tau, z, policy, step=1e-4):
     g = m.g
     dmat = theta_tau_derivative(m, tau, z, policy)
     want = 4j * np.pi * dmat
+    f0 = theta_eval(m, tau, z, policy).value  # z != 0 is not memoised: evaluate once
 
     def hessian(h):
         H = np.zeros((g, g), dtype=complex)
-        f0 = theta_eval(m, tau, z, policy).value
         for j in range(g):
             ej = np.zeros(g)
             ej[j] = h
@@ -577,11 +575,10 @@ def _heat_residual(m, tau, z, policy, step=1e-4):
         return H
 
     refined = (4.0 * hessian(step) - hessian(2 * step)) / 3.0
-    f0 = abs(theta_eval(m, tau, z, policy).value)
     scale = max(
         float(np.max(np.abs(refined))),
         float(np.max(np.abs(want))),
-        (2 * np.pi) ** 2 * f0,
+        (2 * np.pi) ** 2 * abs(f0),
         1e-30,
     )
     return float(np.max(np.abs(refined - want)) / scale)

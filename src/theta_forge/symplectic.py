@@ -163,6 +163,20 @@ class SiegelPoint:
         return cls(tau)
 
 
+def integer_entries(values, what) -> tuple[int, ...]:
+    """The entries of ``values`` as Python ints (bools and numpy integers
+    count as integers); ``DomainError`` if one is not an integer, which
+    ``int`` alone would truncate without a word."""
+    values = tuple(values)
+    try:
+        ints = tuple(int(x) for x in values)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise DomainError(f"{what} entries must be integers, got {values}")
+    return ints
+
+
 @dataclass(frozen=True)
 class Characteristic:
     """A theta characteristic (m', m'') with entries normalized to 0/1."""
@@ -171,8 +185,8 @@ class Characteristic:
     m_double_prime: tuple[int, ...]
 
     def __post_init__(self):
-        mp = tuple(int(x) for x in self.m_prime)
-        mpp = tuple(int(x) for x in self.m_double_prime)
+        mp = integer_entries(self.m_prime, "characteristic")
+        mpp = integer_entries(self.m_double_prime, "characteristic")
         if len(mp) != len(mpp):
             raise DomainError("characteristic halves differ in length")
         if any(x not in (0, 1) for x in mp + mpp):

@@ -31,7 +31,9 @@ Every evaluation sums the box widened by one point per axis (the shell just
 outside the box carries nearly all the mass beyond it) and, from the same
 terms, its core; the two must agree to ``target_tol / 10`` plus a rounding
 allowance.  At z = 0 one ``_kernels.class_sums`` call, kept in ``_eval_cached``,
-does so for every m'' of an m'; at z != 0 one ``grid_sum`` call, not memoised.
+does so for every m'' of an m'.  At z != 0 one call, not memoised, does so
+for one characteristic: ``class_sums`` at y = z + m''/2, read at its row
+m'' = 0, when a derivative is asked for, else the value-only ``grid_sum``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .symplectic import (
     SymplecticElement,
     act_on_tau,
     even_characteristics,
+    integer_entries,
     membership,
     parity,
     phi_factor,
@@ -227,14 +230,13 @@ def _box(tau, z, m_prime, weighted, policy: TruncationPolicy):
 
 
 def _certified_sums(tau, z, m_prime, weighted, policy: TruncationPolicy, kernel):
-    """``kernel``'s sums over the box of m' widened by 1, as one read-only row
-    (value, gradient, tau-derivative) per m'', with ``est_tail`` and per row
-    None if it is certified, else why it is not."""
+    """``kernel``'s sums over the box of m' widened by 1 (``class_sums`` rows,
+    or the ``grid_sum`` value as one row of one), read-only, with
+    ``est_tail`` and per row None if it is certified, else why it is not."""
     widths, est_tail, envelope = _box(tau, z, m_prime, weighted, policy)
     wide = [w + 1 for w in widths]
     with np.errstate(**_QUIET_OVERFLOW):
-        full, core = (np.concatenate([np.reshape(s, (np.size(sums[0]), -1)) for s in sums], axis=1)
-                      for sums in kernel(_box_axes(wide, m_prime)))
+        full, core = (np.atleast_2d(s) for s in kernel(_box_axes(wide, m_prime)))
         changes = np.abs(full - core).max(axis=1)
     allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
     # a term past the float range, which the tail bound (the envelope mass
@@ -252,7 +254,7 @@ def _eval_cached(m_prime, tau_bytes, g, policy: TruncationPolicy, weighted, want
     """Every characteristic [m'; m''] at (tau, 0), from one ``class_sums`` call."""
     tau = np.frombuffer(tau_bytes, dtype=complex).reshape(g, g)
     return _certified_sums(tau, np.zeros(g), m_prime, weighted, policy,
-                           lambda axes: class_sums(axes, tau, weighted, want_dtau))
+                           lambda axes: class_sums(axes, tau, np.zeros(g), weighted, want_dtau))
 
 
 def _coerce_tau(tau) -> np.ndarray:
@@ -278,18 +280,24 @@ def _evaluate(m, tau, z, policy, want_grad, want_dtau):
     if m.g != g:
         raise DomainError(f"characteristic genus {m.g} != tau genus {g}")
     z, policy, weighted = _coerce_z(z, g), policy or DEFAULT_POLICY, bool(want_grad or want_dtau)
-    if z.any():  # off z = 0 the m'' share no terms: one sum each, not memoised
+    if z.any():  # off z = 0 the m'' share no terms: one sum at y = z + m''/2, not memoised
         y, row = z + np.asarray(m.m_double_prime, dtype=float) / 2.0, 0
-        sums, est_tail, errors = _certified_sums(
-            tau_arr, z, m.m_prime, weighted, policy,
-            lambda axes: grid_sum(axes, tau_arr, y, 1, weighted, want_dtau))
+
+        def kernel(axes):  # every derivative comes from class_sums: its row 0 at y
+            if weighted:
+                return class_sums(axes, tau_arr, y, True, want_dtau)
+            return grid_sum(axes, tau_arr, y)
+
+        sums, est_tail, errors = _certified_sums(tau_arr, z, m.m_prime, weighted, policy, kernel)
     else:
         row = int("".join(map(str, m.m_double_prime)), 2)
         sums, est_tail, errors = _eval_cached(
             m.m_prime, tau_arr.tobytes(), g, policy, weighted, bool(want_dtau))
     if errors[row]:
         raise ConvergenceError(errors[row])
-    return complex(sums[row, 0]), sums[row, 1 : g + 1], sums[row, g + 1 :].reshape(g, g), est_tail
+    s = sums[row]
+    return (complex(s[0]), s[1 : g + 1] if want_grad else None,
+            s[g + 1 :].reshape(g, g) if want_dtau else None, est_tail)
 
 
 def theta_eval(
@@ -308,12 +316,7 @@ def theta_eval(
     off-diagonal entries), whose termwise weight is pi*i * p_a p_b.
     """
     val, grad, dtau, tail = _evaluate(m, tau, z, policy, want_gradient, want_tau_derivative)
-    return ThetaValue(
-        value=val,
-        gradient_z=grad if want_gradient else None,
-        tau_derivative=dtau if want_tau_derivative else None,
-        est_tail=tail,
-    )
+    return ThetaValue(value=val, gradient_z=grad, tau_derivative=dtau, est_tail=tail)
 
 
 def theta_gradient(n: Characteristic, tau, policy: TruncationPolicy | None = None) -> np.ndarray:
@@ -351,7 +354,7 @@ def second_order_theta(
     Derivative slots are reported with respect to the outer (tau, z)
     variables, so both pick up the chain-rule factor 2.
     """
-    eps = tuple(int(x) for x in eps)
+    eps = integer_entries(eps, "second-order label")
     if any(x not in (0, 1) for x in eps):
         raise DomainError("second-order label entries must be 0 or 1")
     tau_arr = _coerce_tau(tau)
@@ -384,16 +387,16 @@ def theta_unnormalized(mp, mpp, tau, z=None, policy: TruncationPolicy | None = N
     policy = policy or DEFAULT_POLICY
     tau_arr = _coerce_tau(tau)
     g = tau_arr.shape[0]
+    mp, mpp = integer_entries(mp, "characteristic"), integer_entries(mpp, "characteristic")
     if len(mp) != g or len(mpp) != g:
         raise DomainError(f"characteristic lengths {len(mp)}, {len(mpp)} != genus {g}")
     z_arr = _coerce_z(z, g)
-    frac = tuple(int(x) % 2 for x in mp)
+    frac = tuple(x % 2 for x in mp)
     widths = _box(tau_arr, z_arr, frac, False, policy)[0]
-    reach = [w + abs(int(x) - f) // 2 for w, x, f in zip(widths, mp, frac)]
+    reach = [w + abs(x - f) // 2 for w, x, f in zip(widths, mp, frac)]
     axes = [np.arange(-r, r + 1, dtype=float) + x / 2.0 for r, x in zip(reach, mp)]
     y = z_arr + np.asarray(mpp, dtype=float) / 2.0
-    (val, _, _), _ = grid_sum(axes, tau_arr, y)
-    return val
+    return grid_sum(axes, tau_arr, y)[0]
 
 
 def _det_cd(gamma: SymplecticElement, tau_arr: np.ndarray) -> complex:

@@ -2,9 +2,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import theta_forge
 from theta_forge.symplectic import sample_siegel_point
+
+# --hypothesis-profile=seeded: --hypothesis-seed alone decides the draws (the
+# built-in "ci" profile derandomizes, which ignores the seed) and no example
+# database replays the failures of an earlier run
+settings.register_profile("seeded", derandomize=False, database=None)
 
 
 @pytest.fixture

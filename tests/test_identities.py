@@ -11,7 +11,7 @@ import pytest
 
 from theta_forge import identities
 from theta_forge.errors import DomainError, NumericalDegeneracyError
-from theta_forge.forms import theta_constant_product
+from theta_forge.forms import SecondOrderFactor, theta_constant_product
 from theta_forge.identities import (
     HESSIAN_BRIDGE,
     IdentityReport,
@@ -231,15 +231,30 @@ TAU_G2 = SiegelPoint(np.array([[0.1 + 1.0j, 0.2j], [0.2j, -0.3 + 0.8j]]))
     lambda: check_main_theorem(3, 2, [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0))], []),
     lambda: check_exact_layer(4, genus_range=(1,)),
     lambda: check_exact_layer(4, genus_range=()),
+    # int() would truncate these to a valid label without a word
+    lambda: Characteristic((0.5, 1), (0, 1)),
+    lambda: second_order_theta((0.5, 1), TAU_G2),
+    lambda: SecondOrderFactor((0.5, 1)),
+    lambda: theta_unnormalized((1.7, 0), (1, 1), TAU_G2),
 ], ids=["z-length", "second-order-z-length", "z-nan", "z-inf", "unnormalized-length",
         "empty-tau", "level-0",
         "starred-without-tau", "jacobi-no-points", "main-theorem-no-points",
-        "exact-genus-1", "exact-no-genus"])
+        "exact-genus-1", "exact-no-genus", "fractional-characteristic",
+        "fractional-second-order", "fractional-second-order-factor",
+        "fractional-unnormalized"])
 def test_malformed_input_raises_domain_error(call):
     with pytest.raises(DomainError) as info:
         call()
     # an empty list of base points is not blamed on the label pairs
     assert "degenerate" not in str(info.value)
+
+
+def test_integer_entries_of_any_integer_type_are_accepted():
+    # bools and numpy integers are integers: only a fraction is refused
+    m = Characteristic((True, np.int64(0)), (np.uint8(1), 1))
+    assert m == Characteristic((1, 0), (1, 1))
+    assert all(type(x) is int for x in m.m_prime + m.m_double_prime)
+    assert SecondOrderFactor((np.int32(1), False)).eps == (1, 0)
 
 
 @pytest.mark.parametrize("check, row", [

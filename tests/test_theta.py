@@ -17,7 +17,7 @@ from oracles import (
 )
 from theta_forge import _kernels as kernels_module
 from theta_forge import theta as theta_module
-from theta_forge._kernels import grid_sum
+from theta_forge._kernels import class_sums, grid_sum
 from theta_forge.errors import ConvergenceError, DomainError
 from theta_forge.symplectic import (
     Characteristic,
@@ -542,25 +542,28 @@ def test_min_im_eigenvalue(rng):
 
 @pytest.mark.parametrize("g, radius", [(1, 6), (2, 5), (3, 3), (4, 1), (4, 2)])
 def test_grid_sum_matches_oracle(g, radius, rng):
-    # the full grid at radius + 2 and its core at radius, against direct box
-    # sums over the same points, to 64 eps of sum |weight * term|
+    # the full grid at radius + 1 and its core at radius, against direct box
+    # sums over the same points, to 64 eps of sum |weight * term|: the value
+    # from grid_sum and every slot from row m'' = 0 of class_sums at the same y
     allowance = 64 * np.finfo(float).eps
-    n = np.arange(-(radius + 2), radius + 3, dtype=float)
+    n = np.arange(-(radius + 1), radius + 2, dtype=float)
     for _ in range(4):
         tau = sample_siegel_point(g, rng).tau
         m_prime = tuple(int(u) for u in rng.integers(0, 2, g))
         m_double = tuple(int(u) for u in rng.integers(0, 2, g))
         z = rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-1.0, 1.0, g)
         y = z + np.asarray(m_double) / 2.0
-        full, core = grid_sum([n + u / 2.0 for u in m_prime], tau, y, 2, True, True)
-        for got, r in ((full, radius + 2), (core, radius)):
+        axes = [n + u / 2.0 for u in m_prime]
+        values = grid_sum(axes, tau, y)
+        rows = [row[0] for row in class_sums(axes, tau, y, True, True)]
+        for value, row, r in zip(values, rows, (radius + 1, radius)):
             ref, abs_sums = box_sum(tau, z, m_prime, m_double, r)
-            for slot in range(3):
-                err = np.abs(got[slot] - ref[slot])
+            for got, slot in ((value, 0), (row[0], 0), (row[1 : g + 1], 1),
+                              (row[g + 1 :].reshape(g, g), 2)):
+                err = np.abs(got - ref[slot])
                 assert np.all(err <= allowance * abs_sums[slot])
-        assert np.array_equal(full[2], full[2].T)
-    _, no_core = grid_sum([n] * g, tau, y)
-    assert no_core is None
+        dtau = rows[0][g + 1 :].reshape(g, g)
+        assert np.array_equal(dtau, dtau.T)
 
 
 def test_shared_quadratic_grid_is_bit_identical(rng):
@@ -573,14 +576,12 @@ def test_shared_quadratic_grid_is_bit_identical(rng):
     fresh = []
     for y in ys:
         theta_module.clear_caches()
-        fresh.append(grid_sum(axes, tau, y, 2, True, True))
+        fresh.append(grid_sum(axes, tau, y))
     hits = _quadratic.cache_info().hits
-    shared = [grid_sum(axes, tau, y, 2, True, True) for y in ys]
+    shared = [grid_sum(axes, tau, y) for y in ys]
     assert _quadratic.cache_info().hits == hits + len(ys)
-    for a, b in zip(fresh, shared):
-        for part_a, part_b in zip(a, b):  # the full grid and its core
-            for slot_a, slot_b in zip(part_a, part_b):
-                assert np.array_equal(slot_a, slot_b)
+    for a, b in zip(fresh, shared):  # the full grid and its core
+        assert np.array_equal(a, b)
     assert not _quadratic(tau.tobytes(), tuple(x.tobytes() for x in axes)).flags.writeable
     for _ in range(10):
         grid_sum(axes, sample_siegel_point(g, rng).tau, ys[0])
@@ -638,8 +639,9 @@ def test_one_box_entry_per_weighting_at_one_tau(rng, monkeypatch):
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_every_m_double_prime_of_one_m_prime_takes_one_evaluation(g, rng):
     # at z = 0 the 2^g characteristics [m'; m''] of one m' share one
-    # evaluation, and each agrees with grid_sum over the same widened box at
-    # y = m''/2 to 64 eps of sum |weight * term| * (1 + |exponent|)
+    # evaluation, and each agrees with row m'' = 0 of class_sums over the
+    # same widened box at y = m''/2 to 64 eps of
+    # sum |weight * term| * (1 + |exponent|)
     tau = sample_siegel_point(g, rng).tau
     m_prime = tuple(int(u) for u in rng.integers(0, 2, g))
     theta_module.clear_caches()
@@ -654,7 +656,8 @@ def test_every_m_double_prime_of_one_m_prime_takes_one_evaluation(g, rng):
     allowance = 64 * np.finfo(float).eps
     for m_double, value in got.items():
         y = np.asarray(m_double) / 2.0
-        (ref_value, ref_grad, ref_dtau), _ = grid_sum(axes, tau, y, 1, True, True)
+        ref = class_sums(axes, tau, y, True, True)[0][0]
+        ref_value, ref_grad, ref_dtau = ref[0], ref[1 : g + 1], ref[g + 1 :].reshape(g, g)
         exponent = 2j * np.pi * (0.5 * np.einsum("na,ab,nb->n", P, tau, P) + P @ y)
         size = np.abs(np.exp(exponent)) * (1.0 + np.abs(exponent))
         assert abs(value.value - ref_value) <= allowance * size.sum()
