@@ -8,7 +8,7 @@ from .errors import (
     ExpressionParseError,
     NumericalDegeneracyError,
 )
-from .indexkit import IndexSet, enumerate_subsets, hodge_sign, sign_sum
+from .indexkit import IndexSet, enumerate_subsets, sign_sum
 from .multilinear import (
     CompoundMatrix,
     box_product,
@@ -24,9 +24,7 @@ from .symplectic import (
     Characteristic,
     SiegelPoint,
     SymplecticElement,
-    act_on_char,
     act_on_tau,
-    char_set_predicates,
     generate_subgroup_element,
     membership,
     parity,

@@ -155,7 +155,7 @@ def cmd_eval(args) -> int:
         point = _load_point(args)
     except OSError as exc:
         return _fail(exc, EXIT_IO)
-    except (DomainError, ValueError, KeyError, TypeError) as exc:
+    except DomainError as exc:
         return _fail(f"invalid tau input: {exc}", EXIT_MATH)
     if point.g != product.g:
         return _fail(f"expression genus {product.g} != tau genus {point.g}", EXIT_MATH)

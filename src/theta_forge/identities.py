@@ -530,22 +530,22 @@ def check_exact_layer(
     ]
 
 
-def _family_exact_layer(genus, rng, policy, seed=0, instances=60):
+def _family_exact_layer(genus, rng, policy, seed=0):
     """The exact layer on matrices of one genus; its rows keep genus 0."""
-    return [_from_report(rep) for rep in check_exact_layer(instances, seed, (genus,))]
+    return [_from_report(rep) for rep in check_exact_layer(seed=seed, genus_range=(genus,))]
 
 
 # ---------------------------------------------------------------------------
 # analytic families
 
 
-def _heat_residual(m, tau, z, policy, step=1e-4):
+def _heat_residual(m, tau, z, policy):
     """Richardson-refined z-Hessian against the termwise tau-derivative.
 
     Normalized by the natural second-derivative scale (2 pi)^2 |theta| as
     well as the matrices themselves: the finite-difference floor is
-    proportional to |theta| / step^2, so a near-critical Hessian must not
-    masquerade as an identity violation.
+    proportional to |theta| / h^2 at the steps h = 1e-4 and 2e-4, so a
+    near-critical Hessian must not masquerade as an identity violation.
     """
     g = m.g
     dmat = theta_tau_derivative(m, tau, z, policy)
@@ -574,7 +574,7 @@ def _heat_residual(m, tau, z, policy, step=1e-4):
                 H[j, kk] = H[kk, j] = val
         return H
 
-    refined = (4.0 * hessian(step) - hessian(2 * step)) / 3.0
+    refined = (4.0 * hessian(1e-4) - hessian(2e-4)) / 3.0
     scale = max(
         float(np.max(np.abs(refined))),
         float(np.max(np.abs(want))),
@@ -584,7 +584,8 @@ def _heat_residual(m, tau, z, policy, step=1e-4):
     return float(np.max(np.abs(refined - want)) / scale)
 
 
-def _family_heat(genus, rng, policy, seed=0, samples=20):
+def _family_heat(genus, rng, policy, seed=0):
+    samples = 20
     all_chars = list(itertools.product((0, 1), repeat=genus))
     worst = 0.0
     for _ in range(samples):
@@ -597,7 +598,8 @@ def _family_heat(genus, rng, policy, seed=0, samples=20):
     return [_row("heat_equation", {"samples": samples}, worst)]
 
 
-def _family_riemann(genus, rng, policy, seed=0, base_points=3):
+def _family_riemann(genus, rng, policy, seed=0):
+    base_points = 3
     bits = list(itertools.product((0, 1), repeat=genus))
     worst_fwd = 0.0
     worst_inv = 0.0
@@ -653,12 +655,12 @@ def _family_theta_basics(genus, rng, policy, seed=0):
     return [_row("theta_parity_periodicity", {}, worst)]
 
 
-def _family_rank_vanishing(genus, rng, policy, seed=0, step=1e-3):
+def _family_rank_vanishing(genus, rng, policy, seed=0):
     """Order-2 minors of the derivative operator vanish on a single factor.
 
     The structural path must return the exact zero matrix; the numerical
-    path assembles the same minors from Richardson finite differences of
-    the termwise first-derivative matrices.
+    path assembles the same minors from Richardson finite differences
+    (steps 1e-3 and 2e-3) of the termwise first-derivative matrices.
     """
     t = sample_siegel_point(genus, rng)
     worst = 0.0
@@ -684,7 +686,7 @@ def _family_rank_vanishing(genus, rng, policy, seed=0, step=1e-3):
                 minus = dmat_at(SiegelPoint(t.tau - h * E))
                 return (plus - minus) / (2 * h)
 
-            deriv = (4.0 * fd(step) - fd(2 * step)) / 3.0
+            deriv = (4.0 * fd(1e-3) - fd(2e-3)) / 3.0
             second[(c, d)] = weight * deriv
             second[(d, c)] = second[(c, d)]
         scale = max(
@@ -705,7 +707,8 @@ def _family_rank_vanishing(genus, rng, policy, seed=0, step=1e-3):
 _KS = {2: (1,), 3: (1, 2), 4: (2,)}
 
 
-def _family_pairing_permutation(genus, rng, policy, seed=0, base_points=5):
+def _family_pairing_permutation(genus, rng, policy, seed=0):
+    base_points = 5
     rows = []
     evens = list(even_characteristics(genus))
     for k in _KS.get(genus, ()):
@@ -729,7 +732,8 @@ def _family_pairing_permutation(genus, rng, policy, seed=0, base_points=5):
     return rows
 
 
-def _family_pairing_power(genus, rng, policy, seed=0, base_points=5):
+def _family_pairing_power(genus, rng, policy, seed=0):
+    base_points = 5
     rows = []
     evens = list(even_characteristics(genus))
     for k in _KS.get(genus, ()):
@@ -807,7 +811,8 @@ def _sample_theorem_pairs(rng, g, k):
             return pairs
 
 
-def _family_main_theorem(genus, rng, policy, seed=0, choices=5):
+def _family_main_theorem(genus, rng, policy, seed=0):
+    choices = 5
     rows = []
     for k in _KS.get(genus, ()):
         taus = [sample_siegel_point(genus, rng) for _ in range(3)]
@@ -824,19 +829,19 @@ def _family_main_theorem(genus, rng, policy, seed=0, choices=5):
     return rows
 
 
-def conditioned_words(group, g, base_points, count, seed, length=4, min_lambda=0.05):
-    """Deterministic group words whose action keeps all probe points usable."""
+def conditioned_words(group, g, base_points, count, seed):
+    """Deterministic length-4 group words that keep every probe's min Im eigenvalue >= 0.05."""
     out = []
     attempt = 0
     probes = list(base_points)
     probes += [SiegelPoint(p.tau + 0.3j * np.eye(g)) for p in probes]
     while len(out) < count and attempt < 200 * count:
-        gamma = generate_subgroup_element(group, g, seed + attempt, length)
+        gamma = generate_subgroup_element(group, g, seed + attempt, 4)
         attempt += 1
         ok = True
         for p in probes:
             try:
-                if min_im_eigenvalue(act_on_tau(gamma, p).tau) < min_lambda:
+                if min_im_eigenvalue(act_on_tau(gamma, p).tau) < 0.05:
                     ok = False
                     break
             except (NumericalDegeneracyError, DomainError):
@@ -851,55 +856,41 @@ def conditioned_words(group, g, base_points, count, seed, length=4, min_lambda=0
     return out
 
 
-def _family_audit_astar(genus, rng, policy, seed=0, words=10):
-    t = sample_siegel_point(genus, rng)
+def _audit_rows(name, value_fn, phi_chars, t, policy, seed):
+    """Audit the k = 2 law of ``value_fn`` at ``t`` on 10 words of the group
+    its multiplier holds on; one row per word, and the words."""
     k = 2
+    spec = MultiplierSpec(kappa_power=2 * k, phi_chars=phi_chars)
+    words = conditioned_words(spec.group, t.g, [t], 10, seed)
+    rows = []
+    for i, gamma in enumerate(words):
+        rep = audit_transformation(value_fn, gamma, k, spec, t, policy)
+        params = {"word": i, "k": k, "group": spec.group, "multiplier": _cplx(rep.multiplier)}
+        rows.append(_row(name, params, rep.residual))
+    return rows, words
+
+
+def _family_audit_astar(genus, rng, policy, seed=0):
+    t = sample_siegel_point(genus, rng)
     pairs = [
         ((0,) * genus, (1,) + (0,) * (genus - 1)),
         ((0,) * genus, (0,) * (genus - 1) + (1,)),
     ]
-
-    def value_fn(pt):
-        return A_star(pairs, pt, policy)
-
-    rows = []
-    sampled = conditioned_words("Gamma(2,4)", genus, [t], words, seed + 7000)
-    for i, gamma in enumerate(sampled):
-        rep = audit_transformation(
-            value_fn, gamma, k, MultiplierSpec(kappa_power=2 * k), t, policy
-        )
-        params = {"word": i, "k": k, "group": "Gamma(2,4)", "multiplier": _cplx(rep.multiplier)}
-        rows.append(_row("audit_astar", params, rep.residual))
-    # fourth power of the multiplier is 1 on the level-(2,4) group
-    worst = max(
-        abs(kappa_squared(gamma, t, policy) ** 2 - 1.0) for gamma in sampled
+    rows, words = _audit_rows(
+        "audit_astar", lambda pt: A_star(pairs, pt, policy), (), t, policy, seed + 7000
     )
-    rows.append(_row("kappa_fourth_power", {"words": words}, worst))
+    # fourth power of the multiplier is 1 on the level-(2,4) group
+    worst = max(abs(kappa_squared(gamma, t, policy) ** 2 - 1.0) for gamma in words)
+    rows.append(_row("kappa_fourth_power", {"words": len(words)}, worst))
     return rows
 
 
-def _family_audit_w(genus, rng, policy, seed=0, words=10):
+def _family_audit_w(genus, rng, policy, seed=0):
     t = sample_siegel_point(genus, rng)
-    k = 2
-    ns = list(odd_characteristics(genus)[:k])
-
-    def value_fn(pt):
-        return W_of_N(ns, pt, policy)
-
-    rows = []
-    for i, gamma in enumerate(
-        conditioned_words("Gamma(2)", genus, [t], words, seed + 9000)
-    ):
-        rep = audit_transformation(
-            value_fn,
-            gamma,
-            k,
-            MultiplierSpec(kappa_power=2 * k, phi_chars=tuple(ns)),
-            t,
-            policy,
-        )
-        params = {"word": i, "k": k, "group": "Gamma(2)", "multiplier": _cplx(rep.multiplier)}
-        rows.append(_row("audit_gradient_wedge", params, rep.residual))
+    ns = odd_characteristics(genus)[:2]
+    rows, _ = _audit_rows(
+        "audit_gradient_wedge", lambda pt: W_of_N(ns, pt, policy), ns, t, policy, seed + 9000
+    )
     return rows
 
 

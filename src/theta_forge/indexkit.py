@@ -91,15 +91,6 @@ def perm_sign(seq) -> int:
     return -1 if inversions % 2 else 1
 
 
-def hodge_sign(I: IndexSet) -> int:
-    """Sign of the permutation sending the concatenation (I, I^c) to (1..g).
-
-    For equal cardinalities this satisfies
-    ``hodge_sign(I) * hodge_sign(J) == sign_sum(I, J)``.
-    """
-    return perm_sign(I.elements + I.complement().elements)
-
-
 def tuple_complement(sub: tuple[int, ...], within: tuple[int, ...]) -> tuple[int, ...]:
     """Elements of ``within`` not in ``sub``, preserving order."""
     inside = set(sub)

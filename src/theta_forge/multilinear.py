@@ -159,11 +159,6 @@ def scalar_compound(g: int, value) -> CompoundMatrix:
     return CompoundMatrix(g, 0, np.array([[value]], dtype=object if exact else complex))
 
 
-def identity_compound(g: int, level: int, exact: bool = False) -> CompoundMatrix:
-    side = binomial(g, level)
-    return CompoundMatrix(g, level, np.eye(side, dtype=object if exact else complex))
-
-
 def zero_compound(g: int, level: int, exact: bool = False) -> CompoundMatrix:
     return CompoundMatrix(g, level, _empty(binomial(g, level), exact))
 

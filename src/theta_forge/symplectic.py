@@ -3,8 +3,7 @@
 Group elements are stored as exact integer matrices (Python ints, so long
 generator words never overflow) and validated against the defining block
 relation on construction.  Congruence-subgroup membership is exact integer
-arithmetic; only the starred refinement of the level-(2,4) group needs a
-numerical probe, which is delegated to the theta module.
+arithmetic.  The module imports nothing from the package but its errors.
 """
 
 from __future__ import annotations
@@ -92,11 +91,6 @@ class SymplecticElement:
     def __matmul__(self, other: "SymplecticElement") -> "SymplecticElement":
         return SymplecticElement(self.mat @ other.mat)
 
-    def inverse(self) -> "SymplecticElement":
-        # gamma^{-1} = J^{-1} gamma^T J for symplectic gamma
-        J = symplectic_form(self.g)
-        return SymplecticElement((-J) @ self.mat.T @ J)
-
     def __eq__(self, other):
         return isinstance(other, SymplecticElement) and (self.mat == other.mat).all()
 
@@ -155,8 +149,13 @@ class SiegelPoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "SiegelPoint":
-        re, im = np.broadcast_arrays(np.asarray(data["re"], dtype=float),
-                                     np.asarray(data["im"], dtype=float))
+        """The point of ``to_json``; ``DomainError`` unless ``data`` is an
+        object whose "re" and "im" are real arrays that broadcast together."""
+        try:
+            re, im = np.broadcast_arrays(np.asarray(data["re"], dtype=float),
+                                         np.asarray(data["im"], dtype=float))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"a point needs real arrays 're' and 'im': {exc!r}") from None
         # set, not multiplied by 1j: 1j * inf would turn the real part into nan
         tau = re.astype(complex)
         tau.imag = im
@@ -257,30 +256,14 @@ def act_on_tau(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
     return SiegelPoint(res)
 
 
-def act_on_char(gamma: SymplecticElement, m: Characteristic) -> Characteristic:
-    """The mod-2 affine action of the group on normalized characteristics."""
-    if gamma.g != m.g:
-        raise DomainError("genus mismatch between gamma and characteristic")
-    A, B, C, D = gamma.A, gamma.B, gamma.C, gamma.D
-    mp = np.array(m.m_prime, dtype=object)
-    mpp = np.array(m.m_double_prime, dtype=object)
-    new_p = D @ mp - C @ mpp + np.diag(C @ D.T)
-    new_pp = -B @ mp + A @ mpp + np.diag(A @ B.T)
-    return Characteristic(
-        tuple(int(x) % 2 for x in new_p),
-        tuple(int(x) % 2 for x in new_pp),
-    )
+_GROUP_RE = re.compile(r"^Gamma\((\d+)(?:,(\d+))?\)$")
 
 
-_GROUP_RE = re.compile(r"^Gamma\((\d+)(?:,(\d+))?\)(\*)?$")
-
-
-def membership(gamma: SymplecticElement, group: str, **probe_kwargs) -> bool:
+def membership(gamma: SymplecticElement, group: str) -> bool:
     """Exact congruence membership test.
 
-    ``group`` is one of "Sp", "Gamma(n)", "Gamma(n,2n)", or "Gamma(2,4)*".
-    The starred group is decided numerically through the squared theta
-    multiplier; ``probe_kwargs`` (tau, policy) are forwarded to that probe.
+    ``group`` is one of "Sp", "Gamma(n)" or "Gamma(n,2n)"; any other spec
+    is a ``DomainError``.
     """
     if group == "Sp":
         return True  # construction already enforced the symplectic relation
@@ -291,7 +274,6 @@ def membership(gamma: SymplecticElement, group: str, **probe_kwargs) -> bool:
     if n < 1:
         raise DomainError(f"group level must be positive in {group!r}")
     two_n = match.group(2)
-    starred = match.group(3)
     g = gamma.g
     eye = np.eye(2 * g, dtype=object)
     if not ((gamma.mat - eye) % n == 0).all():
@@ -305,15 +287,6 @@ def membership(gamma: SymplecticElement, group: str, **probe_kwargs) -> bool:
             return False
         if not all(int(x) % (2 * n) == 0 for x in diag_c):
             return False
-    if starred:
-        if (n, two_n) != (2, "4"):
-            raise DomainError("starred refinement only defined for Gamma(2,4)")
-        if "tau" not in probe_kwargs:
-            raise DomainError("Gamma(2,4)* is decided numerically: pass the probe point tau")
-        from .theta import kappa_squared  # local import: theta depends on this module
-
-        k2 = kappa_squared(gamma, **probe_kwargs)
-        return abs(k2 - 1.0) < 1e-8
     return True
 
 
@@ -408,41 +381,6 @@ def phi_factor(m: Characteristic, gamma: SymplecticElement) -> complex:
     return np.exp(2j * np.pi * num / 8)
 
 
-def essentially_independent(chars) -> bool:
-    """No even-sized subset sums to the zero characteristic mod 2."""
-    chars = list(chars)
-    n = len(chars)
-    for size in range(2, n + 1, 2):
-        for combo in itertools.combinations(chars, size):
-            acc = combo[0]
-            for c in combo[1:]:
-                acc = acc + c
-            if not any(acc.m_prime) and not any(acc.m_double_prime):
-                return False
-    return True
-
-
-def char_set_predicates(chars) -> dict:
-    """Classify a set of at least three characteristics.
-
-    ``azygetic`` / ``syzygetic`` hold when every triple sums to an even /
-    odd characteristic respectively; ``essentially_independent`` checks all
-    even-sized subset sums.
-    """
-    chars = list(chars)
-    if len(chars) < 3:
-        raise DomainError("triple predicates need at least three characteristics")
-    triple_parities = set()
-    for trip in itertools.combinations(chars, 3):
-        s = trip[0] + trip[1] + trip[2]
-        triple_parities.add(parity(s))
-    return {
-        "azygetic": triple_parities == {0},
-        "syzygetic": triple_parities == {1},
-        "essentially_independent": essentially_independent(chars),
-    }
-
-
 def sample_siegel_point(g: int, rng: np.random.Generator) -> SiegelPoint:
     """Random base point with smallest eigenvalue of the imaginary part >= 1/2.
 
@@ -457,5 +395,11 @@ def sample_siegel_point(g: int, rng: np.random.Generator) -> SiegelPoint:
 
 
 def load_siegel_point(path: str) -> SiegelPoint:
+    """The point stored at ``path``: ``OSError`` if it cannot be read,
+    ``DomainError`` if it does not hold the JSON of a point."""
     with open(path, "r", encoding="utf-8") as fh:
-        return SiegelPoint.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise DomainError(f"not JSON: {exc}") from None
+    return SiegelPoint.from_json(data)

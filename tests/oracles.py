@@ -1,8 +1,7 @@
 """Independent reference implementations used only by the test suite.
 
 These deliberately avoid the production code paths: determinants by
-first-row cofactor recursion, signs by explicit inversion counting, set
-predicates by brute-force enumeration.
+first-row cofactor recursion, signs by explicit inversion counting.
 """
 
 import functools
@@ -38,29 +37,6 @@ def inversion_sign(seq):
             if seq[a] > seq[b]:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-def classify_triples(chars):
-    """Brute-force azygetic / syzygetic classification of a set."""
-    parities = set()
-    for trip in itertools.combinations(chars, 3):
-        mp = [sum(t.m_prime[i] for t in trip) % 2 for i in range(trip[0].g)]
-        mpp = [sum(t.m_double_prime[i] for t in trip) % 2 for i in range(trip[0].g)]
-        parities.add(sum(a * b for a, b in zip(mp, mpp)) % 2)
-    return parities
-
-
-def brute_essentially_independent(chars):
-    chars = list(chars)
-    for size in range(2, len(chars) + 1, 2):
-        for combo in itertools.combinations(chars, size):
-            mp = [sum(t.m_prime[i] for t in combo) % 2 for i in range(combo[0].g)]
-            mpp = [
-                sum(t.m_double_prime[i] for t in combo) % 2 for i in range(combo[0].g)
-            ]
-            if not any(mp) and not any(mpp):
-                return False
-    return True
 
 
 def frac_matrix_from_ints(ints):

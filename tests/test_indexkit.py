@@ -10,7 +10,6 @@ from theta_forge.indexkit import (
     IndexSet,
     box_table,
     enumerate_subsets,
-    hodge_sign,
     perm_sign,
     position_sign,
     sign_sum,
@@ -64,31 +63,6 @@ def test_sign_sum_examples():
     assert sign_sum(IndexSet((1, 2), 3), IndexSet((1, 2), 3)) == 1
     assert sign_sum(IndexSet((1, 2), 3), IndexSet((1, 3), 3)) == -1
     assert sign_sum(IndexSet((2,), 3), IndexSet((3,), 3)) == -1
-
-
-def test_hodge_sign_examples():
-    for g in range(1, 6):
-        for k in range(g + 1):
-            lead = IndexSet(tuple(range(1, k + 1)), g)
-            assert hodge_sign(lead) == 1
-    assert hodge_sign(IndexSet((2,), 2)) == -1
-
-
-def test_hodge_sign_matches_inversion_oracle():
-    for g in range(1, 7):
-        for k in range(g + 1):
-            for I in enumerate_subsets(g, k):
-                assert hodge_sign(I) == inversion_sign(I.elements + I.complement().elements)
-
-
-@given(st.integers(1, 7), st.data())
-@settings(max_examples=200, deadline=None)
-def test_hodge_product_is_index_sum_sign(g, data):
-    k = data.draw(st.integers(0, g))
-    pool = list(itertools.combinations(range(1, g + 1), k))
-    I = IndexSet(data.draw(st.sampled_from(pool)), g)
-    J = IndexSet(data.draw(st.sampled_from(pool)), g)
-    assert hodge_sign(I) * hodge_sign(J) == sign_sum(I, J)
 
 
 def test_position_sign_relabels_to_subset_positions():

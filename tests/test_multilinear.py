@@ -19,7 +19,6 @@ from theta_forge.multilinear import (
     compound,
     from_matrix,
     hodge_dual,
-    identity_compound,
     scalar_compound,
     star_product,
     submatrix_det,
@@ -408,14 +407,14 @@ def test_compound_matrix_validation():
 
 
 def test_compound_matrix_algebra():
-    a = identity_compound(3, 2)
+    a = CompoundMatrix(3, 2, np.eye(3, dtype=complex))
     z = zero_compound(3, 2)
     assert np.allclose((a + z).entries, a.entries)
     assert np.allclose((a - a).entries, z.entries)
     assert np.allclose((-a).entries, -np.eye(3))
     assert a.scale(2.0).entries[0, 0] == pytest.approx(2.0)
     with pytest.raises(DomainError):
-        a + identity_compound(3, 1)
+        a + CompoundMatrix(3, 1, np.eye(3, dtype=complex))
 
 
 @given(st.integers(2, 4), st.integers(0, 1000))

@@ -735,7 +735,7 @@ def test_kappa_fourth_root_on_level_24(rng):
 def test_kappa_plus_minus_one_on_deep_level(rng):
     for g in (1, 2):
         t = sample_siegel_point(g, rng)
-        gamma = conditioned_words("Gamma(4,8)", g, [t], 1, 9, length=4)[0]
+        gamma = conditioned_words("Gamma(4,8)", g, [t], 1, 9)[0]
         k2 = kappa_squared(gamma, t)
         assert min(abs(k2 - 1.0), abs(k2 + 1.0)) < 1e-9
 
