@@ -38,6 +38,7 @@ from .theta import (
     second_order_theta,
     theta_eval,
     theta_gradient,
+    theta_stencil,
     theta_tau_derivative,
 )
 from .forms import (

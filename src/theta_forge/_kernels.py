@@ -5,55 +5,38 @@ lattice points p.  The box is the Cartesian grid of g one-dimensional axes,
 and the exponent is built over that grid by broadcasting rather than over
 an N x g matrix of points: each term (x_a tau_ab) x_b of the quadratic form
 is a table over two axes and each x_a y_a a table over one, added into the
-grid in the order a sum over the point matrix adds them.  The quadratic
-part does not depend on y, so ``_quadratic`` keeps it as a read-only grid
-per (tau, axes), and every term is the same bit for bit whether it was
-cached or not.  Both kernels take one np.exp over the grid and also sum its
-core, one point cut from both ends of every axis, from which the
-evaluator's refinement check reads the sum over its box.  ``class_sums`` is
-the one place that applies termwise derivative weights: it sums every
-y + m''/2 at once from the parity classes of the points, the theta
-constants at z = 0 with y = 0, and any evaluation at z != 0 that asks for a
-derivative as its row m'' = 0 at y = z + m''/2.  ``grid_sum`` sums the
-value alone at one y, for the value-only evaluations at z != 0 and for
+grid in the order a sum over the point matrix adds them.  Both kernels
+take one np.exp over the grid and also sum its core, one point cut from
+both ends of every axis, from which the evaluator's refinement check reads
+the sum over its box.  ``class_sums`` is the one place that applies
+termwise derivative weights: it sums every y + m''/2 at once from the
+parity classes of the points, the theta constants at z = 0 with y = 0, and
+any evaluation at z != 0 that asks for a derivative as its row m'' = 0 at
+y = z + m''/2; at real offsets (dtau, dz) of (tau, y) it reuses the one
+exponential times a phase per offset.  ``grid_sum`` sums the value alone at
+one y, for the value-only evaluations at z != 0 and for
 ``theta_unnormalized``; on their small boxes it costs a fraction of a
-``class_sums`` call.  Every reduction runs in a fixed order, so each result
-is bit-stable run to run, and no step hands an array to BLAS.
+``class_sums`` call.  Nothing here is memoised.  Every reduction runs in a
+fixed order, so each result is bit-stable run to run, and no step hands an
+array to BLAS.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import itertools
 
 import numpy as np
 
 TWO_PI_I = 2j * np.pi
 PI_I = 1j * np.pi
+# the most terms (grid points times offsets) in one stack of offsets; it
+# keeps a stencil's fold near 1 MB at genus 3
+STACK_POINTS = 2**14
 
 
 def _on_axis(x, a, g):
     """The 1-D array ``x`` laid along axis ``a`` of a g-dimensional grid."""
     return x.reshape((1,) * a + (-1,) + (1,) * (g - 1 - a))
-
-
-@lru_cache(maxsize=2)
-def _quadratic(tau_key, axes_key):
-    """0.5 * sum_a sum_b (x_a tau_ab) x_b over the grid, read-only.
-
-    Keyed by the bytes of tau and of each axis, so the sums at one tau that
-    share a box (the m'' of one m' at z != 0) share this grid too.
-    """
-    g = len(axes_key)
-    tau = np.frombuffer(tau_key, dtype=np.complex128).reshape(g, g)
-    axes = [np.frombuffer(x) for x in axes_key]
-    grid = np.zeros(tuple(len(x) for x in axes), dtype=complex)
-    for a, xa in enumerate(axes):
-        row = xa[:, None] * tau[a]
-        for b, xb in enumerate(axes):
-            grid += _on_axis(row[:, b], a, g) * _on_axis(xb, b, g)
-    grid *= 0.5
-    grid.setflags(write=False)
-    return grid
 
 
 def _grid_terms(axes, tau, y):
@@ -65,18 +48,36 @@ def _grid_terms(axes, tau, y):
     over a point matrix P (at genus 4 BLAS may round ``P @ y`` otherwise).
     The order matters: on a large term one unit in the last place of the
     exponent is hundreds of machine epsilons of the term, more than any
-    rounding allowance on the sum.  The quadratic part does not depend on
-    y and is shared through ``_quadratic``.
+    rounding allowance on the sum.
     """
     g, tau, y = len(axes), np.asarray(tau, dtype=np.complex128), np.asarray(y, dtype=np.complex128)
     lin = 0.0
     for a, xa in enumerate(axes):
         lin = lin + _on_axis(xa * y[a], a, g)
-    # the last step above made ``lin`` a fresh array over the whole grid
-    grid = lin
-    grid += _quadratic(tau.tobytes(), tuple(x.tobytes() for x in axes))
+    grid = np.zeros(tuple(len(x) for x in axes), dtype=complex)
+    for a, xa in enumerate(axes):
+        row = xa[:, None] * tau[a]
+        for b, xb in enumerate(axes):
+            grid += _on_axis(row[:, b], a, g) * _on_axis(xb, b, g)
+    grid *= 0.5
+    grid += lin
     grid *= TWO_PI_I
     return np.exp(grid, out=grid)
+
+
+def _offset_terms(axes, terms, offsets):
+    """``terms`` times exp(2 pi i (p dtau p / 2 + p dz)) for each offset
+    [dtau | dz], stacked on a last axis: one factor per axis a (dtau_aa,
+    dz_a) and pair a < b (dtau_ab = dtau_ba, twice half of p_a dtau_ab p_b)
+    that some offset moves, exactly 1 where an offset leaves it at 0."""
+    g = len(axes)
+    x = [_on_axis(xa, a, g)[..., None] for a, xa in enumerate(axes)]
+    stack = np.repeat(terms[..., None], len(offsets), axis=-1)
+    for a, b in itertools.combinations_with_replacement(range(g), 2):
+        half, dz = (0.5, offsets[:, a, g]) if a == b else (1.0, 0.0)
+        if offsets[:, a, b].any() or np.any(dz):
+            stack *= np.exp(TWO_PI_I * (half * offsets[:, a, b] * x[b] + dz) * x[a])
+    return stack
 
 
 def grid_sum(axes, tau, y):
@@ -88,13 +89,33 @@ def grid_sum(axes, tau, y):
     return complex(T.sum()), complex(T[(slice(1, -1),) * len(axes)].sum())
 
 
-def class_sums(axes, tau, y, want_grad=False, want_dtau=False):
+def class_sums(axes, tau, y, want_grad=False, want_dtau=False, offsets=None):
     """The theta series and its termwise derivatives at every y + m''/2 at
     once, over the grid of the 1-D ``axes`` and over its core as in
     ``grid_sum``: returns ``(full, core)``, each with one row per m'' in
     lexicographic order, the value followed by the z-gradient (with
     ``want_grad``) and the flattened, symmetric tau-derivative matrix (with
     ``want_dtau``).  Row m'' = 0 sums the terms ``grid_sum`` sums at y.
+    With ``offsets``, a (K, g, g + 1) real array [dtau | dz], each part
+    holds those rows at (tau + dtau, y + dz) for each offset, from the terms
+    at (tau, y) times its phase, folded in stacks of at most STACK_POINTS
+    terms.
+    """
+    axes = [np.asarray(x, dtype=np.float64) for x in axes]
+    g, degree = len(axes), 2 if want_dtau else 1 if want_grad else 0
+    terms = _grid_terms(axes, tau, y)
+    if offsets is None:
+        return tuple(part[0] for part in _fold(axes, terms[..., None], degree))
+    # per offset a stack holds its terms, and its sign table at most (g + 1)^2 4^g entries
+    step = max(1, STACK_POINTS // max(terms.size, (g + 1) ** 2 * 4**g))
+    parts = [_fold(axes, _offset_terms(axes, terms, offsets[k : k + step]), degree)
+             for k in range(0, len(offsets), step)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _fold(axes, stack, degree):
+    """``class_sums`` of each column of ``stack`` (the terms, one column per
+    offset on a last axis) as (column, m'', slot) arrays.
 
     With x = n + m'/2 the term at y + m''/2 is the term at y times
     i^(2 x.m''), which depends on x only through the parity of its index on
@@ -103,11 +124,9 @@ def class_sums(axes, tau, y, want_grad=False, want_dtau=False):
     its core and for each power of the points a weight needs; a table of the
     factors of the 2^g parities for each m'' then gives every m''.
     """
-    axes = [np.asarray(x, dtype=np.float64) for x in axes]
-    g, degree = len(axes), 2 if want_dtau else 1 if want_grad else 0
-    terms = _grid_terms(axes, tau, y)
+    g = len(axes)
     # (region, weight: the axes whose points it multiplies, parities so far, rest)
-    C, weights, powers = terms.view(np.float64).reshape(1, 1, 1, -1), [()], degree + 1
+    C, weights, powers = stack.view(np.float64).reshape(1, 1, 1, -1), [()], degree + 1
     for a, x in enumerate(axes):
         n, h, b, rest = len(x), len(x) // 2, C.shape[2], C.shape[3] // len(x)
         # rows for the full grid and for its core, without the first and last index
@@ -120,12 +139,14 @@ def class_sums(axes, tau, y, want_grad=False, want_dtau=False):
             C[..., 0, :] += src[:, :, None, :, -1] * W[:, None, :, -1, None, None]
         keep = [k * powers + j for k, w in enumerate(weights) for j in range(powers - len(w))]
         weights = [weights[k // powers] + (a,) * (k % powers) for k in keep]
-        C = C.reshape(2, -1, 2 * b, rest)[:, keep]
+        C = C.reshape(2, -1, 2 * b, rest)
+        C = C if len(keep) == C.shape[1] else C[:, keep]  # no copy that drops nothing
     wanted = [(), *((a,) for a in range(g)), *(tuple(sorted(ab)) for ab in np.ndindex(g, g))]
     slots = [weights.index(w) for w in wanted[: (1, 1 + g, 1 + g + g * g)[degree]]]
     bits = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
     twice_first = np.rint([2 * x[:1] for x in axes]).astype(int)
     signs = np.array([1, 1j, -1, -1j])[(bits @ twice_first + 2 * bits @ bits.T) % 4]
     scale = np.repeat([1.0, TWO_PI_I, PI_I], [1, g, g * g])[: len(slots)]
-    sums = (C.view(complex)[..., 0][:, slots, None] * signs).sum(axis=-1)
-    return tuple(part.T * scale for part in sums)
+    # (region, column, slot, m''), then each region as (column, m'', slot)
+    sums = (np.moveaxis(C.view(complex), -1, 1)[:, :, slots, None] * signs).sum(axis=-1)
+    return tuple(part.swapaxes(1, 2) * scale for part in sums)

@@ -71,6 +71,7 @@ from .theta import (
     second_order_theta,
     theta_eval,
     theta_gradient,
+    theta_stencil,
     theta_tau_derivative,
     theta_unnormalized,
 )
@@ -542,39 +543,35 @@ def _family_exact_layer(genus, rng, policy, seed=0):
 def _heat_residual(m, tau, z, policy):
     """Richardson-refined z-Hessian against the termwise tau-derivative.
 
-    Normalized by the natural second-derivative scale (2 pi)^2 |theta| as
-    well as the matrices themselves: the finite-difference floor is
-    proportional to |theta| / h^2 at the steps h = 1e-4 and 2e-4, so a
-    near-critical Hessian must not masquerade as an identity violation.
+    The value at z and every z-shift of the differences come from one
+    ``theta_stencil`` call.  Normalized by the natural second-derivative
+    scale (2 pi)^2 |theta| as well as the matrices themselves: the
+    finite-difference floor is proportional to |theta| / h^2 at the steps
+    h = 1e-4 and 2e-4, so a near-critical Hessian must not masquerade as an
+    identity violation.
     """
-    g = m.g
-    dmat = theta_tau_derivative(m, tau, z, policy)
-    want = 4j * np.pi * dmat
-    f0 = theta_eval(m, tau, z, policy).value  # z != 0 is not memoised: evaluate once
+    g, steps, unit = m.g, (1e-4, 2e-4), np.eye(m.g)
+    want = 4j * np.pi * theta_tau_derivative(m, tau, z, policy)
+    # per step and entry j <= k of the Hessian, its shifts in the order read below
+    shifts = [np.zeros(g)]
+    for h in steps:
+        for j in range(g):
+            shifts += [h * unit[j], -h * unit[j]]
+            shifts += [h * (s * unit[j] + r * unit[k]) for k in range(j + 1, g)
+                       for s, r in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    values = iter(v.value for v in theta_stencil(m, tau, z, [(0, dz) for dz in shifts], policy))
+    f0 = next(values)
 
     def hessian(h):
         H = np.zeros((g, g), dtype=complex)
         for j in range(g):
-            ej = np.zeros(g)
-            ej[j] = h
-            H[j, j] = (
-                theta_eval(m, tau, z + ej, policy).value
-                - 2 * f0
-                + theta_eval(m, tau, z - ej, policy).value
-            ) / h**2
-            for kk in range(j + 1, g):
-                ek = np.zeros(g)
-                ek[kk] = h
-                val = (
-                    theta_eval(m, tau, z + ej + ek, policy).value
-                    - theta_eval(m, tau, z + ej - ek, policy).value
-                    - theta_eval(m, tau, z - ej + ek, policy).value
-                    + theta_eval(m, tau, z - ej - ek, policy).value
-                ) / (4 * h**2)
-                H[j, kk] = H[kk, j] = val
+            H[j, j] = (next(values) - 2 * f0 + next(values)) / h**2
+            for k in range(j + 1, g):
+                pp, pm, mp, mm = (next(values) for _ in range(4))
+                H[j, k] = H[k, j] = (pp - pm - mp + mm) / (4 * h**2)
         return H
 
-    refined = (4.0 * hessian(1e-4) - hessian(2e-4)) / 3.0
+    refined = (4.0 * hessian(steps[0]) - hessian(steps[1])) / 3.0
     scale = max(
         float(np.max(np.abs(refined))),
         float(np.max(np.abs(want))),
@@ -660,33 +657,33 @@ def _family_rank_vanishing(genus, rng, policy, seed=0):
 
     The structural path must return the exact zero matrix; the numerical
     path assembles the same minors from Richardson finite differences
-    (steps 1e-3 and 2e-3) of the termwise first-derivative matrices.
+    (steps 1e-3 and 2e-3) of the termwise first-derivative matrices at
+    tau +- hE, all from one ``theta_stencil`` call per characteristic.
     """
     t = sample_siegel_point(genus, rng)
     worst = 0.0
     sym_pairs = [(c, d) for c in range(genus) for d in range(c, genus)]
+    steps, unit = (1e-3, 2e-3), np.eye(genus)
+    # per pair (c, d) and step h: tau + hE, then tau - hE, with E = e_c e_d^T + e_d e_c^T
+    offsets = [(s * h * np.maximum(np.outer(unit[c], unit[d]), np.outer(unit[d], unit[c])), 0)
+               for (c, d) in sym_pairs for h in steps for s in (1, -1)]
     for m in even_characteristics(genus):
         f = theta_constant_product(genus, m)
         structural = partial_bracket(f, 2, t, policy)
         if structural.max_abs() != 0.0:
             worst = max(worst, 1.0)
             continue
+        dmats = iter(v.tau_derivative for v in theta_stencil(
+            m, t, None, offsets, policy, want_tau_derivative=True))
 
-        def dmat_at(point):
-            return theta_tau_derivative(m, point, None, policy)
+        def fd(h):
+            plus, minus = next(dmats), next(dmats)
+            return (plus - minus) / (2 * h)
 
         second = {}
         for (c, d) in sym_pairs:
-            E = np.zeros((genus, genus))
-            E[c, d] = E[d, c] = 1.0
             weight = 1.0 if c == d else 0.5
-
-            def fd(h):
-                plus = dmat_at(SiegelPoint(t.tau + h * E))
-                minus = dmat_at(SiegelPoint(t.tau - h * E))
-                return (plus - minus) / (2 * h)
-
-            deriv = (4.0 * fd(1e-3) - fd(2e-3)) / 3.0
+            deriv = (4.0 * fd(steps[0]) - fd(steps[1])) / 3.0
             second[(c, d)] = weight * deriv
             second[(d, c)] = second[(c, d)]
         scale = max(

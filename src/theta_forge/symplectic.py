@@ -23,10 +23,9 @@ _COND_LIMIT = 1e12
 
 
 def _as_object_matrix(M) -> np.ndarray:
-    arr = np.empty(np.shape(M), dtype=object)
-    src = np.asarray(M)
-    for idx in np.ndindex(arr.shape):
-        arr[idx] = int(src[idx])
+    src = np.asarray(M, dtype=object)
+    arr = np.empty(src.shape, dtype=object)
+    arr.flat[:] = integer_entries(src.flat, "symplectic matrix")
     arr.setflags(write=False)
     return arr
 
@@ -106,7 +105,14 @@ class SymplecticElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "SymplecticElement":
-        return cls.from_blocks(data["A"], data["B"], data["C"], data["D"])
+        """The element of ``to_json``; ``DomainError`` unless ``data`` is an
+        object whose blocks "A" to "D" are integer matrices that fit."""
+        try:
+            return cls.from_blocks(data["A"], data["B"], data["C"], data["D"])
+        except DomainError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"a group element needs integer blocks 'A' to 'D': {exc!r}") from None
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,18 @@ The reported tail is the bound at width + 1, and the isotropic totals
 (split t = 0) scale the rounding allowance of the refinement check.
 The box depends on tau only through Im tau: ``_certified_box`` memoises
 the boxes of every m' per (Im tau, |Im z|, weighting, policy), so every
-characteristic at tau, and a stencil tau +- hE with E real, share one entry.
+characteristic at tau, and every real offset of (tau, z), share one entry.
 
 Every evaluation sums the box widened by one point per axis (the shell just
 outside the box carries nearly all the mass beyond it) and, from the same
 terms, its core; the two must agree to ``target_tol / 10`` plus a rounding
-allowance.  At z = 0 one ``_kernels.class_sums`` call, kept in ``_eval_cached``,
-does so for every m'' of an m'.  At z != 0 one call, not memoised, does so
-for one characteristic: ``class_sums`` at y = z + m''/2, read at its row
-m'' = 0, when a derivative is asked for, else the value-only ``grid_sum``.
+allowance.  ``theta_stencil`` does so at a list of real offsets of one
+point from one exponential, each offset checked on its own; ``theta_eval``
+is its single point.  At z = 0 one ``_kernels.class_sums`` call, kept in
+``_eval_cached`` per (tau, m', weighting, offsets), serves every m'' of an
+m'.  At z != 0 one call, not memoised, serves one characteristic:
+``class_sums`` at y = z + m''/2, read at its row m'' = 0, for a derivative
+or offsets, else the value-only ``grid_sum``.  Nothing else is memoised.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import _quadratic, class_sums, grid_sum
+from ._kernels import class_sums, grid_sum
 from .errors import ConvergenceError, DegenerateBasePointError, DomainError
 from .symplectic import (
     Characteristic,
@@ -230,31 +233,35 @@ def _box(tau, z, m_prime, weighted, policy: TruncationPolicy):
 
 
 def _certified_sums(tau, z, m_prime, weighted, policy: TruncationPolicy, kernel):
-    """``kernel``'s sums over the box of m' widened by 1 (``class_sums`` rows,
-    or the ``grid_sum`` value as one row of one), read-only, with
-    ``est_tail`` and per row None if it is certified, else why it is not."""
+    """``kernel``'s sums over the box of m' widened by 1 (``class_sums`` rows
+    per offset, or the ``grid_sum`` value as one row of one), read-only,
+    with ``est_tail`` and why each (offset, row) that fails its check
+    fails."""
     widths, est_tail, envelope = _box(tau, z, m_prime, weighted, policy)
     wide = [w + 1 for w in widths]
     with np.errstate(**_QUIET_OVERFLOW):
-        full, core = (np.atleast_2d(s) for s in kernel(_box_axes(wide, m_prime)))
-        changes = np.abs(full - core).max(axis=1)
+        full, core = (np.array(s, ndmin=3) for s in kernel(_box_axes(wide, m_prime)))
+        changes = np.abs(full - core).max(axis=-1)
     allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
     # a term past the float range, which the tail bound (the envelope mass
     # outside the box) need not see, overflows the sum; nan fails the check
-    errors = tuple(f"the lattice sum overflows at widths {wide}" if not np.isfinite(row).all()
-                   else None if change <= allowed else f"refinement moved the value by "
-                   f"{change:g} (> {allowed:g}) at widths {list(widths)}"
-                   for row, change in zip(full, changes))
+    finite = np.isfinite(full).all(axis=-1)
+    errors = {(k, row): f"the lattice sum overflows at widths {wide}" if not finite[k, row]
+              else f"refinement moved the value by {changes[k, row]:g} (> {allowed:g}) at "
+              f"widths {list(widths)}" for k, row in np.argwhere(~finite | ~(changes <= allowed))}
     full.setflags(write=False)
     return full, est_tail, errors
 
 
 @lru_cache(maxsize=8192)
-def _eval_cached(m_prime, tau_bytes, g, policy: TruncationPolicy, weighted, want_dtau):
-    """Every characteristic [m'; m''] at (tau, 0), from one ``class_sums`` call."""
+def _eval_cached(m_prime, tau_bytes, g, policy: TruncationPolicy, weighted, want_dtau, offsets):
+    """Every characteristic [m'; m''] at (tau, 0), or at each offset of
+    ``offsets`` (the bytes of a (K, g, g + 1) array, or None), from one
+    ``class_sums`` call."""
     tau = np.frombuffer(tau_bytes, dtype=complex).reshape(g, g)
-    return _certified_sums(tau, np.zeros(g), m_prime, weighted, policy,
-                           lambda axes: class_sums(axes, tau, np.zeros(g), weighted, want_dtau))
+    offsets = None if offsets is None else np.frombuffer(offsets).reshape(-1, g, g + 1)
+    return _certified_sums(tau, np.zeros(g), m_prime, weighted, policy, lambda axes: class_sums(
+        axes, tau, np.zeros(g), weighted, want_dtau, offsets))
 
 
 def _coerce_tau(tau) -> np.ndarray:
@@ -274,30 +281,22 @@ def _coerce_z(z, g) -> np.ndarray:
     return np.ascontiguousarray(z.reshape(g))
 
 
-def _evaluate(m, tau, z, policy, want_grad, want_dtau):
-    tau_arr = np.ascontiguousarray(_coerce_tau(tau))
-    g = tau_arr.shape[0]
-    if m.g != g:
-        raise DomainError(f"characteristic genus {m.g} != tau genus {g}")
-    z, policy, weighted = _coerce_z(z, g), policy or DEFAULT_POLICY, bool(want_grad or want_dtau)
-    if z.any():  # off z = 0 the m'' share no terms: one sum at y = z + m''/2, not memoised
-        y, row = z + np.asarray(m.m_double_prime, dtype=float) / 2.0, 0
-
-        def kernel(axes):  # every derivative comes from class_sums: its row 0 at y
-            if weighted:
-                return class_sums(axes, tau_arr, y, True, want_dtau)
-            return grid_sum(axes, tau_arr, y)
-
-        sums, est_tail, errors = _certified_sums(tau_arr, z, m.m_prime, weighted, policy, kernel)
-    else:
-        row = int("".join(map(str, m.m_double_prime)), 2)
-        sums, est_tail, errors = _eval_cached(
-            m.m_prime, tau_arr.tobytes(), g, policy, weighted, bool(want_dtau))
-    if errors[row]:
-        raise ConvergenceError(errors[row])
-    s = sums[row]
-    return (complex(s[0]), s[1 : g + 1] if want_grad else None,
-            s[g + 1 :].reshape(g, g) if want_dtau else None, est_tail)
+def _shifts(offsets, g) -> np.ndarray:
+    """The offsets (dtau, dz), dtau of shape (g, g) and dz of shape (g,), as
+    a (K, g, g + 1) array [dtau | dz]."""
+    offsets = list(offsets)
+    shifts = np.zeros((len(offsets), g, g + 1), dtype=complex)
+    try:
+        for shift, (dt, dz) in zip(shifts, offsets):
+            shift[:, :g], shift[:, g] = dt, dz
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"an offset is not a pair (dtau, dz) of genus {g}: {exc!r}") from None
+    dtau = shifts[:, :, :g]
+    if (not len(shifts) or shifts.imag.any() or not np.isfinite(shifts).all()
+            or (dtau != dtau.swapaxes(1, 2)).any()):
+        raise DomainError("offsets must be at least one, finite, real (to keep Im tau and "
+                          "Im z) and symmetric in tau")
+    return np.ascontiguousarray(shifts.real)
 
 
 def theta_eval(
@@ -315,16 +314,63 @@ def theta_eval(
     matrix of weighted tau-derivatives (the operator with the halved
     off-diagonal entries), whose termwise weight is pi*i * p_a p_b.
     """
-    val, grad, dtau, tail = _evaluate(m, tau, z, policy, want_gradient, want_tau_derivative)
-    return ThetaValue(value=val, gradient_z=grad, tau_derivative=dtau, est_tail=tail)
+    return theta_stencil(m, tau, z, None, policy, want_gradient=want_gradient,
+                         want_tau_derivative=want_tau_derivative)[0]
+
+
+def theta_stencil(
+    m: Characteristic,
+    tau,
+    z=None,
+    offsets=None,
+    policy: TruncationPolicy | None = None,
+    *,
+    want_gradient: bool = False,
+    want_tau_derivative: bool = False,
+) -> list[ThetaValue]:
+    """``theta_eval`` at (tau + dtau, z + dz) for each offset (dtau, dz) of
+    ``offsets`` in order, or at (tau, z) alone without ``offsets``.
+
+    dtau is real and symmetric and dz real (either may be 0), so every point
+    keeps Im tau and Im z: all share the certified box and ``est_tail`` of
+    (tau, z), and one exponential over it serves them all, each offset's
+    terms being those at (tau, z) times a phase.  Each offset passes its own
+    refinement check.  Any other offset, or none, raises ``DomainError``.
+    """
+    tau_arr = np.ascontiguousarray(_coerce_tau(tau))
+    g = tau_arr.shape[0]
+    if m.g != g:
+        raise DomainError(f"characteristic genus {m.g} != tau genus {g}")
+    shifts = None if offsets is None else _shifts(offsets, g)
+    z, policy = _coerce_z(z, g), policy or DEFAULT_POLICY
+    weighted = bool(want_gradient or want_tau_derivative)
+    if z.any():  # off z = 0 the m'' share no terms: one sum at y = z + m''/2, not memoised
+        y, row = z + np.asarray(m.m_double_prime, dtype=float) / 2.0, 0
+
+        def kernel(axes):  # every derivative and offset comes from class_sums: its row 0 at y
+            if weighted or shifts is not None:
+                return class_sums(axes, tau_arr, y, weighted, want_tau_derivative, shifts)
+            return grid_sum(axes, tau_arr, y)
+
+        sums, est_tail, errors = _certified_sums(tau_arr, z, m.m_prime, weighted, policy, kernel)
+    else:
+        row = int("".join(map(str, m.m_double_prime)), 2)
+        sums, est_tail, errors = _eval_cached(
+            m.m_prime, tau_arr.tobytes(), g, policy, weighted, bool(want_tau_derivative),
+            None if shifts is None else shifts.tobytes())
+    failed = [why for (_, r), why in errors.items() if r == row]
+    if failed:
+        raise ConvergenceError(failed[0])
+    return [ThetaValue(complex(s[0]), s[1 : g + 1] if want_gradient else None,
+                       s[g + 1 :].reshape(g, g) if want_tau_derivative else None, est_tail)
+            for s in sums[:, row]]
 
 
 def theta_gradient(n: Characteristic, tau, policy: TruncationPolicy | None = None) -> np.ndarray:
     """z-gradient of the theta function at z = 0 for an odd characteristic."""
     if parity(n) != 1:
         raise DomainError("gradient at z=0 vanishes identically for even characteristics")
-    _, grad, _, _ = _evaluate(n, tau, None, policy, True, False)
-    return grad
+    return theta_eval(n, tau, None, policy, want_gradient=True).gradient_z
 
 
 def theta_tau_derivative(
@@ -336,8 +382,7 @@ def theta_tau_derivative(
     matrix is the natural symmetric gradient with respect to a symmetric
     argument.
     """
-    _, _, dtau, _ = _evaluate(m, tau, z, policy, False, True)
-    return dtau
+    return theta_eval(m, tau, z, policy, want_tau_derivative=True).tau_derivative
 
 
 def second_order_theta(
@@ -453,6 +498,6 @@ def min_im_eigenvalue(tau) -> float:
 
 
 def clear_caches():
-    """Drop the memoised boxes, quadratic grids and series values."""
-    for cache in (_certified_box, _quadratic, _eval_cached):
+    """Drop the memoised boxes and series values."""
+    for cache in (_certified_box, _eval_cached):
         cache.cache_clear()

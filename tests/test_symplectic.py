@@ -90,6 +90,29 @@ def test_malformed_point_json_raises_domain_error(tmp_path, content):
         load_siegel_point(str(path))
 
 
+_ONE = {"A": [[1]], "B": [[0]], "C": [[0]], "D": [[1]]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        [1],
+        "text",
+        {**_ONE, "D": "x"},
+        {**_ONE, "D": [[1, 0], [1]]},
+        {**_ONE, "D": [[float("nan")]]},
+        {"A": [[1.5]], "B": [[0.2]], "C": [[0]], "D": [[1]]},
+    ],
+    ids=["no-blocks", "list", "string", "not-numbers", "ragged-block", "nan", "fractional"],
+)
+def test_malformed_group_element_json_raises_domain_error(data):
+    # the contract of SiegelPoint.from_json; a fractional entry is not
+    # truncated to an integer (the last case would read as the identity)
+    with pytest.raises(DomainError):
+        SymplecticElement.from_json(data)
+
+
 # ---------------------------------------------------------------------------
 # actions
 

@@ -37,6 +37,7 @@ from theta_forge.theta import (
     second_order_theta,
     theta_eval,
     theta_gradient,
+    theta_stencil,
     theta_tau_derivative,
 )
 from theta_forge.identities import conditioned_words
@@ -566,28 +567,6 @@ def test_grid_sum_matches_oracle(g, radius, rng):
         assert np.array_equal(dtau, dtau.T)
 
 
-def test_shared_quadratic_grid_is_bit_identical(rng):
-    from theta_forge._kernels import _quadratic
-
-    g = 3
-    tau = sample_siegel_point(g, rng).tau
-    axes = [np.arange(-4, 5 - u, dtype=float) + 0.5 * u for u in (0, 1, 0)]
-    ys = [rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-0.3, 0.3, g) for _ in range(3)]
-    fresh = []
-    for y in ys:
-        theta_module.clear_caches()
-        fresh.append(grid_sum(axes, tau, y))
-    hits = _quadratic.cache_info().hits
-    shared = [grid_sum(axes, tau, y) for y in ys]
-    assert _quadratic.cache_info().hits == hits + len(ys)
-    for a, b in zip(fresh, shared):  # the full grid and its core
-        assert np.array_equal(a, b)
-    assert not _quadratic(tau.tobytes(), tuple(x.tobytes() for x in axes)).flags.writeable
-    for _ in range(10):
-        grid_sum(axes, sample_siegel_point(g, rng).tau, ys[0])
-    assert _quadratic.cache_info().currsize <= 2
-
-
 def test_one_box_entry_per_im_tau(rng, monkeypatch):
     # tau and tau + hE (E real symmetric) share Im tau, so they share one
     # certified box and the rates are computed once
@@ -697,8 +676,8 @@ def test_evaluation_is_deterministic(rng):
     t = sample_siegel_point(2, rng)
     m = Characteristic((1, 1), (0, 0))
     a = theta_eval(m, t, want_tau_derivative=True)
-    names = {"_certified_box", "_quadratic", "_eval_cached"}
-    # the box, the quadratic grid and the series value are the only memos
+    names = {"_certified_box", "_eval_cached"}
+    # the box and the series values are the only memos
     assert {name for mod in (theta_module, kernels_module) for name, fn in vars(mod).items()
             if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__} == names
     caches = [getattr(theta_module, name) for name in names]
@@ -708,6 +687,112 @@ def test_evaluation_is_deterministic(rng):
     b = theta_eval(m, t, want_tau_derivative=True)
     assert a.value == b.value
     assert np.array_equal(a.tau_derivative, b.tau_derivative)
+
+
+# ---------------------------------------------------------------------------
+# the stencil entry: every offset of one point from one exponential
+
+
+def _stencil_offsets(g, rng, count):
+    """Real offsets (dtau, dz): tau-only, z-only and both, with diagonal and
+    off-diagonal entries of dtau."""
+    offsets = [(0, 0)]
+    for k in range(count - 1):
+        X = rng.uniform(-0.3, 0.3, (g, g))
+        dtau = (X + X.T) / 2 if k % 3 != 1 else 0
+        dz = rng.uniform(-0.4, 0.4, g) if k % 3 != 0 else 0
+        offsets.append((dtau, dz))
+    return offsets
+
+
+def _assert_stencil_matches_theta_eval(m, tau, z, offsets, want_dtau):
+    # each offset against theta_eval at the shifted point, to est_tail plus
+    # 64 eps of sum |weight * term| * (1 + |exponent|) over the box both
+    # sum, the exponent of a term being that at (tau, z) plus its phase's
+    g = m.g
+    z0 = np.zeros(g) if z is None else np.asarray(z)
+    got = theta_stencil(m, tau, z, offsets, want_tau_derivative=want_dtau)
+    assert len(got) == len(offsets)
+    widths, _, _ = theta_module._box(tau, z0, m.m_prime, want_dtau, DEFAULT_POLICY)
+    P = np.array(list(itertools.product(*theta_module._box_axes([w + 1 for w in widths],
+                                                                  m.m_prime))))
+    base = 2j * np.pi * (0.5 * np.einsum("na,ab,nb->n", P, tau, P)
+                         + P @ (z0 + np.asarray(m.m_double_prime) / 2.0))
+    allowance = 64 * np.finfo(float).eps
+    for (dtau, dz), value in zip(offsets, got):
+        dtau, dz = np.broadcast_to(dtau, (g, g)), np.broadcast_to(dz, (g,))
+        want = theta_eval(m, tau + dtau, z0 + dz, want_tau_derivative=want_dtau)
+        assert value.est_tail == want.est_tail
+        phase = 2j * np.pi * (0.5 * np.einsum("na,ab,nb->n", P, dtau, P) + P @ dz)
+        size = np.abs(np.exp(base)) * (1.0 + np.abs(base) + np.abs(phase))
+        assert abs(value.value - want.value) <= want.est_tail + allowance * size.sum()
+        if want_dtau:
+            err = np.abs(value.tau_derivative - want.tau_derivative)
+            assert np.all(err <= want.est_tail + allowance * np.pi * (np.abs(P).T * size)
+                          @ np.abs(P))
+        else:
+            assert value.tau_derivative is None
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("at_zero", [True, False])
+def test_stencil_matches_theta_eval_at_each_shifted_point(g, at_zero, rng):
+    tau = sample_siegel_point(g, rng).tau
+    z = None if at_zero else rng.uniform(-0.4, 0.4, g) + 1j * rng.uniform(-0.2, 0.2, g)
+    offsets = _stencil_offsets(g, rng, 7)
+    chars = all_characteristics(g)
+    for m in [chars[int(k)] for k in rng.choice(len(chars), min(len(chars), 4), replace=False)]:
+        for want_dtau in (False, True):
+            _assert_stencil_matches_theta_eval(m, tau, z, offsets, want_dtau)
+
+
+def test_genus_4_tau_stencil_in_several_stacks(rng):
+    # 24 tau-offsets +-hE of an even characteristic at genus 4 fill more
+    # than one stack of phases
+    tau = sample_siegel_point(4, rng).tau
+    m = Characteristic((0, 1, 1, 0), (1, 0, 0, 1))
+    offsets = []
+    for c, d in [(0, 0), (1, 3), (2, 2), (0, 2), (3, 3), (1, 2)]:
+        E = np.zeros((4, 4))
+        E[c, d] = E[d, c] = 1.0
+        offsets += [(s * h * E, 0) for h in (1e-3, 0.2) for s in (1, -1)]
+    widths, _, _ = theta_module._box(tau, np.zeros(4), m.m_prime, True, DEFAULT_POLICY)
+    axes = theta_module._box_axes([w + 1 for w in widths], m.m_prime)
+    assert len(offsets) * math.prod(map(len, axes)) > kernels_module.STACK_POINTS
+    theta_module.clear_caches()
+    _assert_stencil_matches_theta_eval(m, tau, None, offsets, True)
+
+
+def test_stencil_matches_30_digit_reference():
+    # one offset in tau and z of the second reference point, against mp_theta
+    # at the shifted point, with the allowance of that test
+    tau = np.array([[0.21 + 0.9j, -0.3 + 0.35j], [-0.3 + 0.35j, 0.4 + 0.7j]])
+    z = np.array([0.12 - 0.07j, -0.31 + 0.04j])
+    dtau, dz = np.array([[0.125, -0.0625], [-0.0625, 0.25]]), np.array([-0.25, 0.125])
+    allowance = 64 * np.finfo(float).eps
+    for m in all_characteristics(2):
+        got = theta_stencil(m, tau, z, [(0, 0), (dtau, dz)], want_tau_derivative=True)[1]
+        ref, scales = mp_theta(tau + dtau, m.m_prime, m.m_double_prime, z + dz)
+        for got_slot, ref_slot, scale in zip((got.value, got.tau_derivative), ref[::2],
+                                             scales[::2]):
+            assert np.all(np.abs(got_slot - ref_slot) <= got.est_tail + allowance * scale)
+
+
+@pytest.mark.parametrize("bad", [
+    [(0, [0.1j, 0.0])],  # complex dz
+    [(np.array([[0.0, 0.1j], [0.1j, 0.0]]), 0)],  # complex dtau
+    [(np.array([[0.0, 0.1], [0.2, 0.0]]), 0)],  # asymmetric dtau
+    [(np.zeros((3, 3)), 0)],  # the wrong genus
+    [(0, [np.inf, 0.0])],
+    [("x", 0)],
+    [0],  # not a pair
+])
+def test_stencil_rejects_a_complex_or_misshapen_offset(bad, tau_g2):
+    m = Characteristic((0, 1), (1, 1))
+    with pytest.raises(DomainError):
+        theta_stencil(m, tau_g2, None, [(0, 0)] + bad)
+    with pytest.raises(DomainError):  # no offset at all
+        theta_stencil(m, tau_g2, None, [])
 
 
 # ---------------------------------------------------------------------------
