@@ -10,15 +10,16 @@ take one np.exp over the grid and also sum its core, one point cut from
 both ends of every axis, from which the evaluator's refinement check reads
 the sum over its box.  ``class_sums`` is the one place that applies
 termwise derivative weights: it sums every y + m''/2 at once from the
-parity classes of the points, the theta constants at z = 0 with y = 0, and
-any evaluation at z != 0 that asks for a derivative as its row m'' = 0 at
-y = z + m''/2; at real offsets (dtau, dz) of (tau, y) it reuses the one
-exponential times a phase per offset.  ``grid_sum`` sums the value alone at
-one y, for the value-only evaluations at z != 0 and for
-``theta_unnormalized``; on their small boxes it costs a fraction of a
-``class_sums`` call.  Nothing here is memoised.  Every reduction runs in a
-fixed order, so each result is bit-stable run to run, and no step hands an
-array to BLAS.
+parity classes of the points, for the theta constants at z = 0 with y = 0;
+where only row m'' = 0 is read (any evaluation at z != 0 that asks for a
+derivative or offsets, at y = z + m''/2, and a second-order constant), its
+one-row mode sums each axis whole, with no parity split and no sign table.
+At real offsets (dtau, dz) of (tau, y) it reuses the one exponential times
+a phase per offset.  ``grid_sum`` sums the value alone at one y, for the
+value-only evaluations at z != 0 and for ``theta_unnormalized``; on their
+small boxes it costs a fraction of a ``class_sums`` call.  Nothing here is
+memoised.  Every reduction runs in a fixed order, so each result is
+bit-stable run to run, and no step hands an array to BLAS.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def grid_sum(axes, tau, y):
     return complex(T.sum()), complex(T[(slice(1, -1),) * len(axes)].sum())
 
 
-def class_sums(axes, tau, y, want_grad=False, want_dtau=False, offsets=None):
+def class_sums(axes, tau, y, want_grad=False, want_dtau=False, offsets=None, one_row=False):
     """The theta series and its termwise derivatives at every y + m''/2 at
     once, over the grid of the 1-D ``axes`` and over its core as in
     ``grid_sum``: returns ``(full, core)``, each with one row per m'' in
@@ -99,21 +100,21 @@ def class_sums(axes, tau, y, want_grad=False, want_dtau=False, offsets=None):
     With ``offsets``, a (K, g, g + 1) real array [dtau | dz], each part
     holds those rows at (tau + dtau, y + dz) for each offset, from the terms
     at (tau, y) times its phase, folded in stacks of at most STACK_POINTS
-    terms.
+    terms.  With ``one_row`` each part holds row m'' = 0 alone.
     """
     axes = [np.asarray(x, dtype=np.float64) for x in axes]
     g, degree = len(axes), 2 if want_dtau else 1 if want_grad else 0
     terms = _grid_terms(axes, tau, y)
     if offsets is None:
-        return tuple(part[0] for part in _fold(axes, terms[..., None], degree))
+        return tuple(part[0] for part in _fold(axes, terms[..., None], degree, one_row))
     # per offset a stack holds its terms, and its sign table at most (g + 1)^2 4^g entries
     step = max(1, STACK_POINTS // max(terms.size, (g + 1) ** 2 * 4**g))
-    parts = [_fold(axes, _offset_terms(axes, terms, offsets[k : k + step]), degree)
+    parts = [_fold(axes, _offset_terms(axes, terms, offsets[k : k + step]), degree, one_row)
              for k in range(0, len(offsets), step)]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _fold(axes, stack, degree):
+def _fold(axes, stack, degree, one_row=False):
     """``class_sums`` of each column of ``stack`` (the terms, one column per
     offset on a last axis) as (column, m'', slot) arrays.
 
@@ -122,31 +123,36 @@ def _fold(axes, stack, degree):
     each axis.  Each axis in turn is folded, as a (length / 2, 2) view of the
     terms as pairs of floats, into its two parities, for the full grid and
     its core and for each power of the points a weight needs; a table of the
-    factors of the 2^g parities for each m'' then gives every m''.
+    factors of the 2^g parities for each m'' then gives every m''.  With
+    ``one_row`` each axis is summed whole instead, as one class, and the
+    sums are row m'' = 0 alone, with no sign table.
     """
-    g = len(axes)
-    # (region, weight: the axes whose points it multiplies, parities so far, rest)
+    g, p = len(axes), 1 if one_row else 2  # index classes per axis
+    # (region, weight: the axes whose points it multiplies, classes so far, rest)
     C, weights, powers = stack.view(np.float64).reshape(1, 1, 1, -1), [()], degree + 1
     for a, x in enumerate(axes):
-        n, h, b, rest = len(x), len(x) // 2, C.shape[2], C.shape[3] // len(x)
+        n, h, b, rest = len(x), len(x) // p, C.shape[2], C.shape[3] // len(x)
         # rows for the full grid and for its core, without the first and last index
         W = np.array([x**0, np.arange(n) % (n - 1) > 0])[:, None] * x ** np.arange(powers)[:, None]
         src = C.reshape(len(C), -1, b, n, rest)
-        # each weight times each power of x, summed over each parity with no weighted copy
-        pairs = src[..., : 2 * h, :].reshape(len(C), -1, b, h, 2, rest)
-        C = np.einsum("rsbktm,rjkt->rsjbtm", pairs, W[..., : 2 * h].reshape(2, powers, h, 2))
-        if n % 2:  # the last index is even
+        # each weight times each power of x, summed over each class with no weighted copy
+        pairs = src[..., : p * h, :].reshape(len(C), -1, b, h, p, rest)
+        C = np.einsum("rsbktm,rjkt->rsjbtm", pairs, W[..., : p * h].reshape(2, powers, h, p))
+        if n % p:  # the last index is even
             C[..., 0, :] += src[:, :, None, :, -1] * W[:, None, :, -1, None, None]
         keep = [k * powers + j for k, w in enumerate(weights) for j in range(powers - len(w))]
         weights = [weights[k // powers] + (a,) * (k % powers) for k in keep]
-        C = C.reshape(2, -1, 2 * b, rest)
+        C = C.reshape(2, -1, p * b, rest)
         C = C if len(keep) == C.shape[1] else C[:, keep]  # no copy that drops nothing
     wanted = [(), *((a,) for a in range(g)), *(tuple(sorted(ab)) for ab in np.ndindex(g, g))]
     slots = [weights.index(w) for w in wanted[: (1, 1 + g, 1 + g + g * g)[degree]]]
-    bits = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
-    twice_first = np.rint([2 * x[:1] for x in axes]).astype(int)
-    signs = np.array([1, 1j, -1, -1j])[(bits @ twice_first + 2 * bits @ bits.T) % 4]
     scale = np.repeat([1.0, TWO_PI_I, PI_I], [1, g, g * g])[: len(slots)]
-    # (region, column, slot, m''), then each region as (column, m'', slot)
-    sums = (np.moveaxis(C.view(complex), -1, 1)[:, :, slots, None] * signs).sum(axis=-1)
+    # (region, column, slot, class), and with one class that is row m'' = 0
+    sums = np.moveaxis(C.view(complex), -1, 1)[:, :, slots]
+    if not one_row:  # each row m'' from the 2^g parity classes
+        bits = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
+        twice_first = np.rint([2 * x[:1] for x in axes]).astype(int)
+        signs = np.array([1, 1j, -1, -1j])[(bits @ twice_first + 2 * bits @ bits.T) % 4]
+        sums = (sums[..., None, :] * signs).sum(axis=-1)
+    # each region as (column, m'', slot)
     return tuple(part.swapaxes(1, 2) * scale for part in sums)

@@ -145,5 +145,26 @@ def box_table(g: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     return fields
 
 
+@lru_cache(maxsize=None)
+def dual_table(g: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather arrays (complement, negative) of the Hodge dual of a
+    level-k compound, built on first use.
+
+    Entry a of ``complement`` is the rank among the k-subsets of the
+    complement of the a-th (g-k)-subset, and ``negative[a, b]`` holds where
+    the a-th and b-th (g-k)-subsets have an odd sum of indices: output entry
+    (a, b) is the input entry (complement[a], complement[b]), negated there.
+    """
+    rank = subset_rank(g, k)
+    full = tuple(range(1, g + 1))
+    subs = subset_tuples(g, g - k)
+    complement = np.array([rank[tuple_complement(I, full)] for I in subs], dtype=np.intp)
+    odd = np.array([sum(I) % 2 for I in subs], dtype=bool)
+    negative = odd[:, None] != odd[None, :]
+    for arr in (complement, negative):
+        arr.flags.writeable = False
+    return complement, negative
+
+
 def binomial(n: int, k: int) -> int:
     return comb(n, k)

@@ -24,6 +24,7 @@ from .indexkit import (
     IndexSet,
     binomial,
     box_table,
+    dual_table,
     perm_sign,
     subset_rank,
     subset_tuples,
@@ -291,18 +292,10 @@ def box_power(A: CompoundMatrix, k: int) -> CompoundMatrix:
 
 def hodge_dual(X: CompoundMatrix) -> CompoundMatrix:
     """Complementary-index twist: entry (I, J) becomes (-1)^{I+J} X[I^c, J^c]."""
-    g, k = X.ambient, X.level
-    dual_level = g - k
-    subs = subset_tuples(g, dual_level)
-    rank_src = subset_rank(g, k)
-    full = tuple(range(1, g + 1))
-    out = _empty(len(subs), _is_exact(X.entries))
-    comp = {I: rank_src[tuple(i for i in full if i not in set(I))] for I in subs}
-    for a, I in enumerate(subs):
-        for b, J in enumerate(subs):
-            sgn = -1 if (sum(I) + sum(J)) % 2 else 1
-            out[a, b] = sgn * X.entries[comp[I], comp[J]]
-    return CompoundMatrix(g, dual_level, out)
+    complement, negative = dual_table(X.ambient, X.level)
+    out = X.entries[np.ix_(complement, complement)]
+    out[negative] = -out[negative]
+    return CompoundMatrix(X.ambient, X.ambient - X.level, out)
 
 
 def star_product(*factors: CompoundMatrix) -> CompoundMatrix:

@@ -26,6 +26,9 @@ The reported tail is the bound at width + 1, and the isotropic totals
 The box depends on tau only through Im tau: ``_certified_box`` memoises
 the boxes of every m' per (Im tau, |Im z|, weighting, policy), so every
 characteristic at tau, and every real offset of (tau, z), share one entry.
+An evaluation is weighted if it asks for a derivative, or if Im z = 0 and
+m' != 0: such an m' has odd characteristics, whose datum at Im z = 0 is the
+gradient, so its values and gradients share a box.
 
 Every evaluation sums the box widened by one point per axis (the shell just
 outside the box carries nearly all the mass beyond it) and, from the same
@@ -33,10 +36,12 @@ terms, its core; the two must agree to ``target_tol / 10`` plus a rounding
 allowance.  ``theta_stencil`` does so at a list of real offsets of one
 point from one exponential, each offset checked on its own; ``theta_eval``
 is its single point.  At z = 0 one ``_kernels.class_sums`` call, kept in
-``_eval_cached`` per (tau, m', weighting, offsets), serves every m'' of an
-m'.  At z != 0 one call, not memoised, serves one characteristic:
-``class_sums`` at y = z + m''/2, read at its row m'' = 0, for a derivative
-or offsets, else the value-only ``grid_sum``.  Nothing else is memoised.
+``_eval_cached`` per (tau, m', weighting, offsets, rows), serves every m''
+of an m', values and gradients alike, or for a second-order constant its
+row m'' = 0 alone.  At z != 0 one call, not memoised, serves one
+characteristic: the one-row ``class_sums`` at y = z + m''/2 for a
+derivative or offsets, else the value-only ``grid_sum``.  Nothing else is
+memoised.
 """
 
 from __future__ import annotations
@@ -254,14 +259,15 @@ def _certified_sums(tau, z, m_prime, weighted, policy: TruncationPolicy, kernel)
 
 
 @lru_cache(maxsize=8192)
-def _eval_cached(m_prime, tau_bytes, g, policy: TruncationPolicy, weighted, want_dtau, offsets):
+def _eval_cached(m_prime, tau_bytes, g, policy: TruncationPolicy, weighted, want_dtau, offsets,
+                 one_row):
     """Every characteristic [m'; m''] at (tau, 0), or at each offset of
     ``offsets`` (the bytes of a (K, g, g + 1) array, or None), from one
-    ``class_sums`` call."""
+    ``class_sums`` call; with ``one_row``, [m'; 0] alone."""
     tau = np.frombuffer(tau_bytes, dtype=complex).reshape(g, g)
     offsets = None if offsets is None else np.frombuffer(offsets).reshape(-1, g, g + 1)
     return _certified_sums(tau, np.zeros(g), m_prime, weighted, policy, lambda axes: class_sums(
-        axes, tau, np.zeros(g), weighted, want_dtau, offsets))
+        axes, tau, np.zeros(g), weighted, want_dtau, offsets, one_row))
 
 
 def _coerce_tau(tau) -> np.ndarray:
@@ -337,27 +343,35 @@ def theta_stencil(
     terms being those at (tau, z) times a phase.  Each offset passes its own
     refinement check.  Any other offset, or none, raises ``DomainError``.
     """
+    return _theta_rows(m, tau, z, offsets, policy, want_gradient, want_tau_derivative, False)
+
+
+def _theta_rows(m, tau, z, offsets, policy, want_gradient, want_tau_derivative, one_row):
+    """``theta_stencil``; with ``one_row`` (m'' = 0 only) its z = 0 entry holds
+    that one row, not every m'' of m'."""
     tau_arr = np.ascontiguousarray(_coerce_tau(tau))
     g = tau_arr.shape[0]
     if m.g != g:
         raise DomainError(f"characteristic genus {m.g} != tau genus {g}")
     shifts = None if offsets is None else _shifts(offsets, g)
     z, policy = _coerce_z(z, g), policy or DEFAULT_POLICY
-    weighted = bool(want_gradient or want_tau_derivative)
+    # at Im z = 0 an odd characteristic's datum is its gradient: every m' != 0 sums the weighted box
+    weighted = bool(want_gradient or want_tau_derivative or (any(m.m_prime) and not z.imag.any()))
     if z.any():  # off z = 0 the m'' share no terms: one sum at y = z + m''/2, not memoised
         y, row = z + np.asarray(m.m_double_prime, dtype=float) / 2.0, 0
 
         def kernel(axes):  # every derivative and offset comes from class_sums: its row 0 at y
-            if weighted or shifts is not None:
-                return class_sums(axes, tau_arr, y, weighted, want_tau_derivative, shifts)
+            if want_gradient or want_tau_derivative or shifts is not None:
+                return class_sums(axes, tau_arr, y, want_gradient, want_tau_derivative, shifts,
+                                  one_row=True)
             return grid_sum(axes, tau_arr, y)
 
         sums, est_tail, errors = _certified_sums(tau_arr, z, m.m_prime, weighted, policy, kernel)
     else:
-        row = int("".join(map(str, m.m_double_prime)), 2)
+        row = 0 if one_row else int("".join(map(str, m.m_double_prime)), 2)
         sums, est_tail, errors = _eval_cached(
             m.m_prime, tau_arr.tobytes(), g, policy, weighted, bool(want_tau_derivative),
-            None if shifts is None else shifts.tobytes())
+            None if shifts is None else shifts.tobytes(), one_row)
     failed = [why for (_, r), why in errors.items() if r == row]
     if failed:
         raise ConvergenceError(failed[0])
@@ -397,7 +411,9 @@ def second_order_theta(
     """Second-order theta: the (eps; 0) series evaluated at (2 tau, 2 z).
 
     Derivative slots are reported with respect to the outer (tau, z)
-    variables, so both pick up the chain-rule factor 2.
+    variables, so both pick up the chain-rule factor 2.  At z = 0 its memo
+    entry holds row m'' = 0 alone, from the one-row fold, apart from the
+    entry of every m'' that ``theta_eval`` at 2 tau would make.
     """
     eps = integer_entries(eps, "second-order label")
     if any(x not in (0, 1) for x in eps):
@@ -406,15 +422,9 @@ def second_order_theta(
     g = tau_arr.shape[0]
     if len(eps) != g:
         raise DomainError(f"label length {len(eps)} != genus {g}")
-    m = Characteristic(eps, (0,) * g)
-    inner = theta_eval(
-        m,
-        SiegelPoint(2 * tau_arr),
-        2 * _coerce_z(z, g),
-        policy,
-        want_gradient=want_gradient,
-        want_tau_derivative=want_tau_derivative,
-    )
+    inner = _theta_rows(Characteristic(eps, (0,) * g), SiegelPoint(2 * tau_arr),
+                        2 * _coerce_z(z, g), None, policy, want_gradient, want_tau_derivative,
+                        True)[0]
     return ThetaValue(
         value=inner.value,
         gradient_z=None if inner.gradient_z is None else 2 * inner.gradient_z,

@@ -9,6 +9,7 @@ from theta_forge.errors import DomainError
 from theta_forge.indexkit import (
     IndexSet,
     box_table,
+    dual_table,
     enumerate_subsets,
     perm_sign,
     position_sign,
@@ -101,3 +102,15 @@ def test_box_table_is_cached_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = arr[0, 0]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_dual_table_is_cached_read_only_and_matches_the_complements(g):
+    for k in range(g + 1):
+        complement, negative = table = dual_table(g, k)
+        assert dual_table(g, k) is table
+        assert not complement.flags.writeable and not negative.flags.writeable
+        subs = enumerate_subsets(g, g - k)
+        rank = subset_rank(g, k)
+        assert complement.tolist() == [rank[I.complement().elements] for I in subs]
+        assert negative.tolist() == [[sign_sum(I, J) < 0 for J in subs] for I in subs]

@@ -589,9 +589,10 @@ def test_one_box_entry_per_im_tau(rng, monkeypatch):
 def test_one_box_entry_per_weighting_at_one_tau(rng, monkeypatch):
     # every characteristic at one tau, with and without derivative weights:
     # one box entry and one rates call per weighting, consulted once per
-    # (m', weighting) because the m'' of an m' share one evaluation; each
-    # entry holds the box of every m', whose est_tail and envelope are bit
-    # for bit those of the bounds of that m' computed alone
+    # evaluation: two at m' = 0 and one per m' != 0, whose values and
+    # gradients share one weighted evaluation of all its m''; each entry
+    # holds the box of every m', whose est_tail and envelope are bit for bit
+    # those of the bounds of that m' computed alone
     calls = []
     rates = theta_module._rates
     monkeypatch.setattr(theta_module, "_rates", lambda Y: calls.append(Y) or rates(Y))
@@ -601,7 +602,7 @@ def test_one_box_entry_per_weighting_at_one_tau(rng, monkeypatch):
         theta_eval(m, t)
         theta_eval(m, t, want_gradient=True)
     info = theta_module._certified_box.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 2, 2 * 8 - 2)
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2 + 7 - 2)
     assert len(calls) == 2
     lam, mus = rates(t.tau.imag)
     for weighted in (False, True):
@@ -644,6 +645,96 @@ def test_every_m_double_prime_of_one_m_prime_takes_one_evaluation(g, rng):
                       <= allowance * 2 * np.pi * np.abs(P).T @ size)
         assert np.all(np.abs(value.tau_derivative - ref_dtau)
                       <= allowance * np.pi * (np.abs(P).T * size) @ np.abs(P))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_values_and_gradients_of_one_m_prime_share_one_evaluation(g, rng):
+    # at Im z = 0 every evaluation of an m' != 0 sums its weighted box, so at
+    # z = 0 the values and the gradients of all its m'' come from one entry,
+    # and a value request reports that entry's est_tail; off Im z = 0 a
+    # value request keeps the unweighted box
+    tau = sample_siegel_point(g, rng).tau
+    m_prime = tuple(int(u) for u in rng.integers(0, 2, g))
+    m_prime = m_prime if any(m_prime) else (0,) * (g - 1) + (1,)
+    theta_module.clear_caches()
+    for m_double in itertools.product((0, 1), repeat=g):
+        m = Characteristic(m_prime, m_double)
+        value, full = theta_eval(m, tau), theta_eval(m, tau, want_gradient=True)
+        assert value.value == full.value and value.est_tail == full.est_tail
+        assert value.gradient_z is None
+    info = theta_module._eval_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2 * 2**g - 1, 1)
+    weighted, unweighted = (theta_module._box(tau, np.zeros(g), m_prime, w, DEFAULT_POLICY)[1]
+                            for w in (True, False))
+    assert value.est_tail == weighted != unweighted
+    x = rng.uniform(-0.4, 0.4, g)
+    assert theta_eval(m, tau, x).est_tail == weighted
+    assert theta_eval(m, tau, x + 0.1j).est_tail == theta_module._box(
+        tau, x + 0.1j, m_prime, False, DEFAULT_POLICY)[1]
+
+
+@pytest.mark.parametrize("g, radius", [(1, 6), (2, 5), (3, 3), (4, 1)])
+def test_one_row_fold_matches_row_zero_and_oracle(g, radius, rng):
+    # the one-row mode of class_sums against row m'' = 0 of the all-row fold
+    # and against direct box sums, at z != 0, with and without derivative
+    # weights and offsets, to 64 eps of sum |weight * term| as in
+    # test_grid_sum_matches_oracle (a phase keeps |term|); the zero offset
+    # leaves the terms unmultiplied, so its column meets the oracle too
+    allowance = 64 * np.finfo(float).eps
+    n = np.arange(-(radius + 1), radius + 2, dtype=float)
+    for _ in range(3):
+        tau = sample_siegel_point(g, rng).tau
+        m_prime = tuple(int(u) for u in rng.integers(0, 2, g))
+        m_double = tuple(int(u) for u in rng.integers(0, 2, g))
+        z = rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-1.0, 1.0, g)
+        y = z + np.asarray(m_double) / 2.0
+        axes = [n + u / 2.0 for u in m_prime]
+        X = rng.uniform(-0.3, 0.3, (g, g))
+        offsets = np.zeros((3, g, g + 1))
+        offsets[1, :, :g], offsets[2, :, g] = (X + X.T) / 2, rng.uniform(-0.4, 0.4, g)
+        refs = []
+        for r in (radius + 1, radius):
+            ref, abs_sums = box_sum(tau, z, m_prime, m_double, r)
+            refs.append((np.concatenate([[ref[0]], ref[1], ref[2].ravel()]),
+                         np.concatenate([[abs_sums[0]], abs_sums[1], abs_sums[2].ravel()])))
+        for want_grad, want_dtau in ((False, False), (True, False), (True, True)):
+            slots = 1 + (g if want_grad else 0) + (g * g if want_dtau else 0)
+            for offs in (None, offsets):
+                one = class_sums(axes, tau, y, want_grad, want_dtau, offs, one_row=True)
+                every = class_sums(axes, tau, y, want_grad, want_dtau, offs)
+                for part, rows, (ref, scale) in zip(one, every, refs):
+                    part, rows = (np.reshape(p, (-1, p.shape[-2], slots)) for p in (part, rows))
+                    assert part.shape == (len(rows), 1, slots) and rows.shape[1] == 2**g
+                    bound = allowance * scale[:slots]
+                    assert np.all(np.abs(part[:, 0] - rows[:, 0]) <= bound)
+                    assert np.all(np.abs(part[0, 0] - ref[:slots]) <= bound)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_second_order_constant_holds_one_row(g, rng):
+    # theta[eps; 0](2 tau) with its tau-derivative comes from a memo entry of
+    # one row, apart from the entry of every m'' that theta_eval at 2 tau
+    # makes, and agrees with it to both est_tails plus 64 eps of
+    # sum |weight * term| * (1 + |exponent|)
+    tau = sample_siegel_point(g, rng).tau
+    allowance = 64 * np.finfo(float).eps
+    theta_module.clear_caches()
+    for eps in itertools.product((0, 1), repeat=g):
+        got = second_order_theta(eps, tau, want_tau_derivative=True)
+        want = theta_eval(Characteristic(eps, (0,) * g), 2 * tau, want_tau_derivative=True)
+        entry = theta_module._eval_cached(eps, (2 * tau).tobytes(), g, DEFAULT_POLICY, True, True,
+                                          None, True)
+        assert entry[0].shape[1] == 1
+        widths, _, _ = theta_module._box(2 * tau, np.zeros(g), eps, True, DEFAULT_POLICY)
+        P = np.array(list(itertools.product(*theta_module._box_axes([w + 1 for w in widths], eps))))
+        exponent = 2j * np.pi * 0.5 * np.einsum("na,ab,nb->n", P, 2 * tau, P)
+        size = np.abs(np.exp(exponent)) * (1.0 + np.abs(exponent))
+        tails = got.est_tail + want.est_tail
+        assert abs(got.value - want.value) <= tails + allowance * size.sum()
+        assert np.all(np.abs(got.tau_derivative - 2 * want.tau_derivative)
+                      <= 2 * (tails + allowance * np.pi * (np.abs(P).T * size) @ np.abs(P)))
+    info = theta_module._eval_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2 * 2**g, 2**g, 2 * 2**g)
 
 
 def test_refinement_catches_a_box_one_point_short(monkeypatch):
