@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -48,11 +49,10 @@ from .multilinear import (
     compound,
     from_matrix,
     star_product,
-    submatrix_det,
     wedge_outer,
     _det_exact,
 )
-from .indexkit import IndexSet, enumerate_subsets, perm_sign, sign_sum
+from .indexkit import perm_sign, subset_rank
 from .symplectic import (
     Characteristic,
     SiegelPoint,
@@ -441,6 +441,34 @@ def _rand_exact_vector(rng, g, lo=-5, hi=6) -> np.ndarray:
     return np.array([int(rng.integers(lo, hi)) for _ in range(g)], dtype=object)
 
 
+# one instance's draws in the generator's order, and det(M) by Bareiss
+_ExactInstance = namedtuple("_ExactInstance", "g M det laplace_k laplace_cols power_k "
+                            "sigma_mats sigma_rows sigma_cols wedge_vecs B binomial_k")
+
+
+def _draw_exact_instance(rng, genus_range) -> _ExactInstance:
+    g = int(rng.choice(genus_range))
+    M = _rand_exact_matrix(rng, g)
+    laplace_k = int(rng.integers(1, g))
+    # a column set for M, then one for M^T
+    laplace_cols = tuple(tuple(sorted(rng.choice(g, laplace_k, replace=False) + 1)) for _ in "MT")
+    power_k = int(rng.integers(2, g + 1))
+    kk = int(rng.integers(2, min(3, g) + 1))
+    mats = [_rand_exact_matrix(rng, g) for _ in range(kk)]
+    rows, cols = (tuple(sorted(rng.choice(g, kk, replace=False) + 1)) for _ in "IJ")
+    kw = int(rng.integers(1, g + 1))
+    vecs = np.array([_rand_exact_vector(rng, g) for _ in range(kw)], dtype=object)
+    B = _rand_exact_matrix(rng, g)
+    binomial_k = int(rng.integers(2, min(3, g) + 1))
+    return _ExactInstance(g, M, _det_exact(M), laplace_k, laplace_cols, power_k, mats,
+                          rows, cols, vecs, B, binomial_k)
+
+
+def _unequal(lhs: np.ndarray, rhs) -> int:
+    """The number of leading slices in which two stacks differ anywhere."""
+    return int((lhs != rhs).reshape(len(lhs), -1).any(axis=1).sum())
+
+
 def check_exact_layer(
     instances: int = 60, seed: int = 0, genus_range=(2, 3, 4)
 ) -> list[IdentityReport]:
@@ -448,80 +476,79 @@ def check_exact_layer(
 
     The entries are Python ints, and the box products, compounds, cofactor
     tensors and determinants stay exact: integers, with a Fraction only
-    where a normalization does not divide.  Each identity is evaluated with
-    zero tolerance: any mismatch flips the residual to 1.0.  The reported
-    tolerance, from ``_ROWS``, is epsilon-level because the pass predicate
-    is a strict inequality.
+    where a normalization does not divide.  Every instance is drawn first;
+    each identity then runs once per genus and drawn level on the stacked
+    instances, and counts the instances it fails.  Each identity is
+    evaluated with zero tolerance: any mismatch flips the residual to 1.0.
+    The reported tolerance, from ``_ROWS``, is epsilon-level because the
+    pass predicate is a strict inequality.
     """
     genus_range = tuple(genus_range)
     if not genus_range or any(int(g) < 2 for g in genus_range):
         raise DomainError(f"exact layer needs genera >= 2, got {genus_range}")
+    if instances < 1:
+        raise DomainError(f"exact layer needs at least one instance, got {instances}")
     rng = np.random.default_rng([seed, 97])
     started = time.perf_counter()
+    drawn = [_draw_exact_instance(rng, genus_range) for _ in range(instances)]
     fails = {name: 0 for name, (fam, _, _) in _ROWS.items() if fam == "exact_layer"}
-    for _ in range(instances):
-        g = int(rng.choice(genus_range))
-        M = _rand_exact_matrix(rng, g)
 
-        # generalized Laplace expansion along random column set, then row set
-        k = int(rng.integers(1, g))
-        det_full = _det_exact(M)
-        for transpose in (False, True):
-            src = M.T.copy() if transpose else M
-            J = IndexSet(tuple(sorted(rng.choice(g, k, replace=False) + 1)), g)
-            total = 0
-            for I in enumerate_subsets(g, k):
-                total += (
-                    sign_sum(I, J)
-                    * submatrix_det(src, I, J)
-                    * submatrix_det(src, I.complement(), J.complement())
-                )
-            if total != det_full:
-                fails["exact_laplace_expansion"] += 1
+    def batches(level, *fields):
+        """(genus, level, the fields stacked) per group of one genus and level."""
+        groups = {}
+        for x in drawn:
+            groups.setdefault((x.g, level(x)), []).append(x)
+        for (g, k), batch in groups.items():
+            yield g, k, batch, *(np.stack([getattr(x, f) for x in batch]) for f in fields)
 
-        # repeated box power against the compound
-        k2 = int(rng.integers(2, g + 1))
-        if (box_power(from_matrix(M), k2).entries != compound(M, k2).entries).any():
-            fails["exact_compound_power"] += 1
+    # generalized Laplace expansion along a random column set of M and of M^T:
+    # column J of compound ⊙ cofactor tensor, summed over the rows I
+    for g, k, batch, M in batches(lambda x: x.laplace_k, "M"):
+        src = np.stack([M, np.swapaxes(M, 1, 2)], axis=1).reshape(-1, g, g)
+        cols = [subset_rank(g, k)[J] for x in batch for J in x.laplace_cols]
+        terms = compound(src, k).entries * cofactor_tensor(src, k).entries
+        totals = terms[np.arange(len(cols)), :, cols].sum(axis=-1)
+        dets = np.array([x.det for x in batch], dtype=object)
+        fails["exact_laplace_expansion"] += _unequal(totals, np.repeat(dets, 2))
 
-        # mixed-column determinant expansion of the box product
-        kk = int(rng.integers(2, min(3, g) + 1))
-        mats = [_rand_exact_matrix(rng, g) for _ in range(kk)]
-        prod = box_many([from_matrix(A) for A in mats])
-        I = tuple(sorted(rng.choice(g, kk, replace=False) + 1))
-        J = tuple(sorted(rng.choice(g, kk, replace=False) + 1))
-        rows, acc = [i - 1 for i in I], 0
-        for sigma in itertools.permutations(range(kk)):
-            cols = np.column_stack([mats[pos][rows, J[s] - 1] for pos, s in enumerate(sigma)])
-            acc += perm_sign(sigma) * _det_exact(cols)
-        if prod.entry(IndexSet(I, g), IndexSet(J, g)) != Fraction(acc, math.factorial(kk)):
-            fails["exact_sigma_determinant"] += 1
+    # repeated box power against the compound
+    for g, k, batch, M in batches(lambda x: x.power_k, "M"):
+        lhs = box_power(from_matrix(M), k).entries
+        fails["exact_compound_power"] += _unequal(lhs, compound(M, k).entries)
 
-        # adjoint identity
-        adj = cofactor_tensor(M, 1).entries.T
-        if (M @ adj != det_full * np.eye(g, dtype=object)).any():
-            fails["exact_adjoint_identity"] += 1
+    # mixed-column determinant expansion of one entry of the box product
+    for g, k, batch, mats in batches(lambda x: len(x.sigma_mats), "sigma_mats"):
+        prod = box_many([from_matrix(mats[:, j]) for j in range(k)])
+        rank = subset_rank(g, k)
+        for entries, x in zip(prod.entries, batch):
+            rows, acc = [i - 1 for i in x.sigma_rows], 0
+            for sigma in itertools.permutations(range(k)):
+                cols = np.column_stack([x.sigma_mats[pos][rows, x.sigma_cols[s] - 1]
+                                        for pos, s in enumerate(sigma)])
+                acc += perm_sign(sigma) * _det_exact(cols)
+            entry = entries[rank[x.sigma_rows], rank[x.sigma_cols]]
+            fails["exact_sigma_determinant"] += entry != Fraction(acc, math.factorial(k))
 
-        # rank-one star against the wedge outer product
-        kw = int(rng.integers(1, g + 1))
-        vecs = np.array([_rand_exact_vector(rng, g) for _ in range(kw)], dtype=object)
-        outers = [from_matrix(np.outer(vecs[r], vecs[r])) for r in range(kw)]
-        lhs = star_product(*outers).entries * math.factorial(kw)
-        rhs = wedge_outer(vecs).entries
-        if (lhs != rhs).any():
-            fails["exact_rank_one_wedge"] += 1
+    # adjoint identity
+    for g, _, batch, M in batches(lambda x: 1, "M"):
+        adj = np.swapaxes(cofactor_tensor(M, 1).entries, 1, 2)
+        dets = np.array([x.det for x in batch], dtype=object)[:, None, None]
+        fails["exact_adjoint_identity"] += _unequal(M @ adj, dets * np.eye(g, dtype=object))
 
-        # binomial expansion of box powers
-        B = _rand_exact_matrix(rng, g)
-        kb = int(rng.integers(2, min(3, g) + 1))
-        lhs_b = box_power(from_matrix(M + B), kb)
-        rhs_b = sum(
-            box_many([box_power(from_matrix(M), j), box_power(from_matrix(B), kb - j)])
-            .scale(math.comb(kb, j)).entries
-            for j in range(kb + 1)
+    # rank-one star against the wedge outer product
+    for g, k, batch, V in batches(lambda x: len(x.wedge_vecs), "wedge_vecs"):
+        outers = [from_matrix(V[:, r, :, None] * V[:, r, None, :]) for r in range(k)]
+        lhs = star_product(*outers).entries * math.factorial(k)
+        fails["exact_rank_one_wedge"] += _unequal(lhs, wedge_outer(V).entries)
+
+    # binomial expansion of box powers
+    for g, k, batch, M, B in batches(lambda x: x.binomial_k, "M", "B"):
+        rhs = sum(
+            box_many([box_power(from_matrix(M), j), box_power(from_matrix(B), k - j)])
+            .scale(math.comb(k, j)).entries
+            for j in range(k + 1)
         )
-        if (lhs_b.entries != rhs_b).any():
-            fails["exact_binomial_power"] += 1
+        fails["exact_binomial_power"] += _unequal(box_power(from_matrix(M + B), k).entries, rhs)
 
     return [
         _report(name, 0, {"instances": instances, "failures": bad},

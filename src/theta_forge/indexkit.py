@@ -166,5 +166,19 @@ def dual_table(g: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return complement, negative
 
 
+@lru_cache(maxsize=None)
+def minor_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather arrays (column, rest) of the level-p minors over n
+    columns: for the b-th p-subset J, ``column[b, t]`` is J[t] - 1 and
+    ``rest[b, t]`` the rank of J without J[t] among the (p-1)-subsets."""
+    rank = subset_rank(n, p - 1)
+    subs = subset_tuples(n, p)
+    column = np.array([[j - 1 for j in J] for J in subs], dtype=np.intp)
+    rest = np.array([[rank[J[:t] + J[t + 1:]] for t in range(p)] for J in subs], dtype=np.intp)
+    for arr in (column, rest):
+        arr.flags.writeable = False
+    return column, rest
+
+
 def binomial(n: int, k: int) -> int:
     return comb(n, k)

@@ -6,9 +6,12 @@ is a single scalar, level 1 an ordinary g-by-g matrix.  Entries are complex
 floats at the main interface; every operation also accepts object-dtype
 arrays of exact scalars (Python ints, Fractions), in which case all
 arithmetic is carried out exactly.  Integer entries stay integers through
-the box products and determinants: a chain of box products divides by its
-binomial normalizations once, at the end, and determinants use Bareiss
-fraction-free elimination.  A result is an int wherever its value is one.
+the box products and minors: a chain of box products divides by its
+binomial normalizations once, at the end.  A result is an int wherever its
+value is one.  Every minor comes from ``_minor_table``; Bareiss elimination
+(``_det_exact``) is only the independent reference determinant.  Every
+operation takes stacks: leading axes act slice by slice, each slice bit for
+bit the call on that slice alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .indexkit import (
     binomial,
     box_table,
     dual_table,
-    perm_sign,
+    minor_table,
     subset_rank,
     subset_tuples,
 )
@@ -70,24 +73,42 @@ def _det_exact(a: np.ndarray):
     return sign * rows[-1][-1] if n else 1
 
 
-def _det(a: np.ndarray):
-    """Determinant dispatching on dtype: exact for object arrays, LAPACK otherwise."""
-    n = a.shape[0]
-    if _is_exact(a):
-        return _det_exact(a)
-    if n == 0:
-        return complex(1.0)
-    if n == 1:
-        return complex(a[0, 0])
-    if n == 2:
-        return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if n == 3:
-        return complex(
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-        )
-    return complex(np.linalg.det(a))
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, complex factors by their real and imaginary parts
+    apart: numpy's vectorised complex multiply may fuse multiply-adds and
+    round unlike the scalar product."""
+    if a.dtype != complex:
+        return a * b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _add_columns(out: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """out plus the terms along their last axis, left to right as a scalar
+    loop adds them: numpy's float reduction adds pairwise."""
+    for t in range(terms.shape[-1]):
+        out += terms[..., t]
+    return out
+
+
+def _minor_table(A: np.ndarray, p: int) -> np.ndarray:
+    """All p-by-p minors of A (..., r, c), by lexicographic row and column
+    p-subsets: shape (..., C(r, p), C(c, p)).  Level q expands level q - 1
+    along the first row, left to right, so at p <= 3 a float minor is bit
+    for bit the textbook cofactor formula."""
+    if p == 0:
+        return np.ones(A.shape[:-2] + (1, 1), dtype=A.dtype)
+    r, c = A.shape[-2:]
+    minors = A.copy()
+    for q in range(2, p + 1):
+        row_first, row_rest = (t[:, :1, None] for t in minor_table(r, q))
+        column, rest = minor_table(c, q)
+        terms = _product(A[..., row_first, column], minors[..., row_rest, rest])
+        np.negative(terms[..., 1::2], out=terms[..., 1::2])
+        minors = _add_columns(terms[..., 0].copy(), terms[..., 1:])
+    return minors
 
 
 def _empty(side: int, exact: bool) -> np.ndarray:
@@ -107,7 +128,7 @@ class CompoundMatrix:
             raise DomainError(f"level {self.level} outside 0..{self.ambient}")
         side = binomial(self.ambient, self.level)
         arr = np.asarray(self.entries)
-        if arr.shape != (side, side):
+        if arr.shape[-2:] != (side, side) or arr.ndim < 2:
             raise DomainError(
                 f"level-{self.level} compound at g={self.ambient} needs shape "
                 f"({side}, {side}), got {arr.shape}"
@@ -118,19 +139,19 @@ class CompoundMatrix:
 
     @property
     def side(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def labels(self) -> tuple[tuple[int, ...], ...]:
         return subset_tuples(self.ambient, self.level)
 
     def entry(self, I: IndexSet, J: IndexSet):
         rank = subset_rank(self.ambient, self.level)
-        return self.entries[rank[tuple(I)], rank[tuple(J)]]
+        return self.entries[..., rank[tuple(I)], rank[tuple(J)]]
 
     def scalar(self):
         if self.level not in (0, self.ambient):
             raise DomainError("scalar() only makes sense at level 0 or g")
-        return self.entries[0, 0]
+        return self.entries[..., 0, 0]
 
     def _check_compatible(self, other: "CompoundMatrix"):
         if self.ambient != other.ambient or self.level != other.level:
@@ -165,36 +186,29 @@ def zero_compound(g: int, level: int, exact: bool = False) -> CompoundMatrix:
 
 
 def from_matrix(M: np.ndarray) -> CompoundMatrix:
-    """Wrap an ordinary g-by-g matrix as a level-1 compound."""
+    """Wrap an ordinary g-by-g matrix, or a stack of them, as a level-1 compound."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DomainError("expected a square matrix")
-    return CompoundMatrix(M.shape[0], 1, M)
+    return CompoundMatrix(M.shape[-1], 1, M)
 
 
 def submatrix_det(M: np.ndarray, I: IndexSet, J: IndexSet):
     """Determinant of the submatrix of M with rows I and columns J."""
     if len(I) != len(J):
         raise DomainError(f"|I|={len(I)} and |J|={len(J)} differ")
-    return _minor(np.asarray(M), I, J)
-
-
-def _minor(M: np.ndarray, rows, cols):
-    return _det(M[[r - 1 for r in rows]][:, [c - 1 for c in cols]])
+    M = np.asarray(M)
+    minor = _minor_table(M[np.ix_([r - 1 for r in I], [c - 1 for c in J])], len(I))[0, 0]
+    return minor if _is_exact(M) else complex(minor)
 
 
 def compound(M: np.ndarray, p: int) -> CompoundMatrix:
     """The level-p compound of M: all p-by-p minors in canonical order."""
     M = np.asarray(M)
-    g = M.shape[0]
+    g = M.shape[-1]
     if not 1 <= p <= g:
         raise DomainError(f"compound level p={p} outside 1..{g}")
-    subs = subset_tuples(g, p)
-    out = _empty(len(subs), _is_exact(M))
-    for a, I in enumerate(subs):
-        for b, J in enumerate(subs):
-            out[a, b] = _minor(M, I, J)
-    return CompoundMatrix(g, p, out)
+    return CompoundMatrix(g, p, _minor_table(M, p))
 
 
 def cofactor_tensor(M: np.ndarray, k: int) -> CompoundMatrix:
@@ -205,11 +219,11 @@ def cofactor_tensor(M: np.ndarray, k: int) -> CompoundMatrix:
     det(M) times the identity.
     """
     M = np.asarray(M)
-    g = M.shape[0]
+    g = M.shape[-1]
     if not 0 <= k < g:
         raise DomainError(f"cofactor level k={k} outside 0..{g - 1}")
     if k == 0:
-        return scalar_compound(g, _det(M))
+        return CompoundMatrix(g, 0, _minor_table(M, g))
     return hodge_dual(compound(M, g - k))
 
 
@@ -221,30 +235,22 @@ def _box_unnormalized(A: CompoundMatrix, B: CompoundMatrix):
     p, q = A.level, B.level
     if p + q > g:
         raise DomainError(f"levels {p}+{q} exceed ambient {g}")
+    Ae, Be = A.entries, B.entries
+    if not (_is_exact(Ae) and _is_exact(Be)):
+        Ae, Be = np.asarray(Ae, dtype=complex), np.asarray(Be, dtype=complex)
     if p == 0:
-        return B.scale(A.scalar()), 1
+        return CompoundMatrix(g, q, Be * Ae), 1
     if q == 0:
-        return A.scale(B.scalar()), 1
+        return CompoundMatrix(g, p, Ae * Be), 1
     row_a, col_a, row_b, col_b, negative = box_table(g, p, q)
     side = binomial(g, p + q)
-    Ae, Be = A.entries, B.entries
-    if _is_exact(Ae) and _is_exact(Be):
-        terms = Ae[row_a, col_a] * Be[row_b, col_b]
-        np.negative(terms, out=terms, where=negative)
-        out = terms.sum(axis=1)
+    terms = _product(Ae[..., row_a, col_a], Be[..., row_b, col_b])
+    np.negative(terms, out=terms, where=negative)
+    if _is_exact(terms):
+        out = terms.sum(axis=-1)
     else:
-        a = np.asarray(Ae, dtype=complex)[row_a, col_a]
-        b = np.asarray(Be, dtype=complex)[row_b, col_b]
-        # real and imaginary parts apart: numpy's vectorised complex multiply
-        # may fuse multiply-adds and round unlike the scalar product
-        terms = np.empty(a.shape, dtype=complex)
-        terms.real = a.real * b.real - a.imag * b.imag
-        terms.imag = a.real * b.imag + a.imag * b.real
-        np.negative(terms, out=terms, where=negative)
-        out = np.zeros(side * side, dtype=complex)
-        for column in terms.T:  # left to right, the order of a scalar loop
-            out += column
-    return CompoundMatrix(g, p + q, out.reshape(side, side)), binomial(p + q, p)
+        out = _add_columns(np.zeros(terms.shape[:-1], dtype=complex), terms)
+    return CompoundMatrix(g, p + q, out.reshape(out.shape[:-1] + (side, side))), binomial(p + q, p)
 
 
 def _normalized(X: CompoundMatrix, d: int) -> CompoundMatrix:
@@ -293,8 +299,8 @@ def box_power(A: CompoundMatrix, k: int) -> CompoundMatrix:
 def hodge_dual(X: CompoundMatrix) -> CompoundMatrix:
     """Complementary-index twist: entry (I, J) becomes (-1)^{I+J} X[I^c, J^c]."""
     complement, negative = dual_table(X.ambient, X.level)
-    out = X.entries[np.ix_(complement, complement)]
-    out[negative] = -out[negative]
+    out = X.entries[..., complement[:, None], complement]
+    np.negative(out, out=out, where=negative)
     return CompoundMatrix(X.ambient, X.ambient - X.level, out)
 
 
@@ -322,20 +328,18 @@ def wedge_coordinates(vectors) -> np.ndarray:
     times the maximal minor of the row stack drawn from columns J^c.
     """
     A = np.asarray(vectors)
-    if A.ndim != 2:
+    if A.ndim < 2:
         raise DomainError("expected a stack of row vectors")
-    k, g = A.shape
+    k, g = A.shape[-2:]
     if k > g:
         raise DomainError(f"cannot wedge {k} vectors in dimension {g}")
-    exact = _is_exact(A)
-    subs = subset_tuples(g, g - k)
-    full = tuple(range(1, g + 1))
-    coords = np.empty(len(subs), dtype=object if exact else complex)
-    for idx, J in enumerate(subs):
-        Jc = tuple(i for i in full if i not in set(J))
-        sgn = perm_sign(J + Jc)
-        minor = _det(A[:, [c - 1 for c in Jc]]) if k else (1 if exact else 1.0)
-        coords[idx] = sgn * minor
+    # the sign of (J, J^c) is (-1)^(sum J - |J|(|J|+1)/2): the dual's sign
+    # between J and the first (g-k)-subset
+    complement, negative = dual_table(g, k)
+    coords = _minor_table(A, k)[..., 0, complement]
+    if not _is_exact(coords):
+        coords = coords.astype(complex)
+    np.negative(coords, out=coords, where=negative[0])
     return coords
 
 
@@ -345,14 +349,9 @@ def wedge_outer(vectors) -> CompoundMatrix:
     Equals k! times the star product of the rank-one matrices v_i v_i^T.
     Linearly dependent vectors give the zero matrix.
     """
-    A = np.asarray(vectors)
-    if A.ndim != 2:
-        raise DomainError("expected a 2-d stack of row vectors")
-    k, g = A.shape
-    if k > g:
-        raise DomainError(f"cannot wedge {k} vectors in dimension {g}")
-    w = wedge_coordinates(A)
-    out = np.outer(w, w)
+    w = wedge_coordinates(vectors)
+    k, g = np.shape(vectors)[-2:]
+    out = w[..., :, None] * w[..., None, :]
     # mirror the upper triangle so the result is symmetric bit-for-bit
-    out = np.triu(out) + np.triu(out, 1).T
+    out = np.triu(out) + np.swapaxes(np.triu(out, 1), -1, -2)
     return CompoundMatrix(g, g - k, out)

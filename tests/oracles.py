@@ -78,6 +78,25 @@ def fraction_det(a):
     return det
 
 
+def formula_det(a):
+    """Float determinant of order <= 3 by the textbook cofactor formulas,
+    one scalar product at a time, as a complex."""
+    n = a.shape[0]
+    if n == 0:
+        return complex(1.0)
+    if n == 1:
+        return complex(a[0, 0])
+    if n == 2:
+        return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    if n == 3:
+        return complex(
+            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+        )
+    raise ValueError(f"no closed formula at order {n}")
+
+
 def _split_sign(sub, within):
     """(-1) to the sum of the 1-based positions of ``sub`` inside ``within``."""
     return -1 if sum(within.index(v) + 1 for v in sub) % 2 else 1

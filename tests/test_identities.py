@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from theta_forge import identities
+from theta_forge import identities, multilinear
 from theta_forge.errors import DomainError, NumericalDegeneracyError
 from theta_forge.forms import SecondOrderFactor, theta_constant_product
 from theta_forge.identities import (
@@ -187,6 +187,45 @@ def test_exact_layer_clean(rng):
         assert rep.tolerance == identities._ROWS[rep.identity_name][1]
 
 
+def _no_box_signs(table):
+    def faulty(*args):
+        *gathers, negative = table(*args)
+        return (*gathers, np.zeros_like(negative))
+    return faulty
+
+
+def _one_minor_off(minors):
+    def faulty(A, p):
+        out = minors(A, p)
+        out[..., 0, 0] += 1
+        return out
+    return faulty
+
+
+def _hodge_signs_flipped(table):
+    def faulty(g, k):
+        complement, negative = table(g, k)
+        return complement, ~negative
+    return faulty
+
+
+@pytest.mark.parametrize("name, fault, rows", [
+    ("box_table", _no_box_signs,
+     ["compound_power", "sigma_determinant", "rank_one_wedge"]),
+    ("_minor_table", _one_minor_off,
+     ["laplace_expansion", "compound_power", "adjoint_identity", "rank_one_wedge"]),
+    ("dual_table", _hodge_signs_flipped,
+     ["laplace_expansion", "adjoint_identity", "rank_one_wedge"]),
+], ids=["box-sign-mask-dropped", "one-minor-off-by-one", "hodge-sign-flipped"])
+def test_exact_layer_fails_under_a_planted_fault(monkeypatch, name, fault, rows):
+    # every instance is checked, not only one per batch
+    monkeypatch.setattr(multilinear, name, fault(getattr(multilinear, name)))
+    failures = {rep.identity_name: rep.params["failures"]
+                for rep in check_exact_layer(instances=30, seed=4)}
+    for row in rows:
+        assert failures["exact_" + row] > 10, (row, failures)
+
+
 def test_conditioned_words_deterministic(rng):
     t = sample_siegel_point(2, rng)
     a = conditioned_words("Gamma(2)", 2, [t], 3, 5)
@@ -231,6 +270,8 @@ TAU_G2 = SiegelPoint(np.array([[0.1 + 1.0j, 0.2j], [0.2j, -0.3 + 0.8j]]))
     lambda: check_main_theorem(3, 2, [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0))], []),
     lambda: check_exact_layer(4, genus_range=(1,)),
     lambda: check_exact_layer(4, genus_range=()),
+    lambda: check_exact_layer(0),
+    lambda: check_exact_layer(-3),
     # int() would truncate these to a valid label without a word
     lambda: Characteristic((0.5, 1), (0, 1)),
     lambda: second_order_theta((0.5, 1), TAU_G2),
@@ -239,7 +280,8 @@ TAU_G2 = SiegelPoint(np.array([[0.1 + 1.0j, 0.2j], [0.2j, -0.3 + 0.8j]]))
 ], ids=["z-length", "second-order-z-length", "z-nan", "z-inf", "unnormalized-length",
         "empty-tau", "level-0",
         "starred-without-tau", "jacobi-no-points", "main-theorem-no-points",
-        "exact-genus-1", "exact-no-genus", "fractional-characteristic",
+        "exact-genus-1", "exact-no-genus", "exact-no-instances", "exact-negative-instances",
+        "fractional-characteristic",
         "fractional-second-order", "fractional-second-order-factor",
         "fractional-unnormalized"])
 def test_malformed_input_raises_domain_error(call):

@@ -12,6 +12,7 @@ from theta_forge.indexkit import IndexSet, enumerate_subsets, sign_sum
 from theta_forge.multilinear import (
     CompoundMatrix,
     _det_exact,
+    _minor_table,
     box_many,
     box_power,
     box_product,
@@ -30,8 +31,10 @@ from theta_forge.multilinear import (
 from oracles import (
     det_of_array,
     frac_matrix_from_ints,
+    formula_det,
     fraction_det,
     inversion_sign,
+    laplace_det,
     loop_box_many,
     loop_box_product,
 )
@@ -247,7 +250,8 @@ def _rand_level(rng, g, k, kind):
 def _assert_same(got, want, kind, where):
     if kind == "complex":
         # bit for bit, signed zeros included
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), where
+        bits = [np.ascontiguousarray(x).view(np.uint64) for x in (got, want)]
+        assert np.array_equal(*bits), where
     else:
         assert (got == want).all(), where
 
@@ -393,6 +397,85 @@ def test_generalized_laplace_expansion_exact(rng):
                     )
                 assert col_total == det
                 assert row_total == det
+
+
+# ---------------------------------------------------------------------------
+# the minor table and stacks
+
+
+def test_minor_table_matches_cofactor_recursion_exact(rng):
+    # rectangular too: the wedge reads the maximal minors of k rows
+    for r in range(1, 5):
+        for c in range(1, 5):
+            A = rng.integers(-5, 6, (r, c)).astype(object)
+            for p in range(min(r, c) + 1):
+                got = _minor_table(A, p)
+                assert got.shape == (math.comb(r, p), math.comb(c, p))
+                for a, I in enumerate(itertools.combinations(range(r), p)):
+                    for b, J in enumerate(itertools.combinations(range(c), p)):
+                        want = laplace_det(A[np.ix_(I, J)].tolist())
+                        assert got[a, b] == want and type(got[a, b]) is int, (r, c, p, I, J)
+
+
+def _bits(x):
+    return np.array([complex(x)]).view(np.uint64).tolist()
+
+
+def test_float_minors_are_the_cofactor_formulas_bit_for_bit(rng):
+    for g in range(1, 5):
+        for _ in range(20):
+            M = _rand_complex(rng, g)
+            for p in range(1, min(g, 3) + 1):
+                got = compound(M, p).entries
+                for a, I in enumerate(itertools.combinations(range(g), p)):
+                    for b, J in enumerate(itertools.combinations(range(g), p)):
+                        want = formula_det(M[np.ix_(I, J)])
+                        assert _bits(got[a, b]) == _bits(want), (g, p, I, J)
+            if g <= 3:
+                assert _bits(cofactor_tensor(M, 0).scalar()) == _bits(formula_det(M))
+
+
+_STACK = 3
+
+
+def _check_stack(call, inputs, kind, where):
+    """Each slice of call(*inputs) on stacks of _STACK is bit for bit the call
+    on the slices; a result without stack axes (box power 0) is one for all."""
+    def sliced(x, i):
+        return x[i] if isinstance(x, np.ndarray) else CompoundMatrix(x.ambient, x.level, x.entries[i])
+
+    got = call(*inputs)
+    entries = got.entries if isinstance(got, CompoundMatrix) else got
+    for i in range(_STACK):
+        want = call(*[sliced(x, i) for x in inputs])
+        want = want.entries if isinstance(want, CompoundMatrix) else want
+        _assert_same(entries[i] if entries.ndim > want.ndim else entries, want, kind, where)
+
+
+@pytest.mark.parametrize("kind", ["complex", "int"])
+def test_every_compound_operation_acts_on_a_stack_slice_by_slice(rng, kind):
+    def stack(g, k, rows=None):
+        return np.stack([_rand_level(rng, g, k, kind).entries[:rows] for _ in range(_STACK)])
+
+    def level(g, k):
+        return CompoundMatrix(g, k, stack(g, k))
+
+    for g in range(1, 5):
+        M = stack(g, 1)
+        for p in range(1, g + 1):
+            _check_stack(lambda A: compound(A, p), [M], kind, ("compound", g, p))
+        for k in range(g):
+            _check_stack(lambda A: cofactor_tensor(A, k), [M], kind, ("cofactor", g, k))
+        for k in range(g + 1):
+            _check_stack(hodge_dual, [level(g, k)], kind, ("dual", g, k))
+            _check_stack(lambda A: box_power(from_matrix(A), k), [M], kind, ("power", g, k))
+            _check_stack(wedge_outer, [stack(g, 1, rows=k)], kind, ("wedge", g, k))
+        for levels in itertools.product(range(g + 1), repeat=3):
+            if sum(levels) > g:
+                continue
+            factors = [level(g, k) for k in levels]
+            _check_stack(lambda *f: box_many(f), factors, kind, ("box", g, levels))
+            _check_stack(star_product, factors, kind, ("star", g, levels))
 
 
 # ---------------------------------------------------------------------------
