@@ -17,14 +17,17 @@ one-row mode sums each axis whole, with no parity split and no sign table.
 At real offsets (dtau, dz) of (tau, y) it reuses the one exponential times
 a phase per offset.  ``grid_sum`` sums the value alone at one y, for the
 value-only evaluations at z != 0 and for ``theta_unnormalized``; on their
-small boxes it costs a fraction of a ``class_sums`` call.  Nothing here is
-memoised.  Every reduction runs in a fixed order, so each result is
-bit-stable run to run, and no step hands an array to BLAS.
+small boxes it costs a fraction of a ``class_sums`` call.  At y = 0 over a
+centrally symmetric box the exponential is taken over half the grid, since
+the term at -p is the term at p bit for bit.  The one memo here holds the
+fold's read-only weights per axis.  Every reduction runs in a fixed order,
+so each result is bit-stable run to run, and no step hands an array to BLAS.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,20 +53,30 @@ def _grid_terms(axes, tau, y):
     The order matters: on a large term one unit in the last place of the
     exponent is hundreds of machine epsilons of the term, more than any
     rounding allowance on the sum.
+
+    At y = 0 over centrally symmetric axes the term at -p is the term at p
+    bit for bit, as ((-x_a) tau_ab) (-x_b) rounds as (x_a tau_ab) x_b: only
+    the slices from n_0 // 2 on axis 0 are built, and the rest is their copy
+    reversed on every axis.  There the p y pass is skipped too: it adds
+    zeros to entries that are never -0.
     """
     g, tau, y = len(axes), np.asarray(tau, dtype=np.complex128), np.asarray(y, dtype=np.complex128)
-    lin = 0.0
-    for a, xa in enumerate(axes):
-        lin = lin + _on_axis(xa * y[a], a, g)
+    half = not y.any() and all((x == -x[::-1]).all() for x in axes)
+    h = len(axes[0]) // 2 if half else 0
     grid = np.zeros(tuple(len(x) for x in axes), dtype=complex)
-    for a, xa in enumerate(axes):
-        row = xa[:, None] * tau[a]
-        for b, xb in enumerate(axes):
-            grid += _on_axis(row[:, b], a, g) * _on_axis(xb, b, g)
-    grid *= 0.5
-    grid += lin
-    grid *= TWO_PI_I
-    return np.exp(grid, out=grid)
+    part = grid[h:]
+    x = [_on_axis(xa, a, g) for a, xa in enumerate([axes[0][h:], *axes[1:]])]
+    for a in range(g):
+        row = x[a][..., None] * tau[a]
+        for b in range(g):
+            part += row[..., b] * x[b]
+    part *= 0.5
+    if not half:
+        part += sum(xa * y[a] for a, xa in enumerate(x))
+    part *= TWO_PI_I
+    np.exp(part, out=part)
+    grid[:h] = part[(slice(None, None, -1),) * g][:h]
+    return grid
 
 
 def _offset_terms(axes, terms, offsets):
@@ -114,6 +127,22 @@ def class_sums(axes, tau, y, want_grad=False, want_dtau=False, offsets=None, one
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
+@lru_cache(maxsize=1024)
+def _fold_table(x_bytes, powers, p):
+    """The read-only weights ``_fold`` applies along one axis x, as
+    (region, power, index // p, index % p) for the indices in whole classes
+    and (region, 1, power, 1, 1) for the last index: row 0 for the full grid
+    and row 1 for its core, without the first and last index, each times
+    x^0 ... x^(powers - 1)."""
+    x = np.frombuffer(x_bytes)
+    n, h = len(x), len(x) // p
+    W = np.array([x**0, np.arange(n) % (n - 1) > 0])[:, None] * x ** np.arange(powers)[:, None]
+    tables = W[..., : p * h].reshape(2, powers, h, p), W[:, None, :, -1, None, None]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _fold(axes, stack, degree, one_row=False):
     """``class_sums`` of each column of ``stack`` (the terms, one column per
     offset on a last axis) as (column, m'', slot) arrays.
@@ -132,27 +161,26 @@ def _fold(axes, stack, degree, one_row=False):
     C, weights, powers = stack.view(np.float64).reshape(1, 1, 1, -1), [()], degree + 1
     for a, x in enumerate(axes):
         n, h, b, rest = len(x), len(x) // p, C.shape[2], C.shape[3] // len(x)
-        # rows for the full grid and for its core, without the first and last index
-        W = np.array([x**0, np.arange(n) % (n - 1) > 0])[:, None] * x ** np.arange(powers)[:, None]
+        W, W_last = _fold_table(x.tobytes(), powers, p)
         src = C.reshape(len(C), -1, b, n, rest)
         # each weight times each power of x, summed over each class with no weighted copy
         pairs = src[..., : p * h, :].reshape(len(C), -1, b, h, p, rest)
-        C = np.einsum("rsbktm,rjkt->rsjbtm", pairs, W[..., : p * h].reshape(2, powers, h, p))
+        C = np.einsum("rsbktm,rjkt->rsjbtm", pairs, W)
         if n % p:  # the last index is even
-            C[..., 0, :] += src[:, :, None, :, -1] * W[:, None, :, -1, None, None]
+            C[..., 0, :] += src[:, :, None, :, -1] * W_last
         keep = [k * powers + j for k, w in enumerate(weights) for j in range(powers - len(w))]
-        weights = [weights[k // powers] + (a,) * (k % powers) for k in keep]
+        weights = [w + (a,) * j for w in weights for j in range(powers - len(w))]
         C = C.reshape(2, -1, p * b, rest)
         C = C if len(keep) == C.shape[1] else C[:, keep]  # no copy that drops nothing
     wanted = [(), *((a,) for a in range(g)), *(tuple(sorted(ab)) for ab in np.ndindex(g, g))]
     slots = [weights.index(w) for w in wanted[: (1, 1 + g, 1 + g + g * g)[degree]]]
-    scale = np.repeat([1.0, TWO_PI_I, PI_I], [1, g, g * g])[: len(slots)]
+    scale = np.array(([1.0] + [TWO_PI_I] * g + [PI_I] * g * g)[: len(slots)])
     # (region, column, slot, class), and with one class that is row m'' = 0
-    sums = np.moveaxis(C.view(complex), -1, 1)[:, :, slots]
+    sums = C.view(complex).transpose(0, 3, 1, 2)[:, :, slots]
     if not one_row:  # each row m'' from the 2^g parity classes
         bits = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
-        twice_first = np.rint([2 * x[:1] for x in axes]).astype(int)
-        signs = np.array([1, 1j, -1, -1j])[(bits @ twice_first + 2 * bits @ bits.T) % 4]
+        twice_first = bits @ [round(2 * x[0]) for x in axes]
+        signs = np.array([1, 1j, -1, -1j])[(twice_first[:, None] + 2 * bits @ bits.T) % 4]
         sums = (sums[..., None, :] * signs).sum(axis=-1)
     # each region as (column, m'', slot)
     return tuple(part.swapaxes(1, 2) * scale for part in sums)

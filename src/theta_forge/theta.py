@@ -40,8 +40,9 @@ is its single point.  At z = 0 one ``_kernels.class_sums`` call, kept in
 of an m', values and gradients alike, or for a second-order constant its
 row m'' = 0 alone.  At z != 0 one call, not memoised, serves one
 characteristic: the one-row ``class_sums`` at y = z + m''/2 for a
-derivative or offsets, else the value-only ``grid_sum``.  Nothing else is
-memoised.
+derivative or offsets, else the value-only ``grid_sum``.  The third and
+last memo is the kernel's table of read-only fold weights per axis, which
+``clear_caches`` drops with the other two.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import class_sums, grid_sum
+from ._kernels import _fold_table, class_sums, grid_sum
 from .errors import ConvergenceError, DegenerateBasePointError, DomainError
 from .symplectic import (
     Characteristic,
@@ -508,6 +509,6 @@ def min_im_eigenvalue(tau) -> float:
 
 
 def clear_caches():
-    """Drop the memoised boxes and series values."""
-    for cache in (_certified_box, _eval_cached):
+    """Drop the memoised boxes, series values and fold tables."""
+    for cache in (_certified_box, _eval_cached, _fold_table):
         cache.cache_clear()

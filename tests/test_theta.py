@@ -415,6 +415,27 @@ def test_est_tail_bounds_the_truncation_error(g, lam, im_frac, seed, tol, slots)
     b_edge = max(0.0, (np.pi * lam * 24**2 - 30.0) / (2 * np.pi * 24))
     direction = rng.standard_normal(g)
     z = rng.uniform(-0.5, 0.5, g) + 1j * im_frac * b_edge * direction / np.linalg.norm(direction)
+    _assert_est_tail_bounds_the_truncation_error(g, m, tau, z, tol, slots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.integers(1, 3),
+    lam=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]),
+    slots=st.sampled_from(["value", "gradient", "tau_derivative"]),
+)
+def test_est_tail_bounds_the_truncation_error_at_z_zero(g, lam, seed, tol, slots):
+    # the check above at z = 0, where the paper's constants live and the
+    # kernel exponentiates half of each box and mirrors the rest
+    tau, rng = _random_point(g, lam, seed)
+    chars = all_characteristics(g)
+    m = chars[int(rng.integers(len(chars)))]
+    _assert_est_tail_bounds_the_truncation_error(g, m, tau, np.zeros(g), tol, slots)
+
+
+def _assert_est_tail_bounds_the_truncation_error(g, m, tau, z, tol, slots):
     policy = TruncationPolicy(target_tol=tol)
     want_grad = slots != "value"
     want_dtau = slots == "tau_derivative"
@@ -565,6 +586,59 @@ def test_grid_sum_matches_oracle(g, radius, rng):
                 assert np.all(err <= allowance * abs_sums[slot])
         dtau = rows[0][g + 1 :].reshape(g, g)
         assert np.array_equal(dtau, dtau.T)
+
+
+def _full_grid_terms(axes, tau, y):
+    # the full build of _kernels._grid_terms: every exponent accumulated in
+    # its order, the p y pass included, and one np.exp over the whole grid
+    g, on_axis = len(axes), kernels_module._on_axis
+    tau, y = np.asarray(tau, dtype=complex), np.asarray(y, dtype=complex)
+    lin = 0.0
+    for a, xa in enumerate(axes):
+        lin = lin + on_axis(xa * y[a], a, g)
+    grid = np.zeros(tuple(map(len, axes)), dtype=complex)
+    for a, xa in enumerate(axes):
+        row = xa[:, None] * tau[a]
+        for b, xb in enumerate(axes):
+            grid += on_axis(row[:, b], a, g) * on_axis(xb, b, g)
+    grid *= 0.5
+    grid += lin
+    grid *= 2j * np.pi
+    return np.exp(grid, out=grid)
+
+
+@pytest.mark.parametrize("g, widths", [(1, (2, 9)), (2, (2, 6)), (3, (1, 4)), (4, (1, 3))])
+def test_half_grid_at_y_zero_is_the_full_grid_bit_for_bit(g, widths, rng, monkeypatch):
+    # at y = 0 over the boxes of _box_axes only the slices from n_0 // 2 on
+    # axis 0 are exponentiated and the rest mirrored: every term equals the
+    # full build's bit for bit, also at |Re tau| up to 1e3, where one ulp of
+    # the exponent moves a term by hundreds of eps; at y != 0, and over the
+    # asymmetric axes of theta_unnormalized (m' = 2, 3), the whole grid is
+    # exponentiated
+    sizes, exp = [], np.exp
+    monkeypatch.setattr(kernels_module.np, "exp",
+                        lambda x, out=None: sizes.append(x.size) or exp(x, out=out))
+
+    def assert_built(axes, tau, y, exponentiated):
+        ref = _full_grid_terms(axes, tau, y)
+        sizes.clear()
+        got = kernels_module._grid_terms(axes, tau, y)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert sizes == [exponentiated * got.size // len(axes[0])]
+
+    for scale in (1.0, 1e3):
+        X = rng.uniform(-1.0, 1.0, (g, g))
+        tau = sample_siegel_point(g, rng).tau + scale * (X + X.T) / 2
+        for width in widths:
+            for m_prime in itertools.product((0, 1), repeat=g):
+                axes = theta_module._box_axes([width] * g, m_prime)
+                n = len(axes[0])
+                assert_built(axes, tau, np.zeros(g), n - n // 2)
+                assert_built(axes, tau, rng.uniform(-0.5, 0.5, g), n)
+                assert_built(axes, tau, 0.3j * np.ones(g), n)
+            for u in (2, 3):
+                axes = [np.arange(-width, width + 1, dtype=float) + u / 2.0] * g
+                assert_built(axes, tau, np.zeros(g), len(axes[0]))
 
 
 def test_one_box_entry_per_im_tau(rng, monkeypatch):
@@ -767,17 +841,25 @@ def test_evaluation_is_deterministic(rng):
     t = sample_siegel_point(2, rng)
     m = Characteristic((1, 1), (0, 0))
     a = theta_eval(m, t, want_tau_derivative=True)
-    names = {"_certified_box", "_eval_cached"}
-    # the box and the series values are the only memos
-    assert {name for mod in (theta_module, kernels_module) for name, fn in vars(mod).items()
-            if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__} == names
-    caches = [getattr(theta_module, name) for name in names]
+    # the box, the series values and the fold tables are the only memos
+    caches = {name: fn for mod in (theta_module, kernels_module) for name, fn in vars(mod).items()
+              if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__}
+    assert set(caches) == {"_certified_box", "_eval_cached", "_fold_table"}
+    caches = list(caches.values())
     assert all(c.cache_info().currsize > 0 for c in caches)
     clear_caches()
     assert all(c.cache_info().currsize == 0 for c in caches)
     b = theta_eval(m, t, want_tau_derivative=True)
     assert a.value == b.value
     assert np.array_equal(a.tau_derivative, b.tau_derivative)
+
+
+def test_fold_tables_are_read_only():
+    # one cached table serves every fold over its axis, so no caller may write to it
+    x = np.arange(-3, 4, dtype=float)
+    for table in kernels_module._fold_table(x.tobytes(), 3, 2):
+        with pytest.raises(ValueError):
+            table[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
