@@ -195,6 +195,17 @@ def _odd_expansion(eps, delta) -> list[tuple[int, Characteristic]]:
     return terms
 
 
+def _gradient_sum(eps, delta, tau, policy) -> np.ndarray:
+    """Sum of s grad(theta[n]) grad(theta[n])^T over ``_odd_expansion(eps, delta)``.
+    The main theorem's W-form sum is multilinear and wedge_outer(v_1..v_k) =
+    k! star(v_1 v_1^T, ..), so its V_grad side is k! pi^(-2k) star(sums of the pairs)."""
+    acc = np.zeros((len(eps), len(eps)), dtype=complex)
+    for sgn, n_alpha in _odd_expansion(eps, delta):
+        v = theta_gradient(n_alpha, tau, policy)
+        acc = acc + sgn * np.outer(v, v)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # gradient / second-order identities
 
@@ -244,11 +255,7 @@ def check_gsm_backward(
     eps, delta = integer_entries(eps, "label"), integer_entries(delta, "label")
     g = len(eps)
     lhs = _second_order_A(eps, delta, tau, policy)
-    acc = np.zeros((g, g), dtype=complex)
-    for sgn, n_alpha in _odd_expansion(eps, delta):
-        v = theta_gradient(n_alpha, tau, policy)
-        acc = acc + sgn * np.outer(v, v)
-    rhs = acc * (2.0 ** (-(g - 2)) / HESSIAN_BRIDGE)
+    rhs = _gradient_sum(eps, delta, tau, policy) * (2.0 ** (-(g - 2)) / HESSIAN_BRIDGE)
     return _report(
         "gsm_backward",
         g,
@@ -327,19 +334,10 @@ def check_jacobi(
 
 
 def _main_theorem_sides(pairs, tau, policy):
+    k = len(pairs)
     lhs = A_star(pairs, tau, policy).entries
-    rhs = None
-    for combo in itertools.product(*[_odd_expansion(e, d) for e, d in pairs]):
-        chars = [c for _, c in combo]
-        if len(set(chars)) < len(chars):
-            continue  # repeated gradient: the wedge vanishes identically
-        sgn = 1
-        for s, _ in combo:
-            sgn *= s
-        term = W_of_N(chars, tau, policy).entries
-        rhs = sgn * term if rhs is None else rhs + sgn * term
-    if rhs is None:
-        rhs = np.zeros_like(lhs)
+    sums = [from_matrix(_gradient_sum(e, d, tau, policy)) for e, d in pairs]
+    rhs = star_product(*sums).entries * (math.factorial(k) * float(np.pi) ** (-2 * k))
     return lhs, rhs
 
 
@@ -352,7 +350,7 @@ def check_main_theorem(
     tolerance: float = _ROWS["main_theorem"][1],
     seed: int = 0,
 ) -> IdentityReport:
-    """Fit the constant linking the A-form star product to the W-form sum.
+    """Fit the constant linking the A-form star product to the star of gradient sums.
 
     The constant must be independent of the matrix entry and the base
     point; the derived closed form is (-i pi / 2^(g+1))^k / k!.

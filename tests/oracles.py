@@ -359,3 +359,32 @@ def mp_theta(tau, m_prime, m_double, z=None, dps=30, tol=1e-25):
             dmat[a, b] = dmat[b, a] = complex(two_pi_i / 2 * v)
         slots = (complex(value), np.array([complex(two_pi_i * v) for v in grad]), dmat)
     return slots, tuple(scales)
+
+
+# ---------------------------------------------------------------------------
+# the main theorem's V_grad side as the original sum of W-forms
+
+
+def w_form_sum(pairs, tau):
+    """The V_grad side of the main theorem summed W-form by W-form.
+
+    Every choice of one signed odd characteristic per pair from the
+    A-form's odd expansion contributes the product of the signs times
+    ``W_of_N`` of the chosen characteristics; a choice that repeats a
+    characteristic has a vanishing wedge and is skipped.  Returns the sum
+    and the entrywise sum of |term|, the scale of its rounding error.
+    """
+    import numpy as np
+
+    from theta_forge.forms import W_of_N
+    from theta_forge.identities import _odd_expansion
+
+    total = scale = 0
+    for combo in itertools.product(*[_odd_expansion(e, d) for e, d in pairs]):
+        chars = [c for _, c in combo]
+        if len(set(chars)) < len(chars):
+            continue
+        term = math.prod(s for s, _ in combo) * W_of_N(chars, tau).entries
+        total = total + term
+        scale = scale + np.abs(term)
+    return total, scale

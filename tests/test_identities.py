@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import w_form_sum
 from theta_forge import identities, multilinear
 from theta_forge.errors import DomainError, NumericalDegeneracyError
 from theta_forge.forms import SecondOrderFactor, theta_constant_product
@@ -155,6 +156,70 @@ def test_main_theorem_validation(rng):
         check_main_theorem(2, 1, [((0, 0), (1, 0)), ((0, 0), (0, 1))], taus)
     with pytest.raises(DomainError):
         check_main_theorem(2, 1, [((0, 0), (0, 0))], taus)  # degenerate
+
+
+def _star_form_against_w_form_sum(pairs, tau):
+    # the star of signed gradient sums against the original W-form
+    # enumeration, to 16 eps of the largest entrywise sum of |W term|
+    _, star = identities._main_theorem_sides(pairs, tau, None)
+    w_sum, scale = w_form_sum(pairs, tau)
+    assert np.max(np.abs(star - w_sum)) <= 16 * np.finfo(float).eps * np.max(scale)
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_main_theorem_star_form_matches_w_form_sum(g, k):
+    tau = sample_siegel_point(g, np.random.default_rng(g))
+    pairs = identities._sample_theorem_pairs(np.random.default_rng(10 * g + k), g, k)
+    _star_form_against_w_form_sum(pairs, tau)
+
+
+def test_main_theorem_star_form_matches_w_form_sum_at_a_shared_characteristic():
+    # both pairs expand over the odd [110; alpha], so the W-form sum skips
+    # every choice that takes one characteristic twice
+    pairs = [((0, 0, 0), (1, 1, 0)), ((1, 1, 0), (0, 0, 0))]
+    _star_form_against_w_form_sum(pairs, sample_siegel_point(3, np.random.default_rng(3)))
+
+
+def _first_sign_flipped(expand):
+    def flipped(eps, delta):
+        (sgn, n), *rest = expand(eps, delta)
+        return [(-sgn, n), *rest]
+    return flipped
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_main_theorem_fails_under_a_flipped_expansion_sign(monkeypatch, g):
+    monkeypatch.setattr(identities, "_odd_expansion",
+                        _first_sign_flipped(identities._odd_expansion))
+    reports = run_suite([g], seed=0, name_filter="main_theorem*")
+    assert reports and not any(rep.passed for rep in reports), [rep.residual for rep in reports]
+
+
+@pytest.mark.parametrize("g, pairs", [
+    (2, [((0, 0), (1, 0))]),
+    (3, [((0, 0, 0), (1, 1, 0)), ((1, 0, 0), (0, 1, 0))]),
+])
+def test_main_theorem_fails_with_one_base_point_off(monkeypatch, rng, g, pairs):
+    # the V_grad side of the second of three base points off by 1e-6
+    taus = [sample_siegel_point(g, rng) for _ in range(3)]
+    assert check_main_theorem(g, len(pairs), pairs, taus).passed
+    sides = identities._main_theorem_sides
+
+    def off(pairs, tau, policy):
+        lhs, rhs = sides(pairs, tau, policy)
+        return lhs, rhs * (1 + 1e-6) if tau is taus[1] else rhs
+
+    monkeypatch.setattr(identities, "_main_theorem_sides", off)
+    assert not check_main_theorem(g, len(pairs), pairs, taus).passed
+
+
+@pytest.mark.parametrize("seed", [61, 84, 101, 120, 898, 1088])
+def test_main_theorem_passes_where_the_w_form_sum_cancelled(seed):
+    # each seed failed while the V_grad side was a sum of W-forms: k-fold
+    # products of gradients of size 1 cancelled far below the A-forms
+    reports = run_suite([3], seed=seed, name_filter="main_theorem*")
+    assert len(reports) == 12
+    assert all(rep.passed for rep in reports), [rep.residual for rep in reports]
 
 
 def test_omega_consistency_checks(rng):

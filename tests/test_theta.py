@@ -482,7 +482,7 @@ def _hex_matrix(rows):
 
 
 # the base point that ``verify --g 3 --seed 898`` draws for main_theorem,
-# where that check misses its tolerance
+# where that check missed its tolerance while it summed W-forms
 SEED_898_TAU = _hex_matrix((
     ("-0x1.0637b4cd60ee0p-4", "-0x1.88c456d2e5b86p-3", "0x1.c833d7cc376d0p-3"),
     ("-0x1.88c456d2e5b86p-3", "0x1.533205998adb0p-3", "0x1.452f64f334780p-6"),
