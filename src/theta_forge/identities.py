@@ -81,35 +81,6 @@ HESSIAN_BRIDGE = 8j * np.pi
 SCHEMA_VERSION = "theta-forge/report/3"
 
 
-# row name -> (family that reports it, pass tolerance, whether the tolerance
-# override of run_suite replaces it)
-_ROWS = {
-    "exact_laplace_expansion": ("exact_layer", 1e-15, False),
-    "exact_compound_power": ("exact_layer", 1e-15, False),
-    "exact_sigma_determinant": ("exact_layer", 1e-15, False),
-    "exact_adjoint_identity": ("exact_layer", 1e-15, False),
-    "exact_rank_one_wedge": ("exact_layer", 1e-15, False),
-    "exact_binomial_power": ("exact_layer", 1e-15, False),
-    "theta_parity_periodicity": ("theta_basics", 1e-10, True),
-    "heat_equation": ("heat", 1e-7, True),
-    "riemann_addition": ("riemann", 1e-9, True),
-    "riemann_addition_inverse": ("riemann", 1e-9, True),
-    "rank_vanishing": ("rank_vanishing", 1e-8, True),
-    "pairing_permutation_expansion": ("pairing_permutation", 1e-8, True),
-    "pairing_power_cofactor": ("pairing_power", 1e-8, True),
-    "omega_consistency": ("pairing_power", 1e-8, True),
-    "det_pairing_scalar": ("det_remark", 1e-8, True),
-    "gsm_forward": ("gsm", 1e-8, True),
-    "gsm_backward": ("gsm", 1e-8, True),
-    "jacobi": ("jacobi", 1e-8, True),
-    "main_theorem": ("main_theorem", 1e-7, True),
-    "main_theorem_constant": ("main_theorem", 1e-7, True),
-    "audit_astar": ("audit_astar", 1e-7, True),
-    "kappa_fourth_power": ("audit_astar", 1e-9, False),
-    "audit_gradient_wedge": ("audit_w", 1e-7, True),
-}
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     identity_name: str
@@ -129,6 +100,9 @@ class IdentityReport:
 
 
 def _report(name, genus, params, residual, tolerance, seed, started) -> IdentityReport:
+    """A check's report; a ``tolerance`` of None is the row's own in ``_FAMILIES``."""
+    if tolerance is None:
+        tolerance = next(spec.rows[name] for _, _, spec in _FAMILIES if name in spec.rows)
     residual = float(residual)
     return IdentityReport(
         identity_name=name,
@@ -143,9 +117,10 @@ def _report(name, genus, params, residual, tolerance, seed, started) -> Identity
 
 
 class _Row(NamedTuple):
-    """A result of an identity family ``_family_*(genus, rng, policy, seed=0,
-    <size kwargs>)``, which does its work eagerly and returns its rows in the
-    order it made them; ``run_suite`` adds each row's tolerance and runtime."""
+    """A result of an identity family ``_family_*(genus, rng, policy, seed=0)``,
+    which does its work eagerly and returns its rows in the order it made
+    them; ``run_suite`` adds each row's tolerance, from the family's entry in
+    ``_FAMILIES``, and its runtime."""
 
     identity_name: str
     params: dict
@@ -160,6 +135,26 @@ def _row(name, params, residual, genus=None) -> _Row:
 
 def _from_report(rep: IdentityReport) -> _Row:
     return _row(rep.identity_name, rep.params, rep.residual, rep.genus)
+
+
+def _worst(*residuals) -> float:
+    """The largest residual, or NaN if one is NaN: ``max`` keeps or drops a
+    NaN by its position, and a NaN residual must fail its row."""
+    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
+
+
+def _spread(values, mean) -> float:
+    """The largest deviation of ``values`` from their fitted ``mean``, relative to it."""
+    return _worst(*(abs(v - mean) for v in values)) / max(1.0, abs(mean))
+
+
+def _rel_scalar(lhs: complex, rhs: complex) -> float:
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+def _sign(a, b) -> int:
+    """(-1)^(a . b) for two integer vectors."""
+    return -1 if sum(x * y for x, y in zip(a, b)) % 2 else 1
 
 
 def _rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -191,7 +186,7 @@ def _odd_expansion(eps, delta) -> list[tuple[int, Characteristic]]:
     for alpha in itertools.product((0, 1), repeat=len(eps)):
         n_alpha = Characteristic(epd, alpha)
         if n_alpha.is_odd:
-            terms.append((-1 if sum(a * d for a, d in zip(alpha, delta)) % 2 else 1, n_alpha))
+            terms.append((_sign(alpha, delta), n_alpha))
     return terms
 
 
@@ -214,7 +209,7 @@ def check_gsm_forward(
     n: Characteristic,
     tau: SiegelPoint,
     policy: TruncationPolicy | None = None,
-    tolerance: float = _ROWS["gsm_forward"][1],
+    tolerance: float | None = None,
     seed: int = 0,
 ) -> IdentityReport:
     """Gradient outer product against the alternating A-form sum."""
@@ -227,19 +222,10 @@ def check_gsm_forward(
     eps, delta = n.m_prime, n.m_double_prime
     rhs = np.zeros((g, g), dtype=complex)
     for alpha in itertools.product((0, 1), repeat=g):
-        sgn = -1 if sum(a * d for a, d in zip(alpha, delta)) % 2 else 1
         shifted = tuple((e + a) % 2 for e, a in zip(eps, alpha))
-        rhs = rhs + sgn * _second_order_A(shifted, alpha, tau, policy)
+        rhs = rhs + _sign(alpha, delta) * _second_order_A(shifted, alpha, tau, policy)
     rhs = (HESSIAN_BRIDGE / 4.0) * rhs
-    return _report(
-        "gsm_forward",
-        g,
-        {"n": n.label()},
-        _rel(lhs, rhs),
-        tolerance,
-        seed,
-        started,
-    )
+    return _report("gsm_forward", g, {"n": n.label()}, _rel(lhs, rhs), tolerance, seed, started)
 
 
 def check_gsm_backward(
@@ -247,7 +233,7 @@ def check_gsm_backward(
     delta,
     tau: SiegelPoint,
     policy: TruncationPolicy | None = None,
-    tolerance: float = _ROWS["gsm_backward"][1],
+    tolerance: float | None = None,
     seed: int = 0,
 ) -> IdentityReport:
     """A-form against the signed sum of gradient outer products."""
@@ -256,22 +242,15 @@ def check_gsm_backward(
     g = len(eps)
     lhs = _second_order_A(eps, delta, tau, policy)
     rhs = _gradient_sum(eps, delta, tau, policy) * (2.0 ** (-(g - 2)) / HESSIAN_BRIDGE)
-    return _report(
-        "gsm_backward",
-        g,
-        {"eps": _bits_label(eps), "delta": _bits_label(delta)},
-        _rel(lhs, rhs),
-        tolerance,
-        seed,
-        started,
-    )
+    params = {"eps": _bits_label(eps), "delta": _bits_label(delta)}
+    return _report("gsm_backward", g, params, _rel(lhs, rhs), tolerance, seed, started)
 
 
 def check_jacobi(
     genus: int,
     taus,
     policy: TruncationPolicy | None = None,
-    tolerance: float = _ROWS["jacobi"][1],
+    tolerance: float | None = None,
     seed: int = 0,
 ) -> IdentityReport:
     """Derivative-formula checks: fitted constants must be base-point free.
@@ -296,7 +275,7 @@ def check_jacobi(
                 prod *= theta_eval(m, t, None, policy).value
             cs.append(v / prod)
         mean = sum(cs) / len(cs)
-        residual = max(abs(c - mean) for c in cs) / max(1.0, abs(mean))
+        residual = _spread(cs, mean)
         # frozen after fitting: the gradient is -pi times the triple product
         # of even constants in this series convention
         params = {
@@ -322,7 +301,7 @@ def check_jacobi(
                     den *= theta_eval(m, t, None, policy).value
                 ratios.append(num / den)
             mean = sum(ratios) / len(ratios)
-            worst = max(worst, max(abs(r - mean) for r in ratios) / max(1.0, abs(mean)))
+            worst = _worst(worst, _spread(ratios, mean))
             mags.append(abs(mean))
         params = {
             "pairs": len(list(itertools.combinations(odds, 2))),
@@ -347,7 +326,7 @@ def check_main_theorem(
     pairs,
     taus,
     policy: TruncationPolicy | None = None,
-    tolerance: float = _ROWS["main_theorem"][1],
+    tolerance: float | None = None,
     seed: int = 0,
 ) -> IdentityReport:
     """Fit the constant linking the A-form star product to the star of gradient sums.
@@ -375,11 +354,10 @@ def check_main_theorem(
     if not ratios:
         raise DomainError("degenerate label pairs: both sides vanish identically")
     c = complex(np.mean(ratios))
-    spread = max(abs(r - c) for r in ratios) / max(1.0, abs(c))
-    residual = spread
+    residual = _spread(ratios, c)
     for lhs, rhs in sides:
         scale = max(float(np.max(np.abs(lhs))), 1e-30)
-        residual = max(residual, float(np.max(np.abs(lhs - c * rhs)) / scale))
+        residual = _worst(residual, float(np.max(np.abs(lhs - c * rhs)) / scale))
     expected = (-1j * np.pi / 2 ** (g + 1)) ** k / math.factorial(k)
     params = {
         "k": k,
@@ -398,22 +376,16 @@ def check_omega_consistency(
     H: ThetaProduct,
     tau: SiegelPoint,
     policy: TruncationPolicy | None = None,
-    tolerance: float = _ROWS["omega_consistency"][1],
+    tolerance: float | None = None,
     seed: int = 0,
 ) -> IdentityReport:
     """Top-order pairing of (g-1)-th powers against the scaled cofactor matrix."""
     started = time.perf_counter()
     if g < 2:
         raise DomainError("needs genus >= 2")
-    return _report(
-        "omega_consistency",
-        g,
-        {"F": F.label(), "H": H.label()},
-        _pairing_power_residual(F, H, g - 1, tau, policy),
-        tolerance,
-        seed,
-        started,
-    )
+    residual = _pairing_power_residual(F, H, g - 1, tau, policy)
+    params = {"F": F.label(), "H": H.label()}
+    return _report("omega_consistency", g, params, residual, tolerance, seed, started)
 
 
 def _pairing_power_residual(F, H, k, tau, policy) -> float:
@@ -462,6 +434,12 @@ def _draw_exact_instance(rng, genus_range) -> _ExactInstance:
                           rows, cols, vecs, B, binomial_k)
 
 
+# the rows of check_exact_layer in report order; they compare exactly, so --tol leaves them
+_EXACT_ROWS = tuple(f"exact_{name}" for name in (
+    "laplace_expansion", "compound_power", "sigma_determinant", "adjoint_identity",
+    "rank_one_wedge", "binomial_power"))
+
+
 def _unequal(lhs: np.ndarray, rhs) -> int:
     """The number of leading slices in which two stacks differ anywhere."""
     return int((lhs != rhs).reshape(len(lhs), -1).any(axis=1).sum())
@@ -478,8 +456,9 @@ def check_exact_layer(
     each identity then runs once per genus and drawn level on the stacked
     instances, and counts the instances it fails.  Each identity is
     evaluated with zero tolerance: any mismatch flips the residual to 1.0.
-    The reported tolerance, from ``_ROWS``, is epsilon-level because the
-    pass predicate is a strict inequality.
+    The rows are ``_EXACT_ROWS``, the exact layer's entry in ``_FAMILIES``;
+    their tolerance there is epsilon-level because the pass predicate is a
+    strict inequality.
     """
     genus_range = tuple(genus_range)
     if not genus_range or any(int(g) < 2 for g in genus_range):
@@ -489,7 +468,7 @@ def check_exact_layer(
     rng = np.random.default_rng([seed, 97])
     started = time.perf_counter()
     drawn = [_draw_exact_instance(rng, genus_range) for _ in range(instances)]
-    fails = {name: 0 for name, (fam, _, _) in _ROWS.items() if fam == "exact_layer"}
+    fails = dict.fromkeys(_EXACT_ROWS, 0)
 
     def batches(level, *fields):
         """(genus, level, the fields stacked) per group of one genus and level."""
@@ -550,7 +529,7 @@ def check_exact_layer(
 
     return [
         _report(name, 0, {"instances": instances, "failures": bad},
-                0.0 if bad == 0 else 1.0, _ROWS[name][1], seed, started)
+                0.0 if bad == 0 else 1.0, None, seed, started)
         for name, bad in fails.items()
     ]
 
@@ -615,7 +594,7 @@ def _family_heat(genus, rng, policy, seed=0):
         m = Characteristic(mp, mpp)
         t = sample_siegel_point(genus, rng)
         z = rng.uniform(-0.3, 0.3, genus) + 1j * rng.uniform(-0.15, 0.15, genus)
-        worst = max(worst, _heat_residual(m, t, z, policy))
+        worst = _worst(worst, _heat_residual(m, t, z, policy))
     return [_row("heat_equation", {"samples": samples}, worst)]
 
 
@@ -631,23 +610,22 @@ def _family_riemann(genus, rng, policy, seed=0):
             for d in bits:
                 theta_sq[(e, d)] = theta_eval(Characteristic(e, d), t, None, policy).value ** 2
         second = {e: second_order_theta(e, t, None, policy).value for e in bits}
+        # second[sig] * second[sig + e], the products both directions read
+        prods = {(sig, e): second[sig] * second[tuple((s + x) % 2 for s, x in zip(sig, e))]
+                 for sig in bits for e in bits}
         for sig in bits:
             for e in bits:
-                lhs = second[sig] * second[tuple((s + x) % 2 for s, x in zip(sig, e))]
                 rhs = 0.0 + 0j
                 for d in bits:
-                    sgn = -1 if sum(s * y for s, y in zip(sig, d)) % 2 else 1
-                    rhs += sgn * theta_sq[(e, d)]
+                    rhs += _sign(sig, d) * theta_sq[(e, d)]
                 rhs /= 2**genus
-                worst_fwd = max(worst_fwd, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+                worst_fwd = _worst(worst_fwd, _rel_scalar(prods[(sig, e)], rhs))
         for e in bits:
             for d in bits:
-                lhs = theta_sq[(e, d)]
                 rhs = 0.0 + 0j
                 for sig in bits:
-                    sgn = -1 if sum(s * y for s, y in zip(sig, d)) % 2 else 1
-                    rhs += sgn * second[sig] * second[tuple((s + x) % 2 for s, x in zip(sig, e))]
-                worst_inv = max(worst_inv, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+                    rhs += _sign(sig, d) * prods[(sig, e)]
+                worst_inv = _worst(worst_inv, _rel_scalar(theta_sq[(e, d)], rhs))
     return [
         _row("riemann_addition", {"direction": "product_to_squares",
              "base_points": base_points}, worst_fwd),
@@ -664,15 +642,15 @@ def _family_theta_basics(genus, rng, policy, seed=0):
         a = theta_eval(m, t, z, policy).value
         b = theta_eval(m, t, -z, policy).value
         sgn = -1 if m.is_odd else 1
-        worst = max(worst, abs(a - sgn * b) / max(1.0, abs(a)))
+        worst = _worst(worst, abs(a - sgn * b) / max(1.0, abs(a)))
         if m.is_odd:
-            worst = max(worst, abs(theta_eval(m, t, None, policy).value))
+            worst = _worst(worst, abs(theta_eval(m, t, None, policy).value))
         shift = rng.integers(-2, 3, 2 * genus)
         mp = tuple(int(x) for x in np.array(m.m_prime) + 2 * shift[:genus])
         mpp = tuple(int(x) for x in np.array(m.m_double_prime) + 2 * shift[genus:])
-        sgn2 = -1 if sum(a1 * b1 for a1, b1 in zip(m.m_prime, shift[genus:])) % 2 else 1
+        sgn2 = _sign(m.m_prime, shift[genus:])
         val_shift = theta_unnormalized(mp, mpp, t, z, policy)
-        worst = max(worst, abs(val_shift - sgn2 * a) / max(1.0, abs(a)))
+        worst = _worst(worst, abs(val_shift - sgn2 * a) / max(1.0, abs(a)))
     return [_row("theta_parity_periodicity", {}, worst)]
 
 
@@ -695,7 +673,7 @@ def _family_rank_vanishing(genus, rng, policy, seed=0):
         f = theta_constant_product(genus, m)
         structural = partial_bracket(f, 2, t, policy)
         if structural.max_abs() != 0.0:
-            worst = max(worst, 1.0)
+            worst = _worst(worst, 1.0)
             continue
         dmats = iter(v.tau_derivative for v in theta_stencil(
             m, t, None, offsets, policy, want_tau_derivative=True))
@@ -720,7 +698,7 @@ def _family_rank_vanishing(genus, rng, policy, seed=0):
                 minor = (
                     second[(i1, j1)][i2, j2] - second[(i1, j2)][i2, j1]
                 )
-                worst = max(worst, abs(minor) / max(1.0, scale**2))
+                worst = _worst(worst, abs(minor) / max(1.0, scale**2))
     return [_row("rank_vanishing", {"order": 2}, worst)]
 
 
@@ -747,7 +725,7 @@ def _family_pairing_permutation(genus, rng, policy, seed=0):
                 mats = [A_form(fs[i], hs[sigma[i]], t, policy) for i in range(k)]
                 term = star_product(*mats)
                 rhs = term if rhs is None else rhs + term
-            worst = max(worst, _rel(lhs.entries, rhs.entries))
+            worst = _worst(worst, _rel(lhs.entries, rhs.entries))
         params = {"k": k, "base_points": base_points}
         rows.append(_row("pairing_permutation_expansion", params, worst))
     return rows
@@ -757,24 +735,22 @@ def _family_pairing_power(genus, rng, policy, seed=0):
     base_points = 5
     rows = []
     evens = list(even_characteristics(genus))
+
+    def draw():
+        """Two distinct even factors F, H and a base point tau, drawn tau first."""
+        t = sample_siegel_point(genus, rng)
+        i, j = rng.choice(len(evens), 2, replace=False)
+        return theta_constant_product(genus, evens[i]), theta_constant_product(genus, evens[j]), t
+
     for k in _KS.get(genus, ()):
         worst = 0.0
-        for bp in range(base_points):
-            t = sample_siegel_point(genus, rng)
-            i, j = rng.choice(len(evens), 2, replace=False)
-            F = theta_constant_product(genus, evens[i])
-            H = theta_constant_product(genus, evens[j])
-            worst = max(worst, _pairing_power_residual(F, H, k, t, policy))
+        for _ in range(base_points):
+            F, H, t = draw()
+            worst = _worst(worst, _pairing_power_residual(F, H, k, t, policy))
         rows.append(_row("pairing_power_cofactor", {"k": k, "base_points": base_points}, worst))
     if genus >= 2:
-        worst = 0.0
-        for bp in range(3):
-            t = sample_siegel_point(genus, rng)
-            i, j = rng.choice(len(evens), 2, replace=False)
-            F = theta_constant_product(genus, evens[i])
-            H = theta_constant_product(genus, evens[j])
-            rep = check_omega_consistency(genus, F, H, t, policy)
-            worst = max(worst, rep.residual)
+        worst = _worst(0.0, *(check_omega_consistency(genus, *draw(), policy).residual
+                              for _ in range(3)))
         rows.append(_row("omega_consistency", {"base_points": 3}, worst))
     return rows
 
@@ -787,30 +763,22 @@ def _family_det_remark(genus, rng, policy, seed=0):
     A = A_form(F, H, t, policy).entries
     lhs = complex(np.linalg.det(A))
     total = pairing_brace(F.power(genus), H.power(genus), genus, t, policy).scalar()
-    rhs = total / math.factorial(genus)
-    residual = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    return [_row("det_pairing_scalar", {}, residual)]
+    return [_row("det_pairing_scalar", {}, _rel_scalar(lhs, total / math.factorial(genus)))]
 
 
 def _family_gsm(genus, rng, policy, seed=0):
-    rows = []
+    """Every odd characteristic and label pair up to genus 2, three of each above."""
     t = sample_siegel_point(genus, rng)
     odds = list(odd_characteristics(genus))
     bits = list(itertools.product((0, 1), repeat=genus))
     if genus <= 2:
-        for n in odds:
-            rows.append(_from_report(check_gsm_forward(n, t, policy)))
-        for eps in bits:
-            for delta in bits:
-                rows.append(_from_report(check_gsm_backward(eps, delta, t, policy)))
+        pairs = list(itertools.product(bits, bits))
     else:
-        for i in rng.choice(len(odds), 3, replace=False):
-            rows.append(_from_report(check_gsm_forward(odds[i], t, policy)))
-        for _ in range(3):
-            eps = bits[int(rng.integers(len(bits)))]
-            delta = bits[int(rng.integers(len(bits)))]
-            rows.append(_from_report(check_gsm_backward(eps, delta, t, policy)))
-    return rows
+        odds = [odds[i] for i in rng.choice(len(odds), 3, replace=False)]
+        pairs = [(bits[int(rng.integers(len(bits)))], bits[int(rng.integers(len(bits)))])
+                 for _ in range(3)]
+    rows = [_from_report(check_gsm_forward(n, t, policy)) for n in odds]
+    return rows + [_from_report(check_gsm_backward(e, d, t, policy)) for e, d in pairs]
 
 
 def _family_jacobi(genus, rng, policy, seed=0):
@@ -844,9 +812,8 @@ def _family_main_theorem(genus, rng, policy, seed=0):
             rows.append(_from_report(rep))
             constants.append(complex(*rep.params["fitted_constant"]))
         mean = sum(constants) / len(constants)
-        spread = max(abs(c - mean) for c in constants) / max(1.0, abs(mean))
         params = {"k": k, "choices": choices, "constant": _cplx(mean)}
-        rows.append(_row("main_theorem_constant", params, spread))
+        rows.append(_row("main_theorem_constant", params, _spread(constants, mean)))
     return rows
 
 
@@ -904,7 +871,7 @@ def _family_audit_astar(genus, rng, policy, seed=0):
     )
     # fourth power of the multiplier is 1 on the level-(2,4) group; with no
     # phase characters the measured multiplier is that fourth power
-    worst = max(abs(kappa4 - 1.0) for kappa4 in multipliers)
+    worst = _worst(*(abs(kappa4 - 1.0) for kappa4 in multipliers))
     rows.append(_row("kappa_fourth_power", {"words": len(multipliers)}, worst))
     return rows
 
@@ -921,20 +888,36 @@ def _family_audit_w(genus, rng, policy, seed=0):
 # ---------------------------------------------------------------------------
 # suite driver
 
+
+class _Spec(NamedTuple):
+    """What ``run_suite`` knows of a family besides its function."""
+
+    genera: tuple  # the genera it runs at
+    rows: dict  # row name -> pass tolerance: every row the family may return
+    fixed: tuple = ()  # the rows whose tolerance the override leaves alone
+
+
+# (name, family, spec); a family's index here seeds its generator
 _FAMILIES = (
-    ("exact_layer", _family_exact_layer, (2, 3, 4)),
-    ("theta_basics", _family_theta_basics, (1, 2, 3)),
-    ("heat", _family_heat, (1, 2, 3)),
-    ("riemann", _family_riemann, (1, 2, 3)),
-    ("rank_vanishing", _family_rank_vanishing, (2, 3)),
-    ("pairing_permutation", _family_pairing_permutation, (2, 3, 4)),
-    ("pairing_power", _family_pairing_power, (2, 3, 4)),
-    ("det_remark", _family_det_remark, (1, 2, 3)),
-    ("gsm", _family_gsm, (1, 2, 3)),
-    ("jacobi", _family_jacobi, (1, 2)),
-    ("main_theorem", _family_main_theorem, (2, 3)),
-    ("audit_astar", _family_audit_astar, (2, 3)),
-    ("audit_w", _family_audit_w, (2, 3)),
+    ("exact_layer", _family_exact_layer,
+     _Spec((2, 3, 4), dict.fromkeys(_EXACT_ROWS, 1e-15), _EXACT_ROWS)),
+    ("theta_basics", _family_theta_basics, _Spec((1, 2, 3), {"theta_parity_periodicity": 1e-10})),
+    ("heat", _family_heat, _Spec((1, 2, 3), {"heat_equation": 1e-7})),
+    ("riemann", _family_riemann,
+     _Spec((1, 2, 3), {"riemann_addition": 1e-9, "riemann_addition_inverse": 1e-9})),
+    ("rank_vanishing", _family_rank_vanishing, _Spec((2, 3), {"rank_vanishing": 1e-8})),
+    ("pairing_permutation", _family_pairing_permutation,
+     _Spec((2, 3, 4), {"pairing_permutation_expansion": 1e-8})),
+    ("pairing_power", _family_pairing_power,
+     _Spec((2, 3, 4), {"pairing_power_cofactor": 1e-8, "omega_consistency": 1e-8})),
+    ("det_remark", _family_det_remark, _Spec((1, 2, 3), {"det_pairing_scalar": 1e-8})),
+    ("gsm", _family_gsm, _Spec((1, 2, 3), {"gsm_forward": 1e-8, "gsm_backward": 1e-8})),
+    ("jacobi", _family_jacobi, _Spec((1, 2), {"jacobi": 1e-8})),
+    ("main_theorem", _family_main_theorem,
+     _Spec((2, 3), {"main_theorem": 1e-7, "main_theorem_constant": 1e-7})),
+    ("audit_astar", _family_audit_astar,
+     _Spec((2, 3), {"audit_astar": 1e-7, "kappa_fourth_power": 1e-9}, ("kappa_fourth_power",))),
+    ("audit_w", _family_audit_w, _Spec((2, 3), {"audit_gradient_wedge": 1e-7})),
 )
 
 
@@ -951,35 +934,38 @@ def run_suite(
 ) -> list[IdentityReport]:
     """Run every applicable identity family for the requested genera.
 
-    Each family in ``_FAMILIES`` runs once per requested genus it applies
-    to, with its own generator drawn from (seed, family index, genus), and
-    returns rows of (identity name, params, residual).  Each row becomes a
-    report at that genus (a row taken from a ``check_*`` report keeps its
-    genus, so the exact rows stay at 0) with the tolerance ``_ROWS`` gives;
-    ``tolerance`` replaces it where ``_ROWS`` allows, that is everywhere
-    except the exact rows and ``kappa_fourth_power``.  ``runtime_ms`` is the
-    time since the family's previous row, or since its run began, so the
-    rows add up to the time spent in the families.
+    Each entry ``(name, family, spec)`` of ``_FAMILIES`` runs once per
+    requested genus in ``spec.genera``, with its own generator drawn from
+    (seed, entry index, genus), and returns rows of (identity name, params,
+    residual).  Each row becomes a report at that genus (a row taken from a
+    ``check_*`` report keeps its genus, so the exact rows stay at 0) with
+    the tolerance ``spec.rows`` gives it; ``tolerance`` replaces that for
+    every row of ``spec.rows`` outside ``spec.fixed``, that is everywhere
+    except the exact rows and ``kappa_fourth_power``.  A row that its
+    family does not declare gets tolerance 0, which no override changes.
+    ``runtime_ms`` is the time since the family's previous row, or since
+    its run began, so the rows add up to the time spent in the families.
 
     Failures are reported, never raised: a family that raises gives one
-    ``<family>_error`` row with residual 9e99 and tolerance 0.  The report
-    list is sorted by (identity_name, genus, params) so aggregation is
-    order-deterministic.  With ``name_filter``, only rows whose name
-    matches it are kept, and a family none of whose rows can match is not
-    run.
+    ``<family>_error`` row with residual 9e99 and tolerance 0.  A NaN
+    residual fails its row.  The report list is sorted by (identity_name,
+    genus, params) so aggregation is order-deterministic.  With
+    ``name_filter``, only rows whose name matches it are kept, and a family
+    none of whose declared rows or error row can match is not run.
+    Every genus must be an integer in 1..4.
     """
-    genus_list = list(genus_list)
+    genus_list = integer_entries(genus_list, "genus")
     for g in genus_list:
         if not 1 <= g <= 4:
             raise DomainError(f"genus {g} outside 1..4")
 
     reports = []
-    for fam_index, (fam_name, fn, genera) in enumerate(_FAMILIES):
-        names = [n for n, (fam, _, _) in _ROWS.items() if fam == fam_name]
-        names.append(f"{fam_name}_error")
+    for fam_index, (fam_name, fn, spec) in enumerate(_FAMILIES):
+        names = [*spec.rows, f"{fam_name}_error"]
         if name_filter and not any(fnmatch.fnmatch(n, name_filter) for n in names):
             continue
-        for g in sorted(set(genus_list).intersection(genera)):
+        overridable = spec.rows.keys() - spec.fixed
+        for g in sorted(set(genus_list).intersection(spec.genera)):
             rng = np.random.default_rng([seed, fam_index, g])
             last = time.perf_counter()
             try:
@@ -988,9 +974,9 @@ def run_suite(
                 error = {"error": f"{type(exc).__name__}: {exc}"}
                 rows = [_row(f"{fam_name}_error", error, 9e99)]
             for row in rows:
-                # a row without an entry, such as an error row, never passes
-                _, tol, overridable = _ROWS.get(row.identity_name, (fam_name, 0.0, False))
-                if overridable and tolerance is not None:
+                # an undeclared row, such as an error row, never passes
+                tol = spec.rows.get(row.identity_name, 0.0)
+                if tolerance is not None and row.identity_name in overridable:
                     tol = float(tolerance)
                 row_genus = g if row.genus is None else row.genus
                 runtime_ms = (row.stamp - last) * 1e3

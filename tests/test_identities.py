@@ -44,6 +44,15 @@ from theta_forge.theta import (
 )
 
 
+def _tolerances():
+    """Row name -> tolerance, from every family's entry in the family table."""
+    return {row: tol for _, _, spec in identities._FAMILIES for row, tol in spec.rows.items()}
+
+
+def _spec(family):
+    return next(spec for name, _, spec in identities._FAMILIES if name == family)
+
+
 def test_gsm_forward_example_g1(rng):
     t = sample_siegel_point(1, rng)
     rep = check_gsm_forward(Characteristic((1,), (1,)), t)
@@ -249,7 +258,8 @@ def test_exact_layer_clean(rng):
     for rep in reports:
         assert rep.passed and rep.residual == 0.0
         assert rep.params["failures"] == 0
-        assert rep.tolerance == identities._ROWS[rep.identity_name][1]
+        assert rep.tolerance == _tolerances()[rep.identity_name]
+    assert [rep.identity_name for rep in reports] == list(_spec("exact_layer").rows)
 
 
 def _no_box_signs(table):
@@ -372,8 +382,21 @@ def test_integer_entries_of_any_integer_type_are_accepted():
     (check_omega_consistency, "omega_consistency"),
 ])
 def test_check_tolerance_defaults_are_the_suite_tolerances(check, row):
-    default = inspect.signature(check).parameters["tolerance"].default
-    assert default == identities._ROWS[row][1]
+    # a check called without a tolerance reports its row's tolerance in the family table
+    F, H = (theta_constant_product(2, m) for m in even_characteristics(2)[:2])
+    args = {
+        "gsm_forward": (Characteristic((1, 0), (1, 0)), TAU_G2),
+        "gsm_backward": ((0, 1), (1, 0), TAU_G2),
+        "jacobi": (2, [TAU_G2]),
+        "main_theorem": (2, 1, [((0, 0), (1, 0))], [TAU_G2]),
+        "omega_consistency": (2, F, H, TAU_G2),
+    }[row]
+    assert inspect.signature(check).parameters["tolerance"].default is None
+    rep = check(*args)
+    assert rep.identity_name == row
+    assert rep.tolerance == _tolerances()[row]
+    assert rep.passed
+    assert check(*args, tolerance=1e-300).tolerance == 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +417,8 @@ def test_run_suite_filter(rng):
 def test_run_suite_filtered_rows_equal_matching_rows():
     full = run_suite([1, 2], seed=3)
     names = sorted({r.identity_name for r in full})
-    # the row table names only known families, and every family runs at
-    # genus 2, so the suite emits exactly the table's rows
-    family_names = {name for name, _, _ in identities._FAMILIES}
-    assert {fam for fam, _, _ in identities._ROWS.values()} <= family_names
-    assert names == sorted(identities._ROWS)
+    # every family runs at genus 2, so the suite emits exactly the table's rows
+    assert names == sorted(_tolerances())
     assert not any(name.endswith("_error") for name in names)
     for pattern in names + ["gsm_*", "exact_*", "*_inverse", "main_theorem*", "none"]:
         want = [r for r in full if fnmatch.fnmatch(r.identity_name, pattern)]
@@ -426,7 +446,7 @@ def test_run_suite_filter_skips_families_that_cannot_match(monkeypatch):
 def test_run_suite_tolerance_override():
     default = run_suite([2], seed=0)
     for rep in default:
-        assert rep.tolerance == identities._ROWS[rep.identity_name][1], rep.identity_name
+        assert rep.tolerance == _tolerances()[rep.identity_name], rep.identity_name
     overridden = run_suite([2], seed=0, tolerance=1e-3)
     assert [(r.identity_name, r.params, r.residual) for r in overridden] == [
         (r.identity_name, r.params, r.residual) for r in default
@@ -462,10 +482,65 @@ def test_run_suite_reports_a_raising_family_as_error_rows(monkeypatch, family, g
             assert rep.residual == 9e99 and rep.tolerance == 0.0 and not rep.passed
             assert rep.params["error"].startswith("ValueError")
         if tolerance is None:
-            own = {n for n, (fam, _, _) in identities._ROWS.items() if fam == family}
+            own = set(_spec(family).rows)
             others = [r for r in reports if r.identity_name != f"{family}_error"]
             want = [r for r in clean if r.identity_name not in own]
             assert reports_to_json(others) == reports_to_json(want)
+
+
+def test_no_row_is_declared_by_two_families():
+    rows = [row for _, _, spec in identities._FAMILIES for row in spec.rows]
+    assert len(rows) == len(set(rows))
+    for _, _, spec in identities._FAMILIES:
+        assert set(spec.fixed) <= set(spec.rows)
+
+
+def test_each_family_emits_exactly_its_declared_rows():
+    family_of = {row: name for name, _, spec in identities._FAMILIES for row in spec.rows}
+    emitted = {}
+    for rep in run_suite([1, 2, 3, 4], seed=3):
+        assert rep.identity_name in family_of, rep.identity_name
+        emitted.setdefault(family_of[rep.identity_name], set()).add(rep.identity_name)
+    for name, _, spec in identities._FAMILIES:
+        assert emitted[name] == set(spec.rows), name
+
+
+def test_run_suite_gives_an_undeclared_row_tolerance_zero(monkeypatch):
+    # a family returning another family's row gets no tolerance from that row
+    def heat(genus, rng, policy, seed=0):
+        return [identities._row("gsm_forward", {}, 0.0)]
+
+    families = tuple(
+        (name, heat if name == "heat" else fn, spec) for name, fn, spec in identities._FAMILIES
+    )
+    monkeypatch.setattr(identities, "_FAMILIES", families)
+    for tolerance in (None, 1e100):
+        reports = [r for r in run_suite([1], seed=0, tolerance=tolerance)
+                   if r.identity_name == "gsm_forward"]
+        [rep] = [r for r in reports if r.params == {}]
+        assert rep.genus == 1 and rep.residual == 0.0
+        assert rep.tolerance == 0.0 and not rep.passed
+        # the gsm family's own gsm_forward rows keep theirs
+        assert all(r.tolerance == (tolerance or 1e-8) for r in reports if r is not rep)
+
+
+@pytest.mark.parametrize("name, target, row", [
+    ("_heat_residual", lambda m, tau, z, policy: float("nan"), "heat_equation"),
+    ("theta_unnormalized", lambda *args: complex("nan"), "theta_parity_periodicity"),
+], ids=["heat", "theta-basics"])
+def test_a_nan_residual_fails_its_row(monkeypatch, name, target, row):
+    # one NaN among finite residuals must not be dropped by the maximum
+    monkeypatch.setattr(identities, name, target)
+    for tolerance in (None, 1e100):
+        [rep] = run_suite([2], seed=0, name_filter=row, tolerance=tolerance)
+        assert np.isnan(rep.residual) and not rep.passed
+        assert '"residual": NaN' in reports_to_json([rep])
+
+
+@pytest.mark.parametrize("genera", [[2.5], ["2"], [2, None]])
+def test_run_suite_rejects_a_non_integer_genus(genera):
+    with pytest.raises(DomainError, match="genus"):
+        run_suite(genera, seed=0)
 
 
 def test_run_suite_runtime_adds_up_to_wall_time():
