@@ -1,23 +1,20 @@
-"""The lattice-sum kernels for theta evaluation.
+"""The lattice-sum kernel for theta evaluation.
 
 The theta series sums exp(2 pi i (p tau p / 2 + p y)) over a box of shifted
 lattice points p.  The box is the Cartesian grid of g one-dimensional axes,
 and the exponent is built over that grid by broadcasting rather than over
 an N x g matrix of points: each term (x_a tau_ab) x_b of the quadratic form
 is a table over two axes and each x_a y_a a table over one, added into the
-grid in the order a sum over the point matrix adds them.  Both kernels
-take one np.exp over the grid and also sum its core, one point cut from
-both ends of every axis, from which the evaluator's refinement check reads
-the sum over its box.  ``class_sums`` is the one place that applies
-termwise derivative weights: it sums every y + m''/2 at once from the
-parity classes of the points, for the theta constants at z = 0 with y = 0;
-where only row m'' = 0 is read (any evaluation at z != 0 that asks for a
-derivative or offsets, at y = z + m''/2, and a second-order constant), its
-one-row mode sums each axis whole, with no parity split and no sign table.
-At real offsets (dtau, dz) of (tau, y) it reuses the one exponential times
-a phase per offset.  ``grid_sum`` sums the value alone at one y, for the
-value-only evaluations at z != 0 and for ``theta_unnormalized``; on their
-small boxes it costs a fraction of a ``class_sums`` call.  At y = 0 over a
+grid in the order a sum over the point matrix adds them.  ``class_sums``,
+the one kernel, takes one np.exp over the grid and also sums its core, one
+point cut from both ends of every axis, from which the evaluator's
+refinement check reads the sum over its box.  It applies every termwise
+derivative weight and sums every y + m''/2 at once from the parity classes
+of the points, for the theta constants at z = 0 with y = 0; where only row
+m'' = 0 is read (every evaluation at z != 0, at y = z + m''/2, and a
+second-order constant), its one-row mode sums each axis whole, with no
+parity split and no sign table.  At real offsets (dtau, dz) of (tau, y) it
+reuses the one exponential times a phase per offset.  At y = 0 over a
 centrally symmetric box the exponential is taken over half the grid, since
 the term at -p is the term at p bit for bit.  The one memo here holds the
 fold's read-only weights per axis.  Every reduction runs in a fixed order,
@@ -94,22 +91,13 @@ def _offset_terms(axes, terms, offsets):
     return stack
 
 
-def grid_sum(axes, tau, y):
-    """Sum the theta series at ``y`` over the grid of the 1-D ``axes`` and
-    over its core, one point cut from both ends of every axis: returns
-    ``(value, core value)``."""
-    axes = [np.asarray(x, dtype=np.float64) for x in axes]
-    T = _grid_terms(axes, tau, y)
-    return complex(T.sum()), complex(T[(slice(1, -1),) * len(axes)].sum())
-
-
 def class_sums(axes, tau, y, want_grad=False, want_dtau=False, offsets=None, one_row=False):
     """The theta series and its termwise derivatives at every y + m''/2 at
-    once, over the grid of the 1-D ``axes`` and over its core as in
-    ``grid_sum``: returns ``(full, core)``, each with one row per m'' in
-    lexicographic order, the value followed by the z-gradient (with
-    ``want_grad``) and the flattened, symmetric tau-derivative matrix (with
-    ``want_dtau``).  Row m'' = 0 sums the terms ``grid_sum`` sums at y.
+    once, over the grid of the 1-D ``axes`` and over its core, one point cut
+    from both ends of every axis: returns ``(full, core)``, each with one row
+    per m'' in lexicographic order, the value followed by the z-gradient
+    (with ``want_grad``) and the flattened, symmetric tau-derivative matrix
+    (with ``want_dtau``).  Row m'' = 0 sums the terms at y itself.
     With ``offsets``, a (K, g, g + 1) real array [dtau | dz], each part
     holds those rows at (tau + dtau, y + dz) for each offset, from the terms
     at (tau, y) times its phase, folded in stacks of at most STACK_POINTS

@@ -253,12 +253,13 @@ def check_jacobi(
     tolerance: float | None = None,
     seed: int = 0,
 ) -> IdentityReport:
-    """Derivative-formula checks: fitted constants must be base-point free.
+    """Derivative-formula checks: fitted constants must be base-point free
+    and equal their closed forms, which also see a wrong scale of theta.
 
     genus 1 fits the single proportionality constant between the odd
-    gradient and the product of the three even constants; genus 2 fits,
-    for each pair of odd characteristics, the ratio of the gradient
-    Jacobian to the complementary quartic product of constants.
+    gradient and the product of the three even constants, -pi; genus 2
+    fits, for each pair of odd characteristics, the ratio of the gradient
+    Jacobian to the complementary quartic product of constants, of modulus pi^2.
     """
     started = time.perf_counter()
     taus = list(taus)
@@ -275,13 +276,13 @@ def check_jacobi(
                 prod *= theta_eval(m, t, None, policy).value
             cs.append(v / prod)
         mean = sum(cs) / len(cs)
-        residual = _spread(cs, mean)
-        # frozen after fitting: the gradient is -pi times the triple product
-        # of even constants in this series convention
+        # the gradient is -pi times the triple product of even constants
+        error = float(abs(mean + np.pi) / np.pi)
+        residual = _worst(_spread(cs, mean), error)
         params = {
             "fitted_constant": _cplx(mean),
             "expected_constant": _cplx(-np.pi),
-            "constant_error": float(abs(mean + np.pi) / np.pi),
+            "constant_error": error,
             "base_points": len(taus),
         }
         return _report("jacobi", 1, params, residual, tolerance, seed, started)
@@ -301,7 +302,7 @@ def check_jacobi(
                     den *= theta_eval(m, t, None, policy).value
                 ratios.append(num / den)
             mean = sum(ratios) / len(ratios)
-            worst = _worst(worst, _spread(ratios, mean))
+            worst = _worst(worst, _spread(ratios, mean), abs(abs(mean) - np.pi**2) / np.pi**2)
             mags.append(abs(mean))
         params = {
             "pairs": len(list(itertools.combinations(odds, 2))),
@@ -812,8 +813,10 @@ def _family_main_theorem(genus, rng, policy, seed=0):
             rows.append(_from_report(rep))
             constants.append(complex(*rep.params["fitted_constant"]))
         mean = sum(constants) / len(constants)
-        params = {"k": k, "choices": choices, "constant": _cplx(mean)}
-        rows.append(_row("main_theorem_constant", params, _spread(constants, mean)))
+        expected = rep.params["expected_constant"]
+        params = dict(k=k, choices=choices, constant=_cplx(mean), expected_constant=expected)
+        error = abs(mean - complex(*expected)) / abs(complex(*expected))
+        rows.append(_row("main_theorem_constant", params, _worst(_spread(constants, mean), error)))
     return rows
 
 

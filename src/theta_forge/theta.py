@@ -39,10 +39,12 @@ is its single point.  At z = 0 one ``_kernels.class_sums`` call, kept in
 ``_eval_cached`` per (tau, m', weighting, offsets, rows), serves every m''
 of an m', values and gradients alike, or for a second-order constant its
 row m'' = 0 alone.  At z != 0 one call, not memoised, serves one
-characteristic: the one-row ``class_sums`` at y = z + m''/2 for a
-derivative or offsets, else the value-only ``grid_sum``.  The third and
+characteristic: the one-row ``class_sums`` at y = z + m''/2.  The third and
 last memo is the kernel's table of read-only fold weights per axis, which
-``clear_caches`` drops with the other two.
+``clear_caches`` drops with the other two.  The exponent's rounding grows
+with Re tau and Re z, so before any sum each real part with |x| > 1 is moved
+into [-1, 1] exactly by the period law theta[m](tau + 2S, z + 2k) =
+i^(m' S m') theta[m](tau, z), S and k integer.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import _fold_table, class_sums, grid_sum
+from ._kernels import _fold_table, class_sums
 from .errors import ConvergenceError, DegenerateBasePointError, DomainError
 from .symplectic import (
     Characteristic,
@@ -240,9 +242,8 @@ def _box(tau, z, m_prime, weighted, policy: TruncationPolicy):
 
 def _certified_sums(tau, z, m_prime, weighted, policy: TruncationPolicy, kernel):
     """``kernel``'s sums over the box of m' widened by 1 (``class_sums`` rows
-    per offset, or the ``grid_sum`` value as one row of one), read-only,
-    with ``est_tail`` and why each (offset, row) that fails its check
-    fails."""
+    per offset), read-only, with ``est_tail`` and why each (offset, row)
+    that fails its check fails."""
     widths, est_tail, envelope = _box(tau, z, m_prime, weighted, policy)
     wide = [w + 1 for w in widths]
     with np.errstate(**_QUIET_OVERFLOW):
@@ -347,6 +348,16 @@ def theta_stencil(
     return _theta_rows(m, tau, z, offsets, policy, want_gradient, want_tau_derivative, False)
 
 
+def _reduce_periods(x):
+    """``x`` with every Re x moved into [-1, 1] by an even integer 2k, exactly
+    (``np.fmod`` is), and k mod 4; ``x`` and None if every |Re x| <= 1."""
+    if max(map(abs, x.real.flat)) <= 1:  # a Python loop: cheaper than numpy at this size
+        return x, None
+    r = np.fmod(x.real, 2)
+    two_k = x.real - (r - 2 * np.round(r / 2))  # 0 where |Re x| <= 1
+    return x - two_k, np.fmod(two_k / 2, 4)
+
+
 def _theta_rows(m, tau, z, offsets, policy, want_gradient, want_tau_derivative, one_row):
     """``theta_stencil``; with ``one_row`` (m'' = 0 only) its z = 0 entry holds
     that one row, not every m'' of m'."""
@@ -355,19 +366,16 @@ def _theta_rows(m, tau, z, offsets, policy, want_gradient, want_tau_derivative, 
     if m.g != g:
         raise DomainError(f"characteristic genus {m.g} != tau genus {g}")
     shifts = None if offsets is None else _shifts(offsets, g)
-    z, policy = _coerce_z(z, g), policy or DEFAULT_POLICY
+    (tau_arr, periods), (z, _) = _reduce_periods(tau_arr), _reduce_periods(_coerce_z(z, g))
+    policy = policy or DEFAULT_POLICY
+    turn = 0 if periods is None else round(m.m_prime @ periods @ m.m_prime) % 4
     # at Im z = 0 an odd characteristic's datum is its gradient: every m' != 0 sums the weighted box
     weighted = bool(want_gradient or want_tau_derivative or (any(m.m_prime) and not z.imag.any()))
     if z.any():  # off z = 0 the m'' share no terms: one sum at y = z + m''/2, not memoised
         y, row = z + np.asarray(m.m_double_prime, dtype=float) / 2.0, 0
-
-        def kernel(axes):  # every derivative and offset comes from class_sums: its row 0 at y
-            if want_gradient or want_tau_derivative or shifts is not None:
-                return class_sums(axes, tau_arr, y, want_gradient, want_tau_derivative, shifts,
-                                  one_row=True)
-            return grid_sum(axes, tau_arr, y)
-
-        sums, est_tail, errors = _certified_sums(tau_arr, z, m.m_prime, weighted, policy, kernel)
+        sums, est_tail, errors = _certified_sums(
+            tau_arr, z, m.m_prime, weighted, policy, lambda axes: class_sums(
+                axes, tau_arr, y, want_gradient, want_tau_derivative, shifts, one_row=True))
     else:
         row = 0 if one_row else int("".join(map(str, m.m_double_prime)), 2)
         sums, est_tail, errors = _eval_cached(
@@ -376,9 +384,10 @@ def _theta_rows(m, tau, z, offsets, policy, want_gradient, want_tau_derivative, 
     failed = [why for (_, r), why in errors.items() if r == row]
     if failed:
         raise ConvergenceError(failed[0])
+    rows = sums[:, row] * 1j**turn if turn else sums[:, row]
     return [ThetaValue(complex(s[0]), s[1 : g + 1] if want_gradient else None,
                        s[g + 1 :].reshape(g, g) if want_tau_derivative else None, est_tail)
-            for s in sums[:, row]]
+            for s in rows]
 
 
 def theta_gradient(n: Characteristic, tau, policy: TruncationPolicy | None = None) -> np.ndarray:
@@ -439,7 +448,8 @@ def theta_unnormalized(mp, mpp, tau, z=None, policy: TruncationPolicy | None = N
     summed over n + mp/2 for |n| <= w_i + s_i, not through the periodicity
     law.  w_i is the certified width of axis i for the reduced
     characteristic and s_i = |mp_i - mp_i mod 2| / 2 its integer shift, so
-    the box contains that characteristic's box."""
+    the box contains that characteristic's box.  Unlike ``theta_eval``, it
+    does not reduce Re tau and Re z by the periods."""
     policy = policy or DEFAULT_POLICY
     tau_arr = _coerce_tau(tau)
     g = tau_arr.shape[0]
@@ -452,7 +462,7 @@ def theta_unnormalized(mp, mpp, tau, z=None, policy: TruncationPolicy | None = N
     reach = [w + abs(x - f) // 2 for w, x, f in zip(widths, mp, frac)]
     axes = [np.arange(-r, r + 1, dtype=float) + x / 2.0 for r, x in zip(reach, mp)]
     y = z_arr + np.asarray(mpp, dtype=float) / 2.0
-    return grid_sum(axes, tau_arr, y)[0]
+    return complex(class_sums(axes, tau_arr, y, one_row=True)[0][0, 0])
 
 
 def _det_cd(gamma: SymplecticElement, tau_arr: np.ndarray) -> complex:

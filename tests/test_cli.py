@@ -40,6 +40,17 @@ def test_eval_reference_value(tau_file, capsys):
     assert payload["value"]["im"] == pytest.approx(0.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("re", [1e14, 1e300])
+def test_eval_reduces_a_large_real_part_exactly(tmp_path, capsys, re):
+    # theta(1e14 + i) = theta(i): the period reduction is exact, where
+    # summing at the unreduced tau rounds the exponent by far more than eps
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"re": [[re]], "im": [[1.0]]}))
+    assert main(["eval", "T[0|0]", "--tau", str(path)]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert abs(complex(value["re"], value["im"]) - 1.0864348112133080) <= 1e-12
+
+
 def test_eval_product_and_deriv(tau_file_g2, capsys):
     code = main(["eval", "S[0,0]*S[1,1]", "--tau", tau_file_g2, "--deriv"])
     assert code == 0

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import w_form_sum
 from theta_forge import identities, multilinear
+from theta_forge import theta as theta_module
 from theta_forge.errors import DomainError, NumericalDegeneracyError
 from theta_forge.forms import SecondOrderFactor, theta_constant_product
 from theta_forge.identities import (
@@ -201,6 +202,21 @@ def test_main_theorem_fails_under_a_flipped_expansion_sign(monkeypatch, g):
     monkeypatch.setattr(identities, "_odd_expansion",
                         _first_sign_flipped(identities._odd_expansion))
     reports = run_suite([g], seed=0, name_filter="main_theorem*")
+    assert reports and not any(rep.passed for rep in reports), [rep.residual for rep in reports]
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_jacobi_fails_under_a_scaled_kernel(monkeypatch, g):
+    # every lattice sum times 1.5: the two sides of a jacobi constant differ
+    # in degree in theta, so the fitted constant leaves its closed form
+    kernel = theta_module.class_sums
+    monkeypatch.setattr(theta_module, "class_sums",
+                        lambda *args, **kw: tuple(1.5 * part for part in kernel(*args, **kw)))
+    clear_caches()
+    try:
+        reports = run_suite([g], seed=0, name_filter="jacobi")
+    finally:
+        clear_caches()  # no scaled sum outlives the test in the memo
     assert reports and not any(rep.passed for rep in reports), [rep.residual for rep in reports]
 
 

@@ -17,7 +17,7 @@ from oracles import (
 )
 from theta_forge import _kernels as kernels_module
 from theta_forge import theta as theta_module
-from theta_forge._kernels import class_sums, grid_sum
+from theta_forge._kernels import class_sums
 from theta_forge.errors import ConvergenceError, DomainError
 from theta_forge.symplectic import (
     Characteristic,
@@ -558,25 +558,51 @@ def test_min_im_eigenvalue(rng):
     assert min_im_eigenvalue(t.tau) >= 0.5
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_period_reduction_is_exact(g, rng):
+    # theta[m](tau + 2S, z + 2k) = i^(m' S m') theta[m](tau, z) for integer
+    # symmetric S and integer k: with Re tau and Re z in eighths inside
+    # (-1, 1) and entries of S and k near 1e13, tau + 2S and z + 2k are exact
+    # doubles that reduce back to (tau, z) bit for bit, so the value, the
+    # gradient and the tau-derivative are the phase times those at (tau, z)
+    # exactly; z = 0 covers the memoised path
+    for _ in range(2):
+        X = rng.integers(-7, 8, (g, g)) / 8.0
+        tau = np.triu(X) + np.triu(X, 1).T + 1j * sample_siegel_point(g, rng).tau.imag
+        S = rng.integers(10**13 - 50, 10**13 + 50, (g, g)) * rng.choice([-1, 1], (g, g))
+        S = np.triu(S) + np.triu(S, 1).T
+        k = rng.integers(10**13 - 50, 10**13 + 50, g) * rng.choice([-1, 1], g)
+        for z in (np.zeros(g), rng.integers(-7, 8, g) / 8.0 + 0.25j * rng.uniform(-1, 1, g)):
+            for m in all_characteristics(g):
+                base, moved = (theta_eval(m, t, w, want_gradient=True, want_tau_derivative=True)
+                               for t, w in ((tau, z), (tau + 2 * S, z + 2 * k)))
+                phase = 1j ** (int(np.dot(m.m_prime, S @ m.m_prime)) % 4)
+                assert moved.value == phase * base.value
+                assert np.array_equal(moved.gradient_z, phase * base.gradient_z)
+                assert np.array_equal(moved.tau_derivative, phase * base.tau_derivative)
+
+
 # ---------------------------------------------------------------------------
-# the grid kernel against the point-list oracle
+# the lattice kernel against the point-list oracle
 
 
 @pytest.mark.parametrize("g, radius", [(1, 6), (2, 5), (3, 3), (4, 1), (4, 2)])
-def test_grid_sum_matches_oracle(g, radius, rng):
+def test_class_sums_matches_oracle(g, radius, rng):
     # the full grid at radius + 1 and its core at radius, against direct box
     # sums over the same points, to 64 eps of sum |weight * term|: the value
-    # from grid_sum and every slot from row m'' = 0 of class_sums at the same y
+    # from the one-row fold and every slot from row m'' = 0 of the all-row
+    # fold at the same y; m' runs over 0-3, so the unreduced, asymmetric axes
+    # of theta_unnormalized are covered
     allowance = 64 * np.finfo(float).eps
     n = np.arange(-(radius + 1), radius + 2, dtype=float)
     for _ in range(4):
         tau = sample_siegel_point(g, rng).tau
-        m_prime = tuple(int(u) for u in rng.integers(0, 2, g))
+        m_prime = tuple(int(u) for u in rng.integers(0, 4, g))
         m_double = tuple(int(u) for u in rng.integers(0, 2, g))
         z = rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(-1.0, 1.0, g)
         y = z + np.asarray(m_double) / 2.0
         axes = [n + u / 2.0 for u in m_prime]
-        values = grid_sum(axes, tau, y)
+        values = [part[0, 0] for part in class_sums(axes, tau, y, one_row=True)]
         rows = [row[0] for row in class_sums(axes, tau, y, True, True)]
         for value, row, r in zip(values, rows, (radius + 1, radius)):
             ref, abs_sums = box_sum(tau, z, m_prime, m_double, r)
@@ -752,7 +778,7 @@ def test_one_row_fold_matches_row_zero_and_oracle(g, radius, rng):
     # the one-row mode of class_sums against row m'' = 0 of the all-row fold
     # and against direct box sums, at z != 0, with and without derivative
     # weights and offsets, to 64 eps of sum |weight * term| as in
-    # test_grid_sum_matches_oracle (a phase keeps |term|); the zero offset
+    # test_class_sums_matches_oracle (a phase keeps |term|); the zero offset
     # leaves the terms unmultiplied, so its column meets the oracle too
     allowance = 64 * np.finfo(float).eps
     n = np.arange(-(radius + 1), radius + 2, dtype=float)
