@@ -16,9 +16,10 @@ second-order constant), its one-row mode sums each axis whole, with no
 parity split and no sign table.  At real offsets (dtau, dz) of (tau, y) it
 reuses the one exponential times a phase per offset.  At y = 0 over a
 centrally symmetric box the exponential is taken over half the grid, since
-the term at -p is the term at p bit for bit.  The one memo here holds the
-fold's read-only weights per axis.  Every reduction runs in a fixed order,
-so each result is bit-stable run to run, and no step hands an array to BLAS.
+the term at -p is the term at p bit for bit.  The memos here hold the
+fold's read-only weights per axis and its plan per genus and degree.  Every
+reduction runs in a fixed order, so each result is bit-stable run to run,
+and no step hands an array to BLAS.
 """
 
 from __future__ import annotations
@@ -131,6 +132,27 @@ def _fold_table(x_bytes, powers, p):
     return tables
 
 
+@lru_cache(maxsize=64)
+def _fold_plan(g, degree):
+    """What ``_fold`` reads off the genus and derivative degree alone: per
+    axis the (weight, power) columns it keeps (None: all), the slots of the
+    wanted weights and their scale, and the bits of every m'' with twice
+    their products, for the sign table of the all-row fold."""
+    powers, weights, keeps = degree + 1, [()], []
+    for a in range(g):
+        keep = [k * powers + j for k, w in enumerate(weights) for j in range(powers - len(w))]
+        keeps.append(None if len(keep) == len(weights) * powers else np.array(keep))
+        weights = [w + (a,) * j for w in weights for j in range(powers - len(w))]
+    wanted = [(), *((a,) for a in range(g)), *(tuple(sorted(ab)) for ab in np.ndindex(g, g))]
+    slots = np.array([weights.index(w) for w in wanted[: (1, 1 + g, 1 + g + g * g)[degree]]])
+    scale = np.array(([1.0] + [TWO_PI_I] * g + [PI_I] * g * g)[: len(slots)])
+    bits = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
+    plan = (tuple(keeps), slots, scale, bits, 2 * bits @ bits.T)
+    for table in (*(k for k in keeps if k is not None), *plan[1:]):
+        table.setflags(write=False)
+    return plan
+
+
 def _fold(axes, stack, degree, one_row=False):
     """``class_sums`` of each column of ``stack`` (the terms, one column per
     offset on a last axis) as (column, m'', slot) arrays.
@@ -145,9 +167,10 @@ def _fold(axes, stack, degree, one_row=False):
     sums are row m'' = 0 alone, with no sign table.
     """
     g, p = len(axes), 1 if one_row else 2  # index classes per axis
+    keeps, slots, scale, bits, twice_products = _fold_plan(g, degree)
     # (region, weight: the axes whose points it multiplies, classes so far, rest)
-    C, weights, powers = stack.view(np.float64).reshape(1, 1, 1, -1), [()], degree + 1
-    for a, x in enumerate(axes):
+    C, powers = stack.view(np.float64).reshape(1, 1, 1, -1), degree + 1
+    for x, keep in zip(axes, keeps):
         n, h, b, rest = len(x), len(x) // p, C.shape[2], C.shape[3] // len(x)
         W, W_last = _fold_table(x.tobytes(), powers, p)
         src = C.reshape(len(C), -1, b, n, rest)
@@ -156,19 +179,13 @@ def _fold(axes, stack, degree, one_row=False):
         C = np.einsum("rsbktm,rjkt->rsjbtm", pairs, W)
         if n % p:  # the last index is even
             C[..., 0, :] += src[:, :, None, :, -1] * W_last
-        keep = [k * powers + j for k, w in enumerate(weights) for j in range(powers - len(w))]
-        weights = [w + (a,) * j for w in weights for j in range(powers - len(w))]
         C = C.reshape(2, -1, p * b, rest)
-        C = C if len(keep) == C.shape[1] else C[:, keep]  # no copy that drops nothing
-    wanted = [(), *((a,) for a in range(g)), *(tuple(sorted(ab)) for ab in np.ndindex(g, g))]
-    slots = [weights.index(w) for w in wanted[: (1, 1 + g, 1 + g + g * g)[degree]]]
-    scale = np.array(([1.0] + [TWO_PI_I] * g + [PI_I] * g * g)[: len(slots)])
+        C = C if keep is None else C[:, keep]  # no copy that drops nothing
     # (region, column, slot, class), and with one class that is row m'' = 0
     sums = C.view(complex).transpose(0, 3, 1, 2)[:, :, slots]
     if not one_row:  # each row m'' from the 2^g parity classes
-        bits = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
         twice_first = bits @ [round(2 * x[0]) for x in axes]
-        signs = np.array([1, 1j, -1, -1j])[(twice_first[:, None] + 2 * bits @ bits.T) % 4]
+        signs = np.array([1, 1j, -1, -1j])[(twice_first[:, None] + twice_products) % 4]
         sums = (sums[..., None, :] * signs).sum(axis=-1)
     # each region as (column, m'', slot)
     return tuple(part.swapaxes(1, 2) * scale for part in sums)

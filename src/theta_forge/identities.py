@@ -832,7 +832,7 @@ def conditioned_words(group, g, base_points, count, seed):
         ok = True
         for p in probes:
             try:
-                if min_im_eigenvalue(act_on_tau(gamma, p).tau) < 0.05:
+                if min_im_eigenvalue(act_on_tau(gamma, p)) < 0.05:
                     ok = False
                     break
             except (NumericalDegeneracyError, DomainError):

@@ -247,12 +247,11 @@ def even_characteristics(g: int) -> tuple[Characteristic, ...]:
 
 def act_on_tau(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
     """The fractional-linear action (A tau + B)(C tau + D)^{-1}."""
-    if gamma.g != point.g:
+    g = gamma.g
+    if g != point.g:
         raise DomainError("genus mismatch between gamma and tau")
-    A = gamma.A.astype(float)
-    B = gamma.B.astype(float)
-    C = gamma.C.astype(float)
-    D = gamma.D.astype(float)
+    M = gamma.mat.astype(float)
+    A, B, C, D = M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:]
     tau = point.tau
     den = C @ tau + D
     if np.linalg.cond(den) > _COND_LIMIT:
@@ -349,15 +348,17 @@ def generate_subgroup_element(
 ) -> SymplecticElement:
     """A deterministic pseudo-random word in explicit generators of ``group``.
 
-    Supported groups: Gamma(2), Gamma(2,4), Gamma(4,8).  Membership of the
-    result is asserted (exact arithmetic), so a bug in the pool cannot leak
-    elements outside the group.
+    Supported groups: Gamma(2), Gamma(2,4), Gamma(4,8).  The product of the
+    generators' integer matrices is validated once (products of symplectic
+    matrices are symplectic) and its membership asserted (exact arithmetic),
+    so a bug in the pool cannot leak elements outside the group.
     """
     pool = _generator_pool(group, g)
     rng = np.random.default_rng([seed, g, word_length, len(pool)])
-    word = SymplecticElement.identity(g)
+    word = np.eye(2 * g, dtype=int)
     for _ in range(word_length):
-        word = word @ pool[int(rng.integers(len(pool)))]
+        word = word @ pool[int(rng.integers(len(pool)))].mat
+    word = SymplecticElement(word)
     assert membership(word, group)
     return word
 

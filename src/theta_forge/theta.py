@@ -39,23 +39,23 @@ is its single point.  At z = 0 one ``_kernels.class_sums`` call, kept in
 ``_eval_cached`` per (tau, m', weighting, offsets, rows), serves every m''
 of an m', values and gradients alike, or for a second-order constant its
 row m'' = 0 alone.  At z != 0 one call, not memoised, serves one
-characteristic: the one-row ``class_sums`` at y = z + m''/2.  The third and
-last memo is the kernel's table of read-only fold weights per axis, which
-``clear_caches`` drops with the other two.  The exponent's rounding grows
-with Re tau and Re z, so before any sum each real part with |x| > 1 is moved
-into [-1, 1] exactly by the period law theta[m](tau + 2S, z + 2k) =
-i^(m' S m') theta[m](tau, z), S and k integer.
+characteristic: the one-row ``class_sums`` at y = z + m''/2.  The kernel
+keeps the last two memos, its read-only fold weights per axis and its fold
+plan per genus and degree, which ``clear_caches`` drops with the other two.
+The exponent's rounding grows with Re tau and Re z, so before any sum each
+real part with |x| > 1 is moved into [-1, 1] exactly by the period law
+theta[m](tau + 2S, z + 2k) = i^(m' S m') theta[m](tau, z), S and k integer;
+``_eval_cached`` keys tau as given and reduces it, phase included, on a miss.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from ._kernels import _fold_table, class_sums
+from ._kernels import _fold_plan, _fold_table, class_sums
 from .errors import ConvergenceError, DegenerateBasePointError, DomainError
 from .symplectic import (
     Characteristic,
@@ -124,44 +124,46 @@ _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
 # the splits t of the per-axis bound; t = 0 is the isotropic bound
 _SPLITS = np.array([0.0, 0.25, 0.5, 0.75, 0.875])
 
-# per offset 0 and 1/2, the points |x| of the span from the outside in, and
-# the number of them with |x| > r for r = -1 .. _MAX_RADIUS + 1
+# per offset 0 and 1/2, the points |x| of the span from the outside in, the
+# weight 2 + 2 pi x^2 of each, and the index of the last point with |x| > r
+# for r = -1 .. _MAX_RADIUS + 1 (r = -1: every point)
 _SPAN = -np.sort(-np.abs(np.arange(-_ONE_DIM_SPAN, _ONE_DIM_SPAN + 1) + np.array([[0.0], [0.5]])))
-_SPAN_COUNT = (_SPAN[:, None, :] > np.arange(-1, _MAX_RADIUS + 2)[:, None]).sum(axis=-1)
+_SPAN_WEIGHT = 2.0 + 2.0 * np.pi * _SPAN * _SPAN
+_SPAN_LAST = (_SPAN[:, None, :] > np.arange(-1, _MAX_RADIUS + 2)[:, None]).sum(axis=-1) - 1
+# exp of a lower exponent is +0.0 exactly, which numpy's exp is slow to find
+_EXP_ZERO_BELOW = -746.0
 
 
-@np.errstate(**_QUIET_OVERFLOW)
-def _envelope_sums(lams, b, halves, weighted):
-    """Full and tail sums of the per-coordinate envelope, row k at rate
-    ``lams[k]`` over the points x in Z + ``halves[k]`` / 2.
+def _envelope_sums(lams, b, weighted):
+    """Full and tail sums of the per-coordinate envelope at each rate of the
+    1-D array ``lams``, over the points x in Z and in Z + 1/2.
 
     The envelope exp(-pi lam x^2 + 2 pi b |x|) dominates |term|
     contributions per coordinate; with ``weighted`` it carries the factor
     (2 + 2 pi x^2), which bounds every termwise derivative weight used here
-    (2 pi |x| and pi |x_a x_b| alike).  Returns ``(flat, totals, tails)``:
-    ``flat[k]`` is True where rate ``lams[k]`` leaves material mass beyond
-    the summation span, ``totals[k]`` is the full sum of row k and
-    ``tails[k, r]`` its sum over |x| > r for every radius
-    r = 0 .. _MAX_RADIUS + 1.  Each sum is read off one running sum over
-    the points in decreasing order of |x|, so the smallest terms come first.
+    (2 pi |x| and pi |x_a x_b| alike).  Returns ``(flat, sums)``: ``flat[k]``
+    is True where rate ``lams[k]`` leaves material mass beyond the summation
+    span, and ``sums[h, k]`` holds, at offset h / 2, the full sum and then
+    the sums over |x| > r for r = 0 .. _MAX_RADIUS + 1.  Each is read off one
+    running sum over the points in decreasing order of |x|, so the smallest
+    terms come first.
     """
-    lams = np.asarray(lams, dtype=float)[:, None]
+    x = _SPAN[:, None]
+    exponent = -np.pi * lams[:, None] * x
+    exponent *= x
+    if b:  # adding 0 would change no exp
+        exponent += 2.0 * np.pi * b * x
+    terms = np.zeros_like(exponent)
+    np.exp(exponent, out=terms, where=exponent > _EXP_ZERO_BELOW)
     # mass beyond the summation span must be immaterial at any certified tolerance
-    edge = (2.0 + 2.0 * np.pi * _ONE_DIM_SPAN**2) * np.exp(
-        -np.pi * lams[:, 0] * _ONE_DIM_SPAN**2 + 2.0 * np.pi * b * _ONE_DIM_SPAN
-    )
-    halves = np.asarray(halves)
-    x = _SPAN[halves]
-    terms = np.exp(-np.pi * lams * x * x + 2.0 * np.pi * b * x)
+    flat = _SPAN_WEIGHT[0, 0] * terms[0, :, 0] > 1e-30
     if weighted:
-        terms = (2.0 + 2.0 * np.pi * x * x) * terms
-    running = np.cumsum(terms, axis=-1)
-    # the points with |x| > r are the first _SPAN_COUNT[r] (r = -1: all of them)
-    sums = np.take_along_axis(running, _SPAN_COUNT[halves] - 1, axis=-1)
-    return edge > 1e-30, sums[:, 0], sums[:, 1:]
+        terms *= _SPAN_WEIGHT[:, None]
+    np.cumsum(terms, axis=-1, out=terms)
+    rows = np.arange(terms.size, step=terms.shape[-1]).reshape(2, -1, 1)
+    return flat, terms.take(rows + _SPAN_LAST[:, None])
 
 
-@np.errstate(**_QUIET_OVERFLOW)
 def _axis_bounds(lam, mus, b, m_prime, weighted):
     """Envelope mass of the points beyond radius r on axis i, as a read-only
     (..., g, _MAX_RADIUS + 2) array for m' of shape (..., g): the least bound
@@ -171,24 +173,27 @@ def _axis_bounds(lam, mus, b, m_prime, weighted):
     envelope of each m', the product of its isotropic totals."""
     g, k = len(mus), len(_SPLITS)
     u = np.asarray(m_prime)
-    base = (1.0 - _SPLITS) * lam
-    own = (base + _SPLITS * np.asarray(mus)[:, None]).ravel()
-    # rows of k splits at offsets 0 and 1/2: the base rates, then each
-    # axis's own rates, so every m' reads its sums off the same rows
-    flat, totals, tails = _envelope_sums(np.concatenate([base, base, own, own]), b,
-                                         np.repeat([0, 1, 0, 1], [k, k, g * k, g * k]), weighted)
-    usable = ~flat[:k]
-    if not usable.any():
-        raise ConvergenceError("tail bound unreliable: envelope too flat")
-    per_axis = totals[: 2 * k].reshape(2, k)[u]
-    # per axis i and split k: the product of the other coordinates' totals
-    others = np.prod(np.where(np.eye(g, dtype=bool)[:, :, None], 1.0,
-                              per_axis[..., None, :, :]), axis=-2)
-    per_split = tails[2 * k :].reshape(2, g, k, -1)[u, np.arange(g)] * others[..., None]
-    keep = usable[:, None] & ~np.isnan(per_split)
-    bounds = np.where(keep, per_split, np.inf).min(axis=-2)
+    lead, u = u.shape[:-1], u.reshape(-1, g)
+    # per split the base rate (1 - t) lam, then each axis's own rate
+    rates = (1.0 - _SPLITS)[:, None] * lam + _SPLITS[:, None] * np.array((0.0, *mus))
+    with np.errstate(**_QUIET_OVERFLOW):
+        flat, sums = _envelope_sums(rates.ravel(), b, weighted)
+        flat = flat[:: g + 1]
+        if flat.all():
+            raise ConvergenceError("tail bound unreliable: envelope too flat")
+        sums = sums.reshape(2, k, g + 1, -1)
+        # per split, m' and axis i: the product of the other coordinates' totals
+        totals = sums[:, :, 0, 0]
+        others = np.where(np.eye(g, dtype=bool), 1.0, totals.T[:, u, None])
+        others = np.multiply.reduce(others, axis=-2)
+        per_split = sums[:, :, 1:, 1:][u, np.arange(k)[:, None, None], np.arange(g)]
+        per_split *= others[..., None]
+        per_split[flat] = np.inf
+        # the least bound over the usable splits; nan (0 * inf) is no bound
+        bounds = np.fmin.reduce(per_split, axis=0, initial=np.inf).reshape(*lead, g, -1)
+        envelopes = np.multiply.reduce(totals[:, 0][u], axis=-1).reshape(lead)
     bounds.setflags(write=False)
-    return bounds, np.prod(per_axis[..., 0], axis=-1)
+    return bounds, envelopes
 
 
 def _rates(Y):
@@ -201,7 +206,7 @@ def _rates(Y):
 
 def _box_axes(widths, m_prime):
     """Per axis, the shifted points x = n + m'/2 with |x| <= width."""
-    return [np.arange(-w, w + 1 - u, dtype=float) + 0.5 * u for w, u in zip(widths, m_prime)]
+    return [np.arange(0.5 * u - w, w + 1 - u, dtype=float) for w, u in zip(widths, m_prime)]
 
 
 def _choose_boxes(lam, mus, b, policy: TruncationPolicy, weighted):
@@ -209,11 +214,13 @@ def _choose_boxes(lam, mus, b, policy: TruncationPolicy, weighted):
     read-only (2^g, g + 2) array: per m' the widths of its certified box (per
     axis the first width >= 1 whose bound clears ``target_tol / 20 / g``, 0
     if none up to _MAX_RADIUS does), est_tail at width + 1 and the envelope."""
-    m_primes = list(itertools.product((0, 1), repeat=len(mus)))
+    g = len(mus)
+    m_primes = (np.arange(2**g)[:, None] >> np.arange(g - 1, -1, -1)) & 1
     bounds, envelopes = _axis_bounds(lam, mus, b, m_primes, weighted)
-    hits = bounds[..., 1 : _MAX_RADIUS + 1] < policy.target_tol / 20.0 / len(mus)
+    hits = bounds[..., 1 : _MAX_RADIUS + 1] < policy.target_tol / 20.0 / g
     widths = np.where(hits.any(axis=-1), 1 + hits.argmax(axis=-1), 0)
-    tails = np.take_along_axis(bounds, widths[..., None] + 1, axis=-1)[..., 0].sum(axis=-1)
+    rows = bounds.reshape(-1, _MAX_RADIUS + 2)
+    tails = rows[np.arange(len(rows)), widths.ravel() + 1].reshape(widths.shape).sum(axis=-1)
     boxes = np.column_stack([widths, tails, envelopes])
     boxes.setflags(write=False)
     return boxes
@@ -227,17 +234,22 @@ def _certified_box(im_bytes, g, b, weighted, policy: TruncationPolicy):
     return lam, _choose_boxes(lam, mus, b, policy, weighted)
 
 
+def _bits_index(bits):
+    """The index of the 0/1 tuple ``bits`` in lexicographic order."""
+    return reduce(lambda index, bit: 2 * index + bit, bits, 0)
+
+
 def _box(tau, z, m_prime, weighted, policy: TruncationPolicy):
     """Widths, ``est_tail`` and rounding envelope of the box of m' at
     (tau, z), from the memo of every m' at Im tau."""
     g = len(z)
-    lam, boxes = _certified_box(tau.imag.tobytes(), g, float(np.linalg.norm(z.imag)), weighted,
-                                policy)
-    box = boxes[np.ravel_multi_index(m_prime, (2,) * g)]
-    if not box[:g].all():
+    b = float(np.linalg.norm(z.imag)) if z.imag.any() else 0.0
+    lam, boxes = _certified_box(tau.imag.tobytes(), g, b, weighted, policy)
+    box = boxes[_bits_index(m_prime)].tolist()
+    if not all(box[:g]):
         raise ConvergenceError(f"no width <= {_MAX_RADIUS} reaches target_tol="
                                f"{policy.target_tol:g} on every axis (lambda_min={lam:.3g})")
-    return tuple(int(w) for w in box[:g]), float(box[g]), float(box[g + 1])
+    return tuple(int(w) for w in box[:g]), box[g], box[g + 1]
 
 
 def _certified_sums(tau, z, m_prime, weighted, policy: TruncationPolicy, kernel):
@@ -247,17 +259,28 @@ def _certified_sums(tau, z, m_prime, weighted, policy: TruncationPolicy, kernel)
     widths, est_tail, envelope = _box(tau, z, m_prime, weighted, policy)
     wide = [w + 1 for w in widths]
     with np.errstate(**_QUIET_OVERFLOW):
-        full, core = (np.array(s, ndmin=3) for s in kernel(_box_axes(wide, m_prime)))
+        full, core = (s.reshape(-1, *s.shape[-2:]) for s in kernel(_box_axes(wide, m_prime)))
         changes = np.abs(full - core).max(axis=-1)
     allowed = policy.target_tol / 10.0 + _ROUNDING_ULPS * _EPS * envelope
     # a term past the float range, which the tail bound (the envelope mass
     # outside the box) need not see, overflows the sum; nan fails the check
     finite = np.isfinite(full).all(axis=-1)
-    errors = {(k, row): f"the lattice sum overflows at widths {wide}" if not finite[k, row]
-              else f"refinement moved the value by {changes[k, row]:g} (> {allowed:g}) at "
-              f"widths {list(widths)}" for k, row in np.argwhere(~finite | ~(changes <= allowed))}
+    ok = finite & (changes <= allowed)
+    errors = {} if ok.all() else {
+        (k, row): f"the lattice sum overflows at widths {wide}" if not finite[k, row]
+        else f"refinement moved the value by {changes[k, row]:g} (> {allowed:g}) at "
+        f"widths {list(widths)}" for k, row in np.argwhere(~ok)}
     full.setflags(write=False)
     return full, est_tail, errors
+
+
+def _turned(sums, m_prime, periods):
+    """``sums`` times i^(m' S m'), read-only, for the periods S that
+    ``_reduce_periods`` took out of Re tau."""
+    turn = 0 if periods is None else round(m_prime @ periods @ m_prime) % 4
+    sums = sums * 1j**turn if turn else sums
+    sums.setflags(write=False)
+    return sums
 
 
 @lru_cache(maxsize=8192)
@@ -265,11 +288,15 @@ def _eval_cached(m_prime, tau_bytes, g, policy: TruncationPolicy, weighted, want
                  one_row):
     """Every characteristic [m'; m''] at (tau, 0), or at each offset of
     ``offsets`` (the bytes of a (K, g, g + 1) array, or None), from one
-    ``class_sums`` call; with ``one_row``, [m'; 0] alone."""
-    tau = np.frombuffer(tau_bytes, dtype=complex).reshape(g, g)
+    ``class_sums`` call; with ``one_row``, [m'; 0] alone.  ``tau`` is keyed
+    as given: its periods are reduced here, and their phase applied, so a hit
+    does neither."""
+    tau, periods = _reduce_periods(np.frombuffer(tau_bytes, dtype=complex).reshape(g, g))
     offsets = None if offsets is None else np.frombuffer(offsets).reshape(-1, g, g + 1)
-    return _certified_sums(tau, np.zeros(g), m_prime, weighted, policy, lambda axes: class_sums(
-        axes, tau, np.zeros(g), weighted, want_dtau, offsets, one_row))
+    full, est_tail, errors = _certified_sums(
+        tau, np.zeros(g), m_prime, weighted, policy, lambda axes: class_sums(
+            axes, tau, np.zeros(g), weighted, want_dtau, offsets, one_row))
+    return _turned(full, m_prime, periods), est_tail, errors
 
 
 def _coerce_tau(tau) -> np.ndarray:
@@ -345,7 +372,12 @@ def theta_stencil(
     terms being those at (tau, z) times a phase.  Each offset passes its own
     refinement check.  Any other offset, or none, raises ``DomainError``.
     """
-    return _theta_rows(m, tau, z, offsets, policy, want_gradient, want_tau_derivative, False)
+    rows, est_tail = _theta_rows(m.m_prime, m.m_double_prime, _coerce_tau(tau), z, offsets,
+                                 policy, want_gradient, want_tau_derivative, False)
+    g = len(m.m_prime)
+    return [ThetaValue(complex(s[0]), s[1 : g + 1] if want_gradient else None,
+                       s[g + 1 :].reshape(g, g) if want_tau_derivative else None, est_tail)
+            for s in rows]
 
 
 def _reduce_periods(x):
@@ -358,36 +390,35 @@ def _reduce_periods(x):
     return x - two_k, np.fmod(two_k / 2, 4)
 
 
-def _theta_rows(m, tau, z, offsets, policy, want_gradient, want_tau_derivative, one_row):
-    """``theta_stencil``; with ``one_row`` (m'' = 0 only) its z = 0 entry holds
-    that one row, not every m'' of m'."""
-    tau_arr = np.ascontiguousarray(_coerce_tau(tau))
-    g = tau_arr.shape[0]
-    if m.g != g:
-        raise DomainError(f"characteristic genus {m.g} != tau genus {g}")
+def _theta_rows(m_prime, m_double, tau, z, offsets, policy, want_gradient, want_tau_derivative,
+                one_row):
+    """``theta_stencil`` of [m'; m''] at a checked ``tau`` as rows [value |
+    gradient | tau-derivative] and ``est_tail``; with ``one_row`` (m'' = 0
+    only) its z = 0 entry holds that one row, not every m'' of m'."""
+    g = tau.shape[0]
+    if len(m_prime) != g:
+        raise DomainError(f"characteristic genus {len(m_prime)} != tau genus {g}")
     shifts = None if offsets is None else _shifts(offsets, g)
-    (tau_arr, periods), (z, _) = _reduce_periods(tau_arr), _reduce_periods(_coerce_z(z, g))
+    z, _ = _reduce_periods(_coerce_z(z, g))
     policy = policy or DEFAULT_POLICY
-    turn = 0 if periods is None else round(m.m_prime @ periods @ m.m_prime) % 4
     # at Im z = 0 an odd characteristic's datum is its gradient: every m' != 0 sums the weighted box
-    weighted = bool(want_gradient or want_tau_derivative or (any(m.m_prime) and not z.imag.any()))
+    weighted = bool(want_gradient or want_tau_derivative or (any(m_prime) and not z.imag.any()))
     if z.any():  # off z = 0 the m'' share no terms: one sum at y = z + m''/2, not memoised
-        y, row = z + np.asarray(m.m_double_prime, dtype=float) / 2.0, 0
+        tau, periods = _reduce_periods(tau)
+        y, row = z + np.asarray(m_double, dtype=float) / 2.0, 0
         sums, est_tail, errors = _certified_sums(
-            tau_arr, z, m.m_prime, weighted, policy, lambda axes: class_sums(
-                axes, tau_arr, y, want_gradient, want_tau_derivative, shifts, one_row=True))
+            tau, z, m_prime, weighted, policy, lambda axes: class_sums(
+                axes, tau, y, want_gradient, want_tau_derivative, shifts, one_row=True))
+        sums = _turned(sums, m_prime, periods)
     else:
-        row = 0 if one_row else int("".join(map(str, m.m_double_prime)), 2)
+        row = 0 if one_row else _bits_index(m_double)
         sums, est_tail, errors = _eval_cached(
-            m.m_prime, tau_arr.tobytes(), g, policy, weighted, bool(want_tau_derivative),
+            m_prime, tau.tobytes(), g, policy, weighted, bool(want_tau_derivative),
             None if shifts is None else shifts.tobytes(), one_row)
     failed = [why for (_, r), why in errors.items() if r == row]
     if failed:
         raise ConvergenceError(failed[0])
-    rows = sums[:, row] * 1j**turn if turn else sums[:, row]
-    return [ThetaValue(complex(s[0]), s[1 : g + 1] if want_gradient else None,
-                       s[g + 1 :].reshape(g, g) if want_tau_derivative else None, est_tail)
-            for s in rows]
+    return sums[:, row], est_tail
 
 
 def theta_gradient(n: Characteristic, tau, policy: TruncationPolicy | None = None) -> np.ndarray:
@@ -432,15 +463,13 @@ def second_order_theta(
     g = tau_arr.shape[0]
     if len(eps) != g:
         raise DomainError(f"label length {len(eps)} != genus {g}")
-    inner = _theta_rows(Characteristic(eps, (0,) * g), SiegelPoint(2 * tau_arr),
-                        2 * _coerce_z(z, g), None, policy, want_gradient, want_tau_derivative,
-                        True)[0]
-    return ThetaValue(
-        value=inner.value,
-        gradient_z=None if inner.gradient_z is None else 2 * inner.gradient_z,
-        tau_derivative=None if inner.tau_derivative is None else 2 * inner.tau_derivative,
-        est_tail=inner.est_tail,
-    )
+    tau_arr = 2 * tau_arr  # a Siegel point with tau, unless it overflows
+    if not np.isfinite(tau_arr).all():
+        raise DomainError("tau has an entry that is not finite")
+    (s,), est_tail = _theta_rows(eps, (0,) * g, tau_arr, None if z is None else 2 * _coerce_z(z, g),
+                                 None, policy, want_gradient, want_tau_derivative, True)
+    return ThetaValue(complex(s[0]), 2 * s[1 : g + 1] if want_gradient else None,
+                      2 * s[g + 1 :].reshape(g, g) if want_tau_derivative else None, est_tail)
 
 
 def theta_unnormalized(mp, mpp, tau, z=None, policy: TruncationPolicy | None = None) -> complex:
@@ -519,6 +548,6 @@ def min_im_eigenvalue(tau) -> float:
 
 
 def clear_caches():
-    """Drop the memoised boxes, series values and fold tables."""
-    for cache in (_certified_box, _eval_cached, _fold_table):
+    """Drop the memoised boxes, series values, fold tables and fold plans."""
+    for cache in (_certified_box, _eval_cached, _fold_table, _fold_plan):
         cache.cache_clear()

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import w_form_sum
+from oracles import blockwise_act_on_tau, stepwise_subgroup_element, w_form_sum
 from theta_forge import identities, multilinear
 from theta_forge import theta as theta_module
 from theta_forge.errors import DomainError, NumericalDegeneracyError
@@ -322,6 +324,25 @@ def test_conditioned_words_deterministic(rng):
     a = conditioned_words("Gamma(2)", 2, [t], 3, 5)
     b = conditioned_words("Gamma(2)", 2, [t], 3, 5)
     assert a == b
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    group=st.sampled_from(["Gamma(2)", "Gamma(2,4)"]),
+    g=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    count=st.integers(1, 3),
+    point_seed=st.integers(0, 2**32 - 1),
+)
+def test_conditioned_words_match_stepwise_oracle(group, g, seed, count, point_seed):
+    # the same words as with every partial product and every float block
+    # built on its own
+    t = sample_siegel_point(g, np.random.default_rng(point_seed))
+    got = conditioned_words(group, g, [t], count, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "generate_subgroup_element", stepwise_subgroup_element)
+        patch.setattr(identities, "act_on_tau", blockwise_act_on_tau)
+        assert conditioned_words(group, g, [t], count, seed) == got
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import stepwise_subgroup_element
 from theta_forge.errors import DomainError, NumericalDegeneracyError
 from theta_forge.symplectic import (
     Characteristic,
@@ -215,6 +218,20 @@ def test_generated_words_deterministic_and_member():
     assert a == b
     assert membership(a, "Gamma(2,4)")
     assert generate_subgroup_element("Gamma(2)", 2, 1, 0) == SymplecticElement.identity(2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    group=st.sampled_from(["Gamma(2)", "Gamma(2,4)"]),
+    g=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 7),
+)
+def test_generated_word_matches_stepwise_oracle(group, g, seed, length):
+    # the product validated once is the element the stepwise products give
+    word = generate_subgroup_element(group, g, seed, length)
+    assert word == stepwise_subgroup_element(group, g, seed, length)
+    assert all(type(x) is int for x in word.mat.flat)
 
 
 def test_generator_pool_rejects_unknown_group():

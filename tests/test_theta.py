@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    array_choose_boxes,
     box_sum,
     loop_axis_bound,
     loop_choose_box,
@@ -270,6 +271,51 @@ def test_box_widths_match_loop_oracle(lam, spread, b, m_prime, weighted, tol):
         widths, est_tail = _choose_box(lam, mus, b, m_prime, policy, weighted)
     assert widths == want[0]
     assert est_tail == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.integers(1, 4),
+    lam=st.floats(0.004, 10.0),
+    spread=st.lists(st.floats(1.0, 30.0), min_size=4, max_size=4),
+    b=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    weighted=st.booleans(),
+    tol=st.floats(16 * np.finfo(float).eps, 1e-3),
+)
+@example(g=1, lam=0.004, spread=[1.0] * 4, b=0.0, weighted=False,
+         tol=1e-12)  # envelope too flat
+@example(g=4, lam=0.02, spread=[1.0] * 4, b=0.0, weighted=True,
+         tol=1e-14)  # no width <= 24 reaches the goal
+@example(g=2, lam=0.007, spread=[20.0] * 4, b=0.0, weighted=True,
+         tol=1e-6)  # t = 0 usable, the flatter splits skipped
+def test_boxes_match_array_oracle_bit_for_bit(g, lam, spread, b, weighted, tol):
+    # the merged passes of the box search give the boxes of the array code
+    # they replaced, bit for bit: widths, est_tail and envelope of every m',
+    # and the same refusal where every split is too flat
+    mus = tuple(lam * s for s in spread[:g])
+    policy = TruncationPolicy(target_tol=tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = array_choose_boxes(lam, mus, b, policy, weighted)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError, match="too flat"):
+                theta_module._choose_boxes(lam, mus, b, policy, weighted)
+            return
+    got = theta_module._choose_boxes(lam, mus, b, policy, weighted)
+    assert got.shape == (2**g, g + 2) and not got.flags.writeable
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_box_refusals_match_array_oracle():
+    # too flat: both raise; no width <= 24 on some axis: both give width 0
+    with pytest.raises(ConvergenceError, match="too flat"):
+        theta_module._choose_boxes(0.004, (0.004,), 0.0, DEFAULT_POLICY, False)
+    with pytest.raises(ConvergenceError, match="too flat"):
+        array_choose_boxes(0.004, (0.004,), 0.0, DEFAULT_POLICY, False)
+    policy = TruncationPolicy(target_tol=1e-14)
+    got = theta_module._choose_boxes(0.02, (0.02,) * 4, 0.0, policy, True)
+    assert (got[:, :4] == 0).any()
+    assert np.array_equal(got, array_choose_boxes(0.02, (0.02,) * 4, 0.0, policy, True))
 
 
 def test_box_certifies_where_the_cube_cannot_reach():
@@ -867,10 +913,10 @@ def test_evaluation_is_deterministic(rng):
     t = sample_siegel_point(2, rng)
     m = Characteristic((1, 1), (0, 0))
     a = theta_eval(m, t, want_tau_derivative=True)
-    # the box, the series values and the fold tables are the only memos
+    # the box, the series values, the fold tables and the fold plans are the only memos
     caches = {name: fn for mod in (theta_module, kernels_module) for name, fn in vars(mod).items()
               if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__}
-    assert set(caches) == {"_certified_box", "_eval_cached", "_fold_table"}
+    assert set(caches) == {"_certified_box", "_eval_cached", "_fold_table", "_fold_plan"}
     caches = list(caches.values())
     assert all(c.cache_info().currsize > 0 for c in caches)
     clear_caches()
