@@ -8,7 +8,6 @@ from .errors import (
     ExpressionParseError,
     NumericalDegeneracyError,
 )
-from .indexkit import IndexSet, enumerate_subsets, sign_sum
 from .multilinear import (
     CompoundMatrix,
     box_product,
@@ -17,7 +16,6 @@ from .multilinear import (
     from_matrix,
     hodge_dual,
     star_product,
-    submatrix_det,
     wedge_outer,
 )
 from .symplectic import (
@@ -39,7 +37,6 @@ from .theta import (
     theta_eval,
     theta_gradient,
     theta_stencil,
-    theta_tau_derivative,
 )
 from .forms import (
     A_form,

@@ -24,7 +24,6 @@ from .multilinear import (
     CompoundMatrix,
     box_many,
     cofactor_tensor,
-    compound,
     from_matrix,
     hodge_dual,
     scalar_compound,
@@ -37,6 +36,7 @@ from .symplectic import (
     SiegelPoint,
     SymplecticElement,
     act_on_tau,
+    automorphy_factor,
     integer_entries,
     membership,
     parity,
@@ -66,9 +66,6 @@ class ThetaConstantFactor:
     def g(self) -> int:
         return self.char.g
 
-    def label(self) -> str:
-        return f"T[{_bits(self.char.m_prime)}|{_bits(self.char.m_double_prime)}]"
-
 
 @dataclass(frozen=True)
 class SecondOrderFactor:
@@ -86,15 +83,19 @@ class SecondOrderFactor:
     def g(self) -> int:
         return len(self.eps)
 
-    def label(self) -> str:
-        return f"S[{_bits(self.eps)}]"
-
 
 Factor = Union[ThetaConstantFactor, SecondOrderFactor]
 
 
 def _bits(seq) -> str:
     return ",".join(str(int(x)) for x in seq)
+
+
+def _factor_label(factor: Factor) -> str:
+    """The factor in the expression syntax: T[m'|m''] or S[eps]."""
+    if isinstance(factor, ThetaConstantFactor):
+        return f"T[{_bits(factor.char.m_prime)}|{_bits(factor.char.m_double_prime)}]"
+    return f"S[{_bits(factor.eps)}]"
 
 
 @dataclass(frozen=True)
@@ -114,16 +115,11 @@ class ThetaProduct:
     def __len__(self):
         return len(self.factors)
 
-    def __mul__(self, other: "ThetaProduct") -> "ThetaProduct":
-        if other.g != self.g:
-            raise DomainError("genus mismatch in product")
-        return ThetaProduct(self.g, self.factors + other.factors)
-
     def power(self, n: int) -> "ThetaProduct":
         return ThetaProduct(self.g, self.factors * n)
 
     def label(self) -> str:
-        return "*".join(f.label() for f in self.factors) if self.factors else "1"
+        return "*".join(map(_factor_label, self.factors)) if self.factors else "1"
 
 
 def theta_constant_product(g: int, *chars: Characteristic) -> ThetaProduct:
@@ -262,12 +258,10 @@ def W_of_N(
 def rho_k_action(M: np.ndarray, X: CompoundMatrix, k: int) -> CompoundMatrix:
     """The weight-(k+2,..,k+2,k,..,k) action on a compound-matrix value.
 
-    At level g-k (the complementary-index coordinates that star products
-    and gradient wedges live in) the multiplier matrix is the cofactor
-    tensor of order g-k, i.e. the Hodge twist of the k-th compound; at
-    level k (plain wedge coordinates) it is the k-th compound of M.  Both
-    are scaled by det(M)^k.  When k == g-k the two conventions genuinely
-    differ, and the level resolves to the complementary-index one.
+    ``X`` lives at level g-k, the complementary-index coordinates of the
+    star products and gradient wedges, where the multiplier matrix is the
+    cofactor tensor of order g-k of M (the Hodge twist of its k-th
+    compound), scaled by det(M)^k.
     """
     M = np.asarray(M, dtype=complex)
     g = M.shape[0]
@@ -275,12 +269,9 @@ def rho_k_action(M: np.ndarray, X: CompoundMatrix, k: int) -> CompoundMatrix:
         raise DomainError("ambient mismatch between M and X")
     if not 1 <= k <= g:
         raise DomainError(f"k={k} outside 1..{g}")
-    if X.level == g - k:
-        lam = cofactor_tensor(M, g - k).entries
-    elif X.level == k:
-        lam = compound(M, k).entries
-    else:
-        raise DomainError(f"level {X.level} matches neither k={k} nor g-k={g - k}")
+    if X.level != g - k:
+        raise DomainError(f"level {X.level} is not g-k={g - k}")
+    lam = cofactor_tensor(M, g - k).entries
     det_k = complex(np.linalg.det(M)) ** k
     return CompoundMatrix(X.ambient, X.level, det_k * (lam @ X.entries @ lam.T))
 
@@ -320,7 +311,6 @@ class MultiplierSpec:
 class AuditReport:
     residual: float
     multiplier: complex
-    scale: float
 
 
 def audit_transformation(
@@ -342,23 +332,23 @@ def audit_transformation(
     moved = act_on_tau(gamma, tau)
     lhs = value_fn(moved)
     base = value_fn(tau)
-    den = gamma.C.astype(float) @ tau.tau + gamma.D.astype(float)
     scalar = expected_multiplier.value(gamma, tau, policy)
-    rhs = rho_k_action(den, base, k).scale(scalar)
+    rhs = rho_k_action(automorphy_factor(gamma, tau.tau), base, k).scale(scalar)
     scale = max(lhs.max_abs(), rhs.max_abs(), 1e-30)
     residual = float(np.max(np.abs(lhs.entries - rhs.entries)) / scale)
-    return AuditReport(residual=residual, multiplier=complex(scalar), scale=scale)
+    return AuditReport(residual=residual, multiplier=complex(scalar))
 
 
 # ---------------------------------------------------------------------------
 # textual expression syntax: T[m'|m''] and S[eps] joined with '*'
 
 
-def parse_theta_expression(text: str, genus: int | None = None) -> ThetaProduct:
+def parse_theta_expression(text: str) -> ThetaProduct:
     """Parse the product syntax, e.g. ``T[0,1|1,0]*S[1,1]``.
 
     Raises ExpressionParseError with the offending column on bad syntax;
-    genus is inferred from the first factor when not supplied.
+    the genus is the first factor's, and ``ThetaProduct`` refuses a factor
+    of another genus.
     """
     factors: list[Factor] = []
     pos = 0
@@ -415,5 +405,4 @@ def parse_theta_expression(text: str, genus: int | None = None) -> ThetaProduct:
             raise ExpressionParseError("expected '*' between factors", pos)
         pos += 1
 
-    g = factors[0].g if genus is None else genus
-    return ThetaProduct(g, tuple(factors))
+    return ThetaProduct(factors[0].g, tuple(factors))

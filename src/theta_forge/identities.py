@@ -71,7 +71,6 @@ from .theta import (
     theta_eval,
     theta_gradient,
     theta_stencil,
-    theta_tau_derivative,
     theta_unnormalized,
 )
 
@@ -99,8 +98,9 @@ class IdentityReport:
         return out
 
 
-def _report(name, genus, params, residual, tolerance, seed, started) -> IdentityReport:
-    """A check's report; a ``tolerance`` of None is the row's own in ``_FAMILIES``."""
+def _report(name, genus, params, residual, tolerance, started, seed=0) -> IdentityReport:
+    """A check's report; a ``tolerance`` of None is the row's own in ``_FAMILIES``.
+    Only the exact layer draws from a seed: every other check reports seed 0."""
     if tolerance is None:
         tolerance = next(spec.rows[name] for _, _, spec in _FAMILIES if name in spec.rows)
     residual = float(residual)
@@ -210,7 +210,6 @@ def check_gsm_forward(
     tau: SiegelPoint,
     policy: TruncationPolicy | None = None,
     tolerance: float | None = None,
-    seed: int = 0,
 ) -> IdentityReport:
     """Gradient outer product against the alternating A-form sum."""
     started = time.perf_counter()
@@ -225,7 +224,7 @@ def check_gsm_forward(
         shifted = tuple((e + a) % 2 for e, a in zip(eps, alpha))
         rhs = rhs + _sign(alpha, delta) * _second_order_A(shifted, alpha, tau, policy)
     rhs = (HESSIAN_BRIDGE / 4.0) * rhs
-    return _report("gsm_forward", g, {"n": n.label()}, _rel(lhs, rhs), tolerance, seed, started)
+    return _report("gsm_forward", g, {"n": n.label()}, _rel(lhs, rhs), tolerance, started)
 
 
 def check_gsm_backward(
@@ -234,7 +233,6 @@ def check_gsm_backward(
     tau: SiegelPoint,
     policy: TruncationPolicy | None = None,
     tolerance: float | None = None,
-    seed: int = 0,
 ) -> IdentityReport:
     """A-form against the signed sum of gradient outer products."""
     started = time.perf_counter()
@@ -243,7 +241,7 @@ def check_gsm_backward(
     lhs = _second_order_A(eps, delta, tau, policy)
     rhs = _gradient_sum(eps, delta, tau, policy) * (2.0 ** (-(g - 2)) / HESSIAN_BRIDGE)
     params = {"eps": _bits_label(eps), "delta": _bits_label(delta)}
-    return _report("gsm_backward", g, params, _rel(lhs, rhs), tolerance, seed, started)
+    return _report("gsm_backward", g, params, _rel(lhs, rhs), tolerance, started)
 
 
 def check_jacobi(
@@ -251,7 +249,6 @@ def check_jacobi(
     taus,
     policy: TruncationPolicy | None = None,
     tolerance: float | None = None,
-    seed: int = 0,
 ) -> IdentityReport:
     """Derivative-formula checks: fitted constants must be base-point free
     and equal their closed forms, which also see a wrong scale of theta.
@@ -285,7 +282,7 @@ def check_jacobi(
             "constant_error": error,
             "base_points": len(taus),
         }
-        return _report("jacobi", 1, params, residual, tolerance, seed, started)
+        return _report("jacobi", 1, params, residual, tolerance, started)
     if genus == 2:
         odds = list(odd_characteristics(2))
         worst = 0.0
@@ -309,7 +306,7 @@ def check_jacobi(
             "mean_ratio_magnitude": float(np.mean(mags)),
             "base_points": len(taus),
         }
-        return _report("jacobi", 2, params, worst, tolerance, seed, started)
+        return _report("jacobi", 2, params, worst, tolerance, started)
     raise DomainError("jacobi check defined for genus 1 and 2 only")
 
 
@@ -328,7 +325,6 @@ def check_main_theorem(
     taus,
     policy: TruncationPolicy | None = None,
     tolerance: float | None = None,
-    seed: int = 0,
 ) -> IdentityReport:
     """Fit the constant linking the A-form star product to the star of gradient sums.
 
@@ -368,7 +364,7 @@ def check_main_theorem(
         "constant_error": float(abs(c - expected) / abs(expected)),
         "base_points": len(taus),
     }
-    return _report("main_theorem", g, params, residual, tolerance, seed, started)
+    return _report("main_theorem", g, params, residual, tolerance, started)
 
 
 def check_omega_consistency(
@@ -378,7 +374,6 @@ def check_omega_consistency(
     tau: SiegelPoint,
     policy: TruncationPolicy | None = None,
     tolerance: float | None = None,
-    seed: int = 0,
 ) -> IdentityReport:
     """Top-order pairing of (g-1)-th powers against the scaled cofactor matrix."""
     started = time.perf_counter()
@@ -386,7 +381,7 @@ def check_omega_consistency(
         raise DomainError("needs genus >= 2")
     residual = _pairing_power_residual(F, H, g - 1, tau, policy)
     params = {"F": F.label(), "H": H.label()}
-    return _report("omega_consistency", g, params, residual, tolerance, seed, started)
+    return _report("omega_consistency", g, params, residual, tolerance, started)
 
 
 def _pairing_power_residual(F, H, k, tau, policy) -> float:
@@ -402,14 +397,14 @@ def _pairing_power_residual(F, H, k, tau, policy) -> float:
 # exact rational layer
 
 
-def _rand_exact_matrix(rng, g, lo=-5, hi=6) -> np.ndarray:
-    """A g-by-g object array of Python ints in [lo, hi)."""
-    return rng.integers(lo, hi, (g, g)).astype(object)
+def _rand_exact_matrix(rng, g) -> np.ndarray:
+    """A g-by-g object array of Python ints in [-5, 5]."""
+    return rng.integers(-5, 6, (g, g)).astype(object)
 
 
-def _rand_exact_vector(rng, g, lo=-5, hi=6) -> np.ndarray:
+def _rand_exact_vector(rng, g) -> np.ndarray:
     # one draw per entry: a single vector draw would consume the stream differently
-    return np.array([int(rng.integers(lo, hi)) for _ in range(g)], dtype=object)
+    return np.array([int(rng.integers(-5, 6)) for _ in range(g)], dtype=object)
 
 
 # one instance's draws in the generator's order, and det(M) by Bareiss
@@ -530,7 +525,7 @@ def check_exact_layer(
 
     return [
         _report(name, 0, {"instances": instances, "failures": bad},
-                0.0 if bad == 0 else 1.0, None, seed, started)
+                0.0 if bad == 0 else 1.0, None, started, seed)
         for name, bad in fails.items()
     ]
 
@@ -555,7 +550,7 @@ def _heat_residual(m, tau, z, policy):
     identity violation.
     """
     g, steps, unit = m.g, (1e-4, 2e-4), np.eye(m.g)
-    want = 4j * np.pi * theta_tau_derivative(m, tau, z, policy)
+    want = 4j * np.pi * theta_eval(m, tau, z, policy, want_tau_derivative=True).tau_derivative
     # per step and entry j <= k of the Hessian, its shifts in the order read below
     shifts = [np.zeros(g)]
     for h in steps:
@@ -749,10 +744,9 @@ def _family_pairing_power(genus, rng, policy, seed=0):
             F, H, t = draw()
             worst = _worst(worst, _pairing_power_residual(F, H, k, t, policy))
         rows.append(_row("pairing_power_cofactor", {"k": k, "base_points": base_points}, worst))
-    if genus >= 2:
-        worst = _worst(0.0, *(check_omega_consistency(genus, *draw(), policy).residual
-                              for _ in range(3)))
-        rows.append(_row("omega_consistency", {"base_points": 3}, worst))
+    worst = _worst(0.0, *(check_omega_consistency(genus, *draw(), policy).residual
+                          for _ in range(3)))
+    rows.append(_row("omega_consistency", {"base_points": 3}, worst))
     return rows
 
 

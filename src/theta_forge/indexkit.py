@@ -1,63 +1,22 @@
-"""Ordered index subsets of {1..g} and the permutation signs attached to them.
+"""Ordered index subsets of {1..g}, their signs, and the gather tables
+that index compound matrices by them.
 
 Everything downstream (compound matrices, the box and star products, the
 wedge coordinates) is indexed by increasingly ordered subsets of a fixed
-ambient set {1, ..., g}.  The canonical ordering of all subsets of a given
-cardinality is lexicographic; compound-matrix rows and columns always use
-that order.
+ambient set {1, ..., g}, held as plain tuples.  The canonical order of the
+subsets of one cardinality is lexicographic: ``subset_tuples`` lists them,
+``subset_rank`` gives each its row, and compound-matrix rows and columns
+always use that order.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
 from .errors import DomainError
-
-
-@dataclass(frozen=True, order=True)
-class IndexSet:
-    """A strictly increasing tuple of indices drawn from {1, ..., ambient}."""
-
-    elements: tuple[int, ...]
-    ambient: int
-
-    def __post_init__(self):
-        elems = tuple(int(e) for e in self.elements)
-        object.__setattr__(self, "elements", elems)
-        if any(e < 1 or e > self.ambient for e in elems):
-            raise DomainError(f"indices {elems} out of range 1..{self.ambient}")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise DomainError(f"indices {elems} not strictly increasing")
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, i):
-        return i in self.elements
-
-    def complement(self) -> "IndexSet":
-        """The remaining indices of the ambient set, in increasing order."""
-        inside = set(self.elements)
-        rest = tuple(i for i in range(1, self.ambient + 1) if i not in inside)
-        return IndexSet(rest, self.ambient)
-
-    def index_sum(self) -> int:
-        return sum(self.elements)
-
-
-def enumerate_subsets(g: int, k: int) -> list[IndexSet]:
-    """All C(g, k) increasingly ordered k-subsets of {1..g}, lexicographic."""
-    if k < 0 or k > g:
-        raise DomainError(f"cardinality k={k} outside 0..{g}")
-    return [IndexSet(c, g) for c in itertools.combinations(range(1, g + 1), k)]
 
 
 @lru_cache(maxsize=None)
@@ -72,11 +31,6 @@ def subset_tuples(g: int, k: int) -> tuple[tuple[int, ...], ...]:
 def subset_rank(g: int, k: int) -> dict[tuple[int, ...], int]:
     """Map from a k-subset tuple to its row position in the canonical order."""
     return {s: i for i, s in enumerate(subset_tuples(g, k))}
-
-
-def sign_sum(I: IndexSet, J: IndexSet) -> int:
-    """(-1) raised to the sum of all indices appearing in I and J."""
-    return -1 if (I.index_sum() + J.index_sum()) % 2 else 1
 
 
 def perm_sign(seq) -> int:
@@ -179,6 +133,3 @@ def minor_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         arr.flags.writeable = False
     return column, rest
 
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

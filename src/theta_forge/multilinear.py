@@ -1,14 +1,16 @@
 """Compound matrices, cofactor tensors, and the box / star products.
 
 A level-k compound matrix is a square array whose rows and columns are
-labeled by the ordered k-subsets of {1..g} in lexicographic order.  Level 0
-is a single scalar, level 1 an ordinary g-by-g matrix.  Entries are complex
-floats at the main interface; every operation also accepts object-dtype
-arrays of exact scalars (Python ints, Fractions), in which case all
-arithmetic is carried out exactly.  Integer entries stay integers through
-the box products and minors: a chain of box products divides by its
-binomial normalizations once, at the end.  A result is an int wherever its
-value is one.  Every minor comes from ``_minor_table``; Bareiss elimination
+labeled by the ordered k-subsets of {1..g} in lexicographic order: row i
+is the i-th tuple of ``indexkit.subset_tuples(g, k)``, and
+``indexkit.subset_rank`` gives a subset's row.  Level 0 is a single
+scalar, level 1 an ordinary g-by-g matrix.  Entries are complex floats at
+the main interface; every operation also accepts object-dtype arrays of
+exact scalars (Python ints, Fractions), in which case all arithmetic is
+carried out exactly.  Integer entries stay integers through the box
+products and minors: a chain of box products divides by its binomial
+normalizations once, at the end.  A result is an int wherever its value is
+one.  Every minor comes from ``_minor_table``; Bareiss elimination
 (``_det_exact``) is only the independent reference determinant.  Every
 operation takes stacks: leading axes act slice by slice, each slice bit for
 bit the call on that slice alone.
@@ -19,19 +21,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from .errors import DomainError
-from .indexkit import (
-    IndexSet,
-    binomial,
-    box_table,
-    dual_table,
-    minor_table,
-    subset_rank,
-    subset_tuples,
-)
+from .indexkit import box_table, dual_table, minor_table
 
 
 def _is_exact(arr: np.ndarray) -> bool:
@@ -111,10 +106,6 @@ def _minor_table(A: np.ndarray, p: int) -> np.ndarray:
     return minors
 
 
-def _empty(side: int, exact: bool) -> np.ndarray:
-    return np.zeros((side, side), dtype=object if exact else complex)
-
-
 @dataclass(frozen=True)
 class CompoundMatrix:
     """Square array indexed by the ordered ``level``-subsets of {1..ambient}."""
@@ -126,7 +117,7 @@ class CompoundMatrix:
     def __post_init__(self):
         if not 0 <= self.level <= self.ambient:
             raise DomainError(f"level {self.level} outside 0..{self.ambient}")
-        side = binomial(self.ambient, self.level)
+        side = comb(self.ambient, self.level)
         arr = np.asarray(self.entries)
         if arr.shape[-2:] != (side, side) or arr.ndim < 2:
             raise DomainError(
@@ -137,36 +128,15 @@ class CompoundMatrix:
             arr = arr.astype(complex)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def side(self) -> int:
-        return self.entries.shape[-1]
-
-    def labels(self) -> tuple[tuple[int, ...], ...]:
-        return subset_tuples(self.ambient, self.level)
-
-    def entry(self, I: IndexSet, J: IndexSet):
-        rank = subset_rank(self.ambient, self.level)
-        return self.entries[..., rank[tuple(I)], rank[tuple(J)]]
-
     def scalar(self):
         if self.level not in (0, self.ambient):
             raise DomainError("scalar() only makes sense at level 0 or g")
         return self.entries[..., 0, 0]
 
-    def _check_compatible(self, other: "CompoundMatrix"):
+    def __add__(self, other):
         if self.ambient != other.ambient or self.level != other.level:
             raise DomainError("compound matrices differ in ambient or level")
-
-    def __add__(self, other):
-        self._check_compatible(other)
         return CompoundMatrix(self.ambient, self.level, self.entries + other.entries)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return CompoundMatrix(self.ambient, self.level, self.entries - other.entries)
-
-    def __neg__(self):
-        return CompoundMatrix(self.ambient, self.level, -self.entries)
 
     def scale(self, c) -> "CompoundMatrix":
         return CompoundMatrix(self.ambient, self.level, self.entries * c)
@@ -181,8 +151,9 @@ def scalar_compound(g: int, value) -> CompoundMatrix:
     return CompoundMatrix(g, 0, np.array([[value]], dtype=object if exact else complex))
 
 
-def zero_compound(g: int, level: int, exact: bool = False) -> CompoundMatrix:
-    return CompoundMatrix(g, level, _empty(binomial(g, level), exact))
+def zero_compound(g: int, level: int) -> CompoundMatrix:
+    side = comb(g, level)
+    return CompoundMatrix(g, level, np.zeros((side, side), dtype=complex))
 
 
 def from_matrix(M: np.ndarray) -> CompoundMatrix:
@@ -191,15 +162,6 @@ def from_matrix(M: np.ndarray) -> CompoundMatrix:
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DomainError("expected a square matrix")
     return CompoundMatrix(M.shape[-1], 1, M)
-
-
-def submatrix_det(M: np.ndarray, I: IndexSet, J: IndexSet):
-    """Determinant of the submatrix of M with rows I and columns J."""
-    if len(I) != len(J):
-        raise DomainError(f"|I|={len(I)} and |J|={len(J)} differ")
-    M = np.asarray(M)
-    minor = _minor_table(M[np.ix_([r - 1 for r in I], [c - 1 for c in J])], len(I))[0, 0]
-    return minor if _is_exact(M) else complex(minor)
 
 
 def compound(M: np.ndarray, p: int) -> CompoundMatrix:
@@ -243,14 +205,14 @@ def _box_unnormalized(A: CompoundMatrix, B: CompoundMatrix):
     if q == 0:
         return CompoundMatrix(g, p, Ae * Be), 1
     row_a, col_a, row_b, col_b, negative = box_table(g, p, q)
-    side = binomial(g, p + q)
+    side = comb(g, p + q)
     terms = _product(Ae[..., row_a, col_a], Be[..., row_b, col_b])
     np.negative(terms, out=terms, where=negative)
     if _is_exact(terms):
         out = terms.sum(axis=-1)
     else:
         out = _add_columns(np.zeros(terms.shape[:-1], dtype=complex), terms)
-    return CompoundMatrix(g, p + q, out.reshape(out.shape[:-1] + (side, side))), binomial(p + q, p)
+    return CompoundMatrix(g, p + q, out.reshape(out.shape[:-1] + (side, side))), comb(p + q, p)
 
 
 def _normalized(X: CompoundMatrix, d: int) -> CompoundMatrix:

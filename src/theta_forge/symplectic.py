@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,10 +62,6 @@ class SymplecticElement:
         bot = np.hstack([C, D])
         return cls(np.vstack([top, bot]))
 
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticElement":
-        return cls(np.eye(2 * g, dtype=int))
-
     @property
     def g(self) -> int:
         return self.mat.shape[0] // 2
@@ -86,9 +81,6 @@ class SymplecticElement:
     @property
     def D(self) -> np.ndarray:
         return self.mat[self.g :, self.g :]
-
-    def __matmul__(self, other: "SymplecticElement") -> "SymplecticElement":
-        return SymplecticElement(self.mat @ other.mat)
 
     def __eq__(self, other):
         return isinstance(other, SymplecticElement) and (self.mat == other.mat).all()
@@ -245,54 +237,46 @@ def even_characteristics(g: int) -> tuple[Characteristic, ...]:
     return tuple(m for m in all_characteristics(g) if m.is_even)
 
 
+def automorphy_factor(gamma: SymplecticElement, tau: np.ndarray) -> np.ndarray:
+    """C tau + D, for the array ``tau`` of a point of gamma's genus."""
+    g = gamma.g
+    lower = gamma.mat[g:].astype(float)
+    return lower[:, :g] @ tau + lower[:, g:]
+
+
 def act_on_tau(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
     """The fractional-linear action (A tau + B)(C tau + D)^{-1}."""
     g = gamma.g
     if g != point.g:
         raise DomainError("genus mismatch between gamma and tau")
-    M = gamma.mat.astype(float)
-    A, B, C, D = M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:]
     tau = point.tau
-    den = C @ tau + D
+    den = automorphy_factor(gamma, tau)
     if np.linalg.cond(den) > _COND_LIMIT:
         raise NumericalDegeneracyError("C tau + D is numerically singular")
-    res = np.linalg.solve(den.T, (A @ tau + B).T).T
+    upper = gamma.mat[:g].astype(float)
+    res = np.linalg.solve(den.T, (upper[:, :g] @ tau + upper[:, g:]).T).T
     res = (res + res.T) / 2  # exact result is symmetric; kill roundoff skew
     return SiegelPoint(res)
 
 
-_GROUP_RE = re.compile(r"^Gamma\((\d+)(?:,(\d+))?\)$")
+# the congruence groups by name: (n, m) is the group of the elements that are
+# the identity mod n and whose B and C have diagonals divisible by m
+_GROUPS = {"Gamma(2)": (2, 2), "Gamma(2,4)": (2, 4), "Gamma(4,8)": (4, 8)}
+
+
+def _group_levels(group: str) -> tuple[int, int]:
+    if group not in _GROUPS:
+        raise DomainError(f"unknown group {group!r}: one of {', '.join(_GROUPS)}")
+    return _GROUPS[group]
 
 
 def membership(gamma: SymplecticElement, group: str) -> bool:
-    """Exact congruence membership test.
-
-    ``group`` is one of "Sp", "Gamma(n)" or "Gamma(n,2n)"; any other spec
-    is a ``DomainError``.
-    """
-    if group == "Sp":
-        return True  # construction already enforced the symplectic relation
-    match = _GROUP_RE.match(group.replace(" ", ""))
-    if not match:
-        raise DomainError(f"unknown group spec {group!r}")
-    n = int(match.group(1))
-    if n < 1:
-        raise DomainError(f"group level must be positive in {group!r}")
-    two_n = match.group(2)
-    g = gamma.g
-    eye = np.eye(2 * g, dtype=object)
-    if not ((gamma.mat - eye) % n == 0).all():
+    """Exact membership of ``gamma`` in the congruence group named ``group``,
+    a key of ``_GROUPS``; any other name is a ``DomainError``."""
+    n, diag_mod = _group_levels(group)
+    if not ((gamma.mat - np.eye(2 * gamma.g, dtype=object)) % n == 0).all():
         return False
-    if two_n is not None:
-        if int(two_n) != 2 * n:
-            raise DomainError(f"unsupported group spec {group!r}")
-        diag_b = np.diag(gamma.B)
-        diag_c = np.diag(gamma.C)
-        if not all(int(x) % (2 * n) == 0 for x in diag_b):
-            return False
-        if not all(int(x) % (2 * n) == 0 for x in diag_c):
-            return False
-    return True
+    return all(int(x) % diag_mod == 0 for x in (*np.diag(gamma.B), *np.diag(gamma.C)))
 
 
 def _sym_basis(g: int) -> list[np.ndarray]:
@@ -311,10 +295,7 @@ def _sym_basis(g: int) -> list[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _generator_pool(group: str, g: int) -> tuple[SymplecticElement, ...]:
-    levels = {"Gamma(2)": (2, 2), "Gamma(2,4)": (2, 4), "Gamma(4,8)": (4, 8)}
-    if group not in levels:
-        raise DomainError(f"no generator pool for group {group!r}")
-    n, diag_mod = levels[group]
+    n, diag_mod = _group_levels(group)
     eye = np.eye(g, dtype=int)
     zero = np.zeros((g, g), dtype=int)
     pool = []
@@ -348,7 +329,7 @@ def generate_subgroup_element(
 ) -> SymplecticElement:
     """A deterministic pseudo-random word in explicit generators of ``group``.
 
-    Supported groups: Gamma(2), Gamma(2,4), Gamma(4,8).  The product of the
+    ``group`` is a key of ``_GROUPS``.  The product of the
     generators' integer matrices is validated once (products of symplectic
     matrices are symplectic) and its membership asserted (exact arithmetic),
     so a bug in the pool cannot leak elements outside the group.

@@ -62,6 +62,7 @@ from .symplectic import (
     SiegelPoint,
     SymplecticElement,
     act_on_tau,
+    automorphy_factor,
     even_characteristics,
     integer_entries,
     membership,
@@ -428,18 +429,6 @@ def theta_gradient(n: Characteristic, tau, policy: TruncationPolicy | None = Non
     return theta_eval(n, tau, None, policy, want_gradient=True).gradient_z
 
 
-def theta_tau_derivative(
-    m: Characteristic, tau, z=None, policy: TruncationPolicy | None = None
-) -> np.ndarray:
-    """The weighted tau-derivative matrix applied to the theta series.
-
-    Entry (a, b) applies d/d tau_{ab}, halved off the diagonal, so the
-    matrix is the natural symmetric gradient with respect to a symmetric
-    argument.
-    """
-    return theta_eval(m, tau, z, policy, want_tau_derivative=True).tau_derivative
-
-
 def second_order_theta(
     eps,
     tau,
@@ -494,11 +483,6 @@ def theta_unnormalized(mp, mpp, tau, z=None, policy: TruncationPolicy | None = N
     return complex(class_sums(axes, tau_arr, y, one_row=True)[0][0, 0])
 
 
-def _det_cd(gamma: SymplecticElement, tau_arr: np.ndarray) -> complex:
-    den = gamma.C.astype(float) @ tau_arr + gamma.D.astype(float)
-    return complex(np.linalg.det(den))
-
-
 def kappa_squared(
     gamma: SymplecticElement, tau, policy: TruncationPolicy | None = None
 ) -> complex:
@@ -517,7 +501,7 @@ def kappa_squared(
     samples = []
     for point in points:
         image = act_on_tau(gamma, point)
-        det_cd = _det_cd(gamma, point.tau)
+        det_cd = complex(np.linalg.det(automorphy_factor(gamma, point.tau)))
         used = 0
         for m in even_characteristics(g):
             base = theta_eval(m, point, None, policy).value

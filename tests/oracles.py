@@ -29,6 +29,11 @@ def det_of_array(arr):
     return laplace_det([list(row) for row in arr])
 
 
+def sign_sum(I, J):
+    """(-1) raised to the sum of all indices in the index tuples I and J."""
+    return -1 if (sum(I) + sum(J)) % 2 else 1
+
+
 def inversion_sign(seq):
     seq = list(seq)
     inv = 0
@@ -470,9 +475,9 @@ def stepwise_subgroup_element(group, g, seed, word_length):
 
     pool = _generator_pool(group, g)
     rng = np.random.default_rng([seed, g, word_length, len(pool)])
-    word = SymplecticElement.identity(g)
+    word = SymplecticElement(np.eye(2 * g, dtype=int))
     for _ in range(word_length):
-        word = word @ pool[int(rng.integers(len(pool)))]
+        word = SymplecticElement(word.mat @ pool[int(rng.integers(len(pool)))].mat)
     assert membership(word, group)
     return word
 

@@ -39,7 +39,7 @@ from theta_forge.symplectic import (
     odd_characteristics,
     sample_siegel_point,
 )
-from theta_forge.theta import theta_eval, theta_gradient, theta_tau_derivative
+from theta_forge.theta import theta_eval, theta_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_eval_product_basics(tau_g2):
     assert eval_product(single, tau_g2) == pytest.approx(
         theta_eval(m, tau_g2).value
     )
-    pair = single * single
+    pair = single.power(2)
     assert eval_product(pair, tau_g2) == pytest.approx(
         theta_eval(m, tau_g2).value ** 2
     )
@@ -98,7 +98,7 @@ def test_partial_bracket_order_one_is_derivative_matrix(rng):
     m = even_characteristics(g)[3]
     f = theta_constant_product(g, m)
     got = partial_bracket(f, 1, t).entries
-    assert np.allclose(got, theta_tau_derivative(m, t))
+    assert np.allclose(got, theta_eval(m, t, want_tau_derivative=True).tau_derivative)
 
 
 def test_partial_bracket_product_rule_vs_finite_difference(rng):
@@ -131,7 +131,7 @@ def test_partial_bracket_power_formula(rng):
         m = even_characteristics(g)[1]
         f1 = theta_constant_product(g, m)
         val = eval_product(f1, t)
-        dmat = from_matrix(theta_tau_derivative(m, t))
+        dmat = from_matrix(theta_eval(m, t, want_tau_derivative=True).tau_derivative)
         for l in (2, 3):
             for k in (1, 2):
                 if k > min(l, g):
@@ -157,7 +157,7 @@ def test_more_derivative_slots_than_factors_vanish(rng):
 def test_A_form_requires_single_factors(tau_g2):
     m = even_characteristics(2)[0]
     single = theta_constant_product(2, m)
-    double = single * single
+    double = single.power(2)
     with pytest.raises(DomainError):
         A_form(double, single, tau_g2)
 
@@ -264,7 +264,9 @@ def test_permutation_expansion_identity(rng):
     evens = even_characteristics(g)
     fs = [theta_constant_product(g, evens[i]) for i in (0, 1)]
     hs = [theta_constant_product(g, evens[i]) for i in (2, 3)]
-    lhs = pairing_bracket(fs[0] * fs[1], hs[0] * hs[1], k, t)
+    fprod = theta_constant_product(g, evens[0], evens[1])
+    hprod = theta_constant_product(g, evens[2], evens[3])
+    lhs = pairing_bracket(fprod, hprod, k, t)
     rhs = None
     for sigma in itertools.permutations(range(k)):
         mats = [A_form(fs[i], hs[sigma[i]], t) for i in range(k)]
@@ -395,21 +397,14 @@ def test_rho_action_top_order_matches_inverse_transpose_rule(rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(rhs))
 
 
-def test_rho_action_plain_coordinates(rng):
-    g, k = 3, 2
-    M = rng.standard_normal((g, g))
-    X = compound(rng.standard_normal((g, g)), k)
-    out = rho_k_action(M, X, k)
-    lam = compound(M, k).entries
-    want = np.linalg.det(M) ** k * (lam @ X.entries @ lam.T)
-    assert np.allclose(out.entries, want)
-
-
 def test_rho_action_level_mismatch(rng):
     g = 3
     X = compound(np.eye(g), 1)
     with pytest.raises(DomainError):
         rho_k_action(np.eye(g), X, 3)
+    # the action is defined at level g - k only, not in plain level-k coordinates
+    with pytest.raises(DomainError):
+        rho_k_action(np.eye(g), compound(rng.standard_normal((g, g)), 2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +426,7 @@ def test_audit_identity_element(rng):
         return star_product(A_form(F, H, pt), A_form(F, H, pt))
 
     rep = audit_transformation(
-        fn, SymplecticElement.identity(g), 2, MultiplierSpec(kappa_power=4), t
+        fn, SymplecticElement(np.eye(2 * g, dtype=int)), 2, MultiplierSpec(kappa_power=4), t
     )
     assert rep.residual == 0.0
 

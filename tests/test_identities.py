@@ -376,8 +376,8 @@ TAU_G2 = SiegelPoint(np.array([[0.1 + 1.0j, 0.2j], [0.2j, -0.3 + 0.8j]]))
     lambda: second_order_theta((1, 0), TAU_G2, [0.0, 1j * np.inf]),
     lambda: theta_unnormalized((1, 0), (1,), TAU_G2),
     lambda: SiegelPoint(np.zeros((0, 0), dtype=complex)),
-    lambda: membership(SymplecticElement.identity(2), "Gamma(0)"),
-    lambda: membership(SymplecticElement.identity(2), "Gamma(2,4)*"),
+    lambda: membership(SymplecticElement(np.eye(4, dtype=int)), "Gamma(0)"),
+    lambda: membership(SymplecticElement(np.eye(4, dtype=int)), "Gamma(2,4)*"),
     lambda: check_jacobi(1, []),
     lambda: check_main_theorem(3, 2, [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0))], []),
     lambda: check_exact_layer(4, genus_range=(1,)),

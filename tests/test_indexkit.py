@@ -7,63 +7,53 @@ from hypothesis import strategies as st
 
 from theta_forge.errors import DomainError
 from theta_forge.indexkit import (
-    IndexSet,
     box_table,
     dual_table,
-    enumerate_subsets,
     perm_sign,
     position_sign,
-    sign_sum,
     subset_rank,
     subset_tuples,
     tuple_complement,
 )
 
-from oracles import inversion_sign
+from oracles import inversion_sign, sign_sum
 
 
 def test_enumeration_order_and_counts():
-    subs = enumerate_subsets(3, 2)
-    assert [s.elements for s in subs] == [(1, 2), (1, 3), (2, 3)]
-    assert len(enumerate_subsets(4, 2)) == 6
-    assert [s.elements for s in enumerate_subsets(5, 0)] == [()]
+    assert subset_tuples(3, 2) == ((1, 2), (1, 3), (2, 3))
+    assert len(subset_tuples(4, 2)) == 6
+    assert subset_tuples(5, 0) == ((),)
     for g in range(1, 6):
         for k in range(g + 1):
-            subs = enumerate_subsets(g, k)
+            subs = subset_tuples(g, k)
             assert len(subs) == comb(g, k)
-            assert len(set(s.elements for s in subs)) == len(subs)
-            assert subs == sorted(subs)
+            assert len(set(subs)) == len(subs)
+            assert list(subs) == sorted(subs)
+            assert all(list(s) == sorted(set(s)) and set(s) <= set(range(1, g + 1)) for s in subs)
 
 
 def test_enumeration_domain_errors():
     with pytest.raises(DomainError):
-        enumerate_subsets(3, 4)
+        subset_tuples(3, 4)
     with pytest.raises(DomainError):
-        enumerate_subsets(3, -1)
-
-
-def test_index_set_validation():
-    with pytest.raises(DomainError):
-        IndexSet((2, 1), 3)
-    with pytest.raises(DomainError):
-        IndexSet((0, 1), 3)
-    with pytest.raises(DomainError):
-        IndexSet((1, 4), 3)
+        subset_tuples(3, -1)
 
 
 def test_complement_partitions_ambient():
     for g in range(1, 6):
+        full = tuple(range(1, g + 1))
         for k in range(g + 1):
-            for I in enumerate_subsets(g, k):
-                C = I.complement()
-                assert sorted(I.elements + C.elements) == list(range(1, g + 1))
-                assert C.complement() == I
+            for I in subset_tuples(g, k):
+                C = tuple_complement(I, full)
+                assert sorted(I + C) == list(full)
+                assert tuple_complement(C, full) == I
 
 
 def test_sign_sum_examples():
-    assert sign_sum(IndexSet((1, 2), 3), IndexSet((1, 2), 3)) == 1
-    assert sign_sum(IndexSet((1, 2), 3), IndexSet((1, 3), 3)) == -1
-    assert sign_sum(IndexSet((2,), 3), IndexSet((3,), 3)) == -1
+    # the reference sign of the Hodge-dual tests: (-1)^(sum I + sum J)
+    assert sign_sum((1, 2), (1, 2)) == 1
+    assert sign_sum((1, 2), (1, 3)) == -1
+    assert sign_sum((2,), (3,)) == -1
 
 
 def test_position_sign_relabels_to_subset_positions():
@@ -110,7 +100,8 @@ def test_dual_table_is_cached_read_only_and_matches_the_complements(g):
         complement, negative = table = dual_table(g, k)
         assert dual_table(g, k) is table
         assert not complement.flags.writeable and not negative.flags.writeable
-        subs = enumerate_subsets(g, g - k)
+        subs = subset_tuples(g, g - k)
         rank = subset_rank(g, k)
-        assert complement.tolist() == [rank[I.complement().elements] for I in subs]
+        full = tuple(range(1, g + 1))
+        assert complement.tolist() == [rank[tuple_complement(I, full)] for I in subs]
         assert negative.tolist() == [[sign_sum(I, J) < 0 for J in subs] for I in subs]

@@ -13,6 +13,7 @@ from theta_forge.symplectic import (
     SymplecticElement,
     act_on_tau,
     all_characteristics,
+    automorphy_factor,
     even_characteristics,
     _generator_pool,
     generate_subgroup_element,
@@ -46,7 +47,7 @@ def _upper(B):
 def test_symplectic_relation_enforced():
     with pytest.raises(DomainError):
         SymplecticElement(np.eye(4, dtype=int) * 2)
-    eye = SymplecticElement.identity(2)
+    eye = SymplecticElement(np.eye(4, dtype=int))
     J = symplectic_form(2)
     assert (eye.mat.T @ J @ eye.mat == J).all()
 
@@ -122,7 +123,7 @@ def test_malformed_group_element_json_raises_domain_error(data):
 
 def test_act_on_tau_identity_and_inversion_fixed_point():
     tau = SiegelPoint(np.array([[1j]]))
-    assert np.allclose(act_on_tau(SymplecticElement.identity(1), tau).tau, tau.tau)
+    assert np.allclose(act_on_tau(SymplecticElement(np.eye(2, dtype=int)), tau).tau, tau.tau)
     assert np.allclose(act_on_tau(_inversion(1), tau).tau, [[1j]])
 
 
@@ -131,7 +132,7 @@ def test_act_on_tau_composition(rng):
         t = sample_siegel_point(g, rng)
         g1 = generate_subgroup_element("Gamma(2)", g, 31, 5)
         g2 = generate_subgroup_element("Gamma(2)", g, 32, 5)
-        lhs = act_on_tau(g1 @ g2, t).tau
+        lhs = act_on_tau(SymplecticElement(g1.mat @ g2.mat), t).tau
         rhs = act_on_tau(g1, act_on_tau(g2, t)).tau
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -177,8 +178,8 @@ def test_characteristic_validation_and_addition():
 
 
 def test_identity_in_all_groups():
-    eye = SymplecticElement.identity(2)
-    for grp in ("Sp", "Gamma(2)", "Gamma(4)", "Gamma(2,4)", "Gamma(4,8)"):
+    eye = SymplecticElement(np.eye(4, dtype=int))
+    for grp in ("Gamma(2)", "Gamma(2,4)", "Gamma(4,8)"):
         assert membership(eye, grp)
 
 
@@ -204,8 +205,11 @@ def test_containment_chain():
 
 
 def test_unknown_group_rejected():
-    with pytest.raises(DomainError):
-        membership(SymplecticElement.identity(1), "Gamma(3,5)")
+    # the groups are the three of the table: the symplectic group itself,
+    # Gamma(n) at other levels and spaced spellings are refused
+    for group in ("Gamma(3,5)", "Sp", "Gamma(4)", "Gamma(2, 4)"):
+        with pytest.raises(DomainError):
+            membership(SymplecticElement(np.eye(2, dtype=int)), group)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +221,7 @@ def test_generated_words_deterministic_and_member():
     b = generate_subgroup_element("Gamma(2,4)", 2, 11, 7)
     assert a == b
     assert membership(a, "Gamma(2,4)")
-    assert generate_subgroup_element("Gamma(2)", 2, 1, 0) == SymplecticElement.identity(2)
+    assert generate_subgroup_element("Gamma(2)", 2, 1, 0) == SymplecticElement(np.eye(4, dtype=int))
 
 
 @settings(max_examples=150, deadline=None)
@@ -232,6 +236,11 @@ def test_generated_word_matches_stepwise_oracle(group, g, seed, length):
     word = generate_subgroup_element(group, g, seed, length)
     assert word == stepwise_subgroup_element(group, g, seed, length)
     assert all(type(x) is int for x in word.mat.flat)
+    # its C tau + D, read from the lower rows, is bit for bit the product of
+    # the blocks converted one by one
+    tau = sample_siegel_point(g, np.random.default_rng(seed)).tau
+    want = word.C.astype(float) @ tau + word.D.astype(float)
+    assert np.array_equal(automorphy_factor(word, tau), want)
 
 
 def test_generator_pool_rejects_unknown_group():
@@ -253,7 +262,7 @@ def test_generator_pool_is_built_once_per_group_and_genus():
 
 
 def test_phi_identity_is_one():
-    eye = SymplecticElement.identity(2)
+    eye = SymplecticElement(np.eye(4, dtype=int))
     for m in all_characteristics(2):
         assert phi_factor(m, eye) == pytest.approx(1.0)
 
