@@ -32,7 +32,6 @@ from .symplectic import (
 from .theta import (
     ThetaValue,
     TruncationPolicy,
-    kappa_squared,
     second_order_theta,
     theta_eval,
     theta_gradient,
@@ -41,13 +40,13 @@ from .theta import (
 from .forms import (
     A_form,
     A_star,
-    MultiplierSpec,
     SecondOrderFactor,
     ThetaConstantFactor,
     ThetaProduct,
     W_of_N,
     audit_transformation,
     eval_product,
+    kappa_squared,
     pairing_brace,
     pairing_bracket,
     parse_theta_expression,

@@ -23,10 +23,10 @@ from .errors import (
 )
 from .forms import (
     A_star,
-    MultiplierSpec,
     W_of_N,
     audit_transformation,
     eval_product,
+    law_group,
     parse_theta_expression,
     partial_bracket,
 )
@@ -51,14 +51,15 @@ EXIT_MATH = 4
 
 def _check_common(args) -> None:
     """Attach the truncation policy to ``args``; ``DomainError`` for a genus
-    outside 1..4, a negative seed, a ``--tol`` not finite and > 0, or a
-    ``--series-tol`` that ``TruncationPolicy`` refuses."""
+    outside 1..4, a negative seed, a ``--tol`` (verify and audit only) not
+    finite and > 0, or a ``--series-tol`` that ``TruncationPolicy`` refuses."""
     if not 1 <= args.g <= 4:
         raise DomainError(f"genus {args.g} outside 1..4")
     if args.seed < 0:
         raise DomainError(f"seed must be >= 0, got {args.seed}")
-    if args.tol is not None and not 0 < args.tol < float("inf"):
-        raise DomainError(f"--tol must be finite and > 0, got {args.tol}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0 < tol < float("inf"):
+        raise DomainError(f"--tol must be finite and > 0, got {tol}")
     args.policy = TruncationPolicy(target_tol=args.series_tol)
 
 
@@ -70,12 +71,6 @@ def _fail(message, code: int) -> int:
 def _add_common(parser):
     parser.add_argument("--g", type=int, default=2, help="genus (1..4)")
     parser.add_argument("--seed", type=int, default=0, help="deterministic seed")
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="pass threshold override (default: per-identity tolerances)",
-    )
     parser.add_argument(
         "--series-tol", type=float, default=1e-12, help="series tail tolerance"
     )
@@ -207,7 +202,7 @@ def _parse_pair(chunk: str, g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _parse_form(text: str, g: int, policy):
-    """The multiplier and value function of an audit form spec.
+    """The phase characters and value function of an audit form spec.
 
     ``ExpressionParseError`` for a spec that does not parse, ``DomainError``
     for one that parses but names no form at genus ``g``.
@@ -215,17 +210,17 @@ def _parse_form(text: str, g: int, policy):
     kind, _, spec = text.partition(":")
     if kind == "W":
         factors = tuple(_parse_char_token(tok, g) for tok in spec.split(",") if tok.strip())
-        multiplier = MultiplierSpec(2 * len(factors), factors)
+        phi_chars = factors  # each odd characteristic adds its squared phase
         value_fn = partial(W_of_N, factors, policy=policy)
     elif kind == "A":
         factors = tuple(_parse_pair(chunk, g) for chunk in spec.split(";") if chunk.strip())
-        multiplier = MultiplierSpec(2 * len(factors))
+        phi_chars = ()
         value_fn = partial(A_star, factors, policy=policy)
     else:
         raise ExpressionParseError("form spec must start with 'W:' or 'A:'")
     if not factors:
         raise ExpressionParseError(f"form spec {text!r} names no factor")
-    return multiplier, value_fn
+    return phi_chars, value_fn
 
 
 def cmd_audit(args) -> int:
@@ -236,19 +231,17 @@ def cmd_audit(args) -> int:
         return _fail(f"--words must be >= 0, got {args.words}", EXIT_USAGE)
     group = groups[args.group]
     policy = args.policy
-    if args.tol is None:
-        args.tol = 1e-7
     g = args.g
     try:
-        multiplier, value_fn = _parse_form(args.form, g, policy)
+        phi_chars, value_fn = _parse_form(args.form, g, policy)
     except ExpressionParseError as exc:
         return _fail(exc, EXIT_USAGE)
     except DomainError as exc:
         return _fail(exc, EXIT_MATH)
-    k = multiplier.kappa_power // 2
+    needed = law_group(phi_chars)
     # words are products of the group's generators: all of them must obey the law
-    if not all(membership(x, multiplier.group) for x in _generator_pool(group, g)):
-        return _fail(f"form {args.form!r} transforms only under {multiplier.group},"
+    if not all(membership(x, needed) for x in _generator_pool(group, g)):
+        return _fail(f"form {args.form!r} transforms only under {needed},"
                      f" which does not contain {group}", EXIT_USAGE)
 
     rng = np.random.default_rng(args.seed)
@@ -262,7 +255,7 @@ def cmd_audit(args) -> int:
     ok = True
     try:
         words = (
-            conditioned_words(group, g, [base], args.words, args.seed + 5000)
+            conditioned_words(group, base, args.words, args.seed + 5000)
             if args.words
             else []
         )
@@ -270,7 +263,7 @@ def cmd_audit(args) -> int:
         return _fail(exc, EXIT_MATH)
     for i, gamma in enumerate(words):
         try:
-            rep = audit_transformation(value_fn, gamma, k, multiplier, base, policy)
+            rep = audit_transformation(value_fn, gamma, phi_chars, base, policy)
         except (ConvergenceError, DegenerateBasePointError, DomainError) as exc:
             return _fail(f"word {i}: {exc}", EXIT_MATH)
         passed = rep.residual < args.tol
@@ -309,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity suite")
     _add_common(p_verify)
+    p_verify.add_argument("--tol", type=float, default=None,
+                          help="pass threshold override (default: per-identity tolerances)")
     p_verify.add_argument("--filter", type=str, default=None, help="identity name glob")
     p_verify.add_argument(
         "--timings",
@@ -328,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="audit a transformation law")
     _add_common(p_audit)
+    p_audit.add_argument("--tol", type=float, default=1e-7, help="pass threshold of each word")
     p_audit.add_argument(
         "--form",
         type=str,

@@ -7,7 +7,9 @@ the gradient-wedge forms, and the compound-matrix group action used to
 audit transformation laws.  Every form value is a plain CompoundMatrix:
 ``W_of_N`` builds the generators of V_grad (wedges of odd theta
 gradients) and ``A_star`` those of V_Theta (star products of second-order
-A-forms).
+A-forms).  A value of k factors lives at level g - k, so the audit reads
+its law off the value: rho_k with the multiplier kappa^{2k}, measured by
+``kappa_squared``, times the squared phase of each odd characteristic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ExpressionParseError
+from .errors import ConvergenceError, DegenerateBasePointError, DomainError, ExpressionParseError
 from .indexkit import subset_tuples
 from .multilinear import (
     CompoundMatrix,
@@ -37,6 +39,7 @@ from .symplectic import (
     SymplecticElement,
     act_on_tau,
     automorphy_factor,
+    even_characteristics,
     integer_entries,
     membership,
     parity,
@@ -45,7 +48,6 @@ from .symplectic import (
 from .theta import (
     ThetaValue,
     TruncationPolicy,
-    kappa_squared,
     second_order_theta,
     theta_eval,
     theta_gradient,
@@ -255,56 +257,69 @@ def W_of_N(
     return wedge_outer(V).scale(float(np.pi) ** (-2 * k))
 
 
-def rho_k_action(M: np.ndarray, X: CompoundMatrix, k: int) -> CompoundMatrix:
+def rho_k_action(M: np.ndarray, X: CompoundMatrix) -> CompoundMatrix:
     """The weight-(k+2,..,k+2,k,..,k) action on a compound-matrix value.
 
     ``X`` lives at level g-k, the complementary-index coordinates of the
     star products and gradient wedges, where the multiplier matrix is the
     cofactor tensor of order g-k of M (the Hodge twist of its k-th
-    compound), scaled by det(M)^k.
+    compound), scaled by det(M)^k; k is read off the level, and a level-g
+    value raises ``DomainError`` from ``cofactor_tensor``.
     """
     M = np.asarray(M, dtype=complex)
-    g = M.shape[0]
-    if X.ambient != g:
+    if X.ambient != M.shape[0]:
         raise DomainError("ambient mismatch between M and X")
-    if not 1 <= k <= g:
-        raise DomainError(f"k={k} outside 1..{g}")
-    if X.level != g - k:
-        raise DomainError(f"level {X.level} is not g-k={g - k}")
-    lam = cofactor_tensor(M, g - k).entries
-    det_k = complex(np.linalg.det(M)) ** k
+    lam = cofactor_tensor(M, X.level).entries
+    det_k = complex(np.linalg.det(M)) ** (X.ambient - X.level)
     return CompoundMatrix(X.ambient, X.level, det_k * (lam @ X.entries @ lam.T))
 
 
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Scalar multiplier of a transformation law in even powers.
+def kappa_squared(
+    gamma: SymplecticElement, tau: SiegelPoint, policy: TruncationPolicy | None = None
+) -> complex:
+    """The squared theta multiplier of a level-2 group element.
 
-    ``kappa_power`` must be even (only the squared multiplier is ever
-    measured); each characteristic in ``phi_chars`` contributes the square
-    of its classical phase factor.
+    Measured from the even-characteristic transformation law in squared
+    form, so no square-root branch of det(C tau + D) is ever chosen.  The
+    measurement is repeated over three even characteristics and two base
+    points and must agree to 1e-8.
     """
+    if not membership(gamma, "Gamma(2)"):
+        raise DomainError("kappa_squared requires an element of Gamma(2)")
+    g = gamma.g
+    samples = []
+    for point in (tau, SiegelPoint(tau.tau + 0.3j * np.eye(g))):
+        image = act_on_tau(gamma, point)
+        det_cd = complex(np.linalg.det(automorphy_factor(gamma, point.tau)))
+        used = 0
+        for m in even_characteristics(g):
+            base = theta_eval(m, point, None, policy).value
+            if abs(base) < 1e-6:
+                continue
+            moved = theta_eval(m, image, None, policy).value
+            phi2 = phi_factor(m, gamma) ** 2
+            samples.append(moved**2 / (phi2 * det_cd * base**2))
+            used += 1
+            if used == 3:
+                break
+        if used == 0:
+            raise DegenerateBasePointError(
+                "all even theta constants vanish at the probe base point"
+            )
+    mean = sum(samples) / len(samples)
+    spread = max(abs(s - mean) for s in samples)
+    if spread > 1e-8 * max(1.0, abs(mean)):
+        raise ConvergenceError(
+            f"kappa^2 probes disagree by {spread:g}; transformation law violated"
+        )
+    return mean
 
-    kappa_power: int
-    phi_chars: tuple[Characteristic, ...] = ()
 
-    def __post_init__(self):
-        if self.kappa_power % 2:
-            raise DomainError("kappa_power must be even (square-root branch is never fixed)")
-        object.__setattr__(self, "phi_chars", tuple(self.phi_chars))
-
-    @property
-    def group(self) -> str:
-        """The congruence group the law holds on: the phase factors of
-        ``phi_chars`` are characters of Gamma(2), the bare multiplier
-        power needs Gamma(2,4)."""
-        return "Gamma(2)" if self.phi_chars else "Gamma(2,4)"
-
-    def value(self, gamma: SymplecticElement, tau, policy) -> complex:
-        out = kappa_squared(gamma, tau, policy) ** (self.kappa_power // 2)
-        for n in self.phi_chars:
-            out *= phi_factor(n, gamma) ** 2
-        return out
+def law_group(phi_chars) -> str:
+    """The congruence group a law holds on: the phase factors of
+    ``phi_chars`` are characters of Gamma(2), the bare multiplier power
+    needs Gamma(2,4)."""
+    return "Gamma(2)" if phi_chars else "Gamma(2,4)"
 
 
 @dataclass(frozen=True)
@@ -316,24 +331,27 @@ class AuditReport:
 def audit_transformation(
     value_fn: Callable[[SiegelPoint], CompoundMatrix],
     gamma: SymplecticElement,
-    k: int,
-    expected_multiplier: MultiplierSpec,
+    phi_chars: Sequence[Characteristic],
     tau: SiegelPoint,
     policy: TruncationPolicy | None = None,
 ) -> AuditReport:
     """Compare value_fn at the moved point against the transformed value.
 
+    A value at level g - k transforms by rho_k times kappa^2(gamma)^k and
+    the squared phase factor of each characteristic in ``phi_chars``.
     Returns the maximum entrywise deviation relative to the overall scale
     of the two sides.
     """
-    needed = expected_multiplier.group
+    needed = law_group(phi_chars)
     if not membership(gamma, needed):
         raise DomainError(f"audited element must lie in {needed}")
     moved = act_on_tau(gamma, tau)
     lhs = value_fn(moved)
     base = value_fn(tau)
-    scalar = expected_multiplier.value(gamma, tau, policy)
-    rhs = rho_k_action(automorphy_factor(gamma, tau.tau), base, k).scale(scalar)
+    scalar = kappa_squared(gamma, tau, policy) ** (tau.g - base.level)
+    for n in phi_chars:
+        scalar *= phi_factor(n, gamma) ** 2
+    rhs = rho_k_action(automorphy_factor(gamma, tau.tau), base).scale(scalar)
     scale = max(lhs.max_abs(), rhs.max_abs(), 1e-30)
     residual = float(np.max(np.abs(lhs.entries - rhs.entries)) / scale)
     return AuditReport(residual=residual, multiplier=complex(scalar))

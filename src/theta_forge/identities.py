@@ -32,10 +32,10 @@ from .errors import DomainError, NumericalDegeneracyError
 from .forms import (
     A_form,
     A_star,
-    MultiplierSpec,
     ThetaProduct,
     W_of_N,
     audit_transformation,
+    law_group,
     partial_bracket,
     pairing_bracket,
     pairing_brace,
@@ -245,7 +245,6 @@ def check_gsm_backward(
 
 
 def check_jacobi(
-    genus: int,
     taus,
     policy: TruncationPolicy | None = None,
     tolerance: float | None = None,
@@ -253,7 +252,7 @@ def check_jacobi(
     """Derivative-formula checks: fitted constants must be base-point free
     and equal their closed forms, which also see a wrong scale of theta.
 
-    genus 1 fits the single proportionality constant between the odd
+    The genus is that of the points ``taus``.  Genus 1 fits the single proportionality constant between the odd
     gradient and the product of the three even constants, -pi; genus 2
     fits, for each pair of odd characteristics, the ratio of the gradient
     Jacobian to the complementary quartic product of constants, of modulus pi^2.
@@ -262,6 +261,7 @@ def check_jacobi(
     taus = list(taus)
     if not taus:
         raise DomainError("jacobi check needs at least one base point")
+    genus = taus[0].g
     if genus == 1:
         n = Characteristic((1,), (1,))
         evens = [Characteristic((0,), (0,)), Characteristic((1,), (0,)), Characteristic((0,), (1,))]
@@ -368,7 +368,6 @@ def check_main_theorem(
 
 
 def check_omega_consistency(
-    g: int,
     F: ThetaProduct,
     H: ThetaProduct,
     tau: SiegelPoint,
@@ -377,6 +376,7 @@ def check_omega_consistency(
 ) -> IdentityReport:
     """Top-order pairing of (g-1)-th powers against the scaled cofactor matrix."""
     started = time.perf_counter()
+    g = F.g
     if g < 2:
         raise DomainError("needs genus >= 2")
     residual = _pairing_power_residual(F, H, g - 1, tau, policy)
@@ -744,7 +744,7 @@ def _family_pairing_power(genus, rng, policy, seed=0):
             F, H, t = draw()
             worst = _worst(worst, _pairing_power_residual(F, H, k, t, policy))
         rows.append(_row("pairing_power_cofactor", {"k": k, "base_points": base_points}, worst))
-    worst = _worst(0.0, *(check_omega_consistency(genus, *draw(), policy).residual
+    worst = _worst(0.0, *(check_omega_consistency(*draw(), policy).residual
                           for _ in range(3)))
     rows.append(_row("omega_consistency", {"base_points": 3}, worst))
     return rows
@@ -778,7 +778,7 @@ def _family_gsm(genus, rng, policy, seed=0):
 
 def _family_jacobi(genus, rng, policy, seed=0):
     taus = [sample_siegel_point(genus, rng) for _ in range(5)]
-    return [_from_report(check_jacobi(genus, taus, policy))]
+    return [_from_report(check_jacobi(taus, policy))]
 
 
 def _sample_theorem_pairs(rng, g, k):
@@ -814,12 +814,14 @@ def _family_main_theorem(genus, rng, policy, seed=0):
     return rows
 
 
-def conditioned_words(group, g, base_points, count, seed):
-    """Deterministic length-4 group words that keep every probe's min Im eigenvalue >= 0.05."""
+def conditioned_words(group, point, count, seed):
+    """Deterministic length-4 group words at the genus of ``point`` that keep
+    the min Im eigenvalue of each probe, ``point`` and ``point`` + 0.3i,
+    >= 0.05."""
     out = []
     attempt = 0
-    probes = list(base_points)
-    probes += [SiegelPoint(p.tau + 0.3j * np.eye(g)) for p in probes]
+    g = point.g
+    probes = [point, SiegelPoint(point.tau + 0.3j * np.eye(g))]
     while len(out) < count and attempt < 200 * count:
         gamma = generate_subgroup_element(group, g, seed + attempt, 4)
         attempt += 1
@@ -842,16 +844,15 @@ def conditioned_words(group, g, base_points, count, seed):
 
 
 def _audit_rows(name, value_fn, phi_chars, t, policy, seed):
-    """Audit the k = 2 law of ``value_fn`` at ``t`` on 10 words of the group
-    its multiplier holds on; one row per word, and each word's measured
+    """Audit the law of the two-factor ``value_fn`` at ``t`` on 10 words of
+    the group it holds on; one row per word, and each word's measured
     multiplier."""
-    k = 2
-    spec = MultiplierSpec(kappa_power=2 * k, phi_chars=phi_chars)
-    words = conditioned_words(spec.group, t.g, [t], 10, seed)
+    group = law_group(phi_chars)
+    words = conditioned_words(group, t, 10, seed)
     rows, multipliers = [], []
     for i, gamma in enumerate(words):
-        rep = audit_transformation(value_fn, gamma, k, spec, t, policy)
-        params = {"word": i, "k": k, "group": spec.group, "multiplier": _cplx(rep.multiplier)}
+        rep = audit_transformation(value_fn, gamma, phi_chars, t, policy)
+        params = {"word": i, "k": 2, "group": group, "multiplier": _cplx(rep.multiplier)}
         rows.append(_row(name, params, rep.residual))
         multipliers.append(rep.multiplier)
     return rows, multipliers

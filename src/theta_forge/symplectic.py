@@ -107,9 +107,10 @@ class SymplecticElement:
             raise DomainError(f"a group element needs integer blocks 'A' to 'D': {exc!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiegelPoint:
-    """A g-by-g complex symmetric matrix with positive definite imaginary part."""
+    """A g-by-g complex symmetric matrix with positive definite imaginary
+    part; ``==`` is identity."""
 
     tau: np.ndarray
 
@@ -131,12 +132,6 @@ class SiegelPoint:
     @property
     def g(self) -> int:
         return self.tau.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, SiegelPoint) and np.array_equal(self.tau, other.tau)
-
-    def __hash__(self):
-        return hash(self.tau.tobytes())
 
     def to_json(self) -> dict:
         return {

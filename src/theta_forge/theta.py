@@ -1,5 +1,4 @@
-"""Truncated theta series with characteristics, their derivatives, and the
-squared classical multiplier.
+"""Truncated theta series with characteristics and their derivatives.
 
 The series convention is exp(t) = e^{2 pi i t} throughout:
 
@@ -56,19 +55,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from ._kernels import _fold_plan, _fold_table, class_sums
-from .errors import ConvergenceError, DegenerateBasePointError, DomainError
-from .symplectic import (
-    Characteristic,
-    SiegelPoint,
-    SymplecticElement,
-    act_on_tau,
-    automorphy_factor,
-    even_characteristics,
-    integer_entries,
-    membership,
-    parity,
-    phi_factor,
-)
+from .errors import ConvergenceError, DomainError
+from .symplectic import Characteristic, SiegelPoint, integer_entries, parity
 
 _MAX_RADIUS = 24
 _ONE_DIM_SPAN = 64
@@ -435,13 +423,12 @@ def second_order_theta(
     z=None,
     policy: TruncationPolicy | None = None,
     *,
-    want_gradient: bool = False,
     want_tau_derivative: bool = False,
 ) -> ThetaValue:
     """Second-order theta: the (eps; 0) series evaluated at (2 tau, 2 z).
 
-    Derivative slots are reported with respect to the outer (tau, z)
-    variables, so both pick up the chain-rule factor 2.  At z = 0 its memo
+    The tau-derivative is reported with respect to the outer tau, so it
+    picks up the chain-rule factor 2.  At z = 0 its memo
     entry holds row m'' = 0 alone, from the one-row fold, apart from the
     entry of every m'' that ``theta_eval`` at 2 tau would make.
     """
@@ -456,8 +443,8 @@ def second_order_theta(
     if not np.isfinite(tau_arr).all():
         raise DomainError("tau has an entry that is not finite")
     (s,), est_tail = _theta_rows(eps, (0,) * g, tau_arr, None if z is None else 2 * _coerce_z(z, g),
-                                 None, policy, want_gradient, want_tau_derivative, True)
-    return ThetaValue(complex(s[0]), 2 * s[1 : g + 1] if want_gradient else None,
+                                 None, policy, False, want_tau_derivative, True)
+    return ThetaValue(complex(s[0]), None,
                       2 * s[g + 1 :].reshape(g, g) if want_tau_derivative else None, est_tail)
 
 
@@ -481,49 +468,6 @@ def theta_unnormalized(mp, mpp, tau, z=None, policy: TruncationPolicy | None = N
     axes = [np.arange(-r, r + 1, dtype=float) + x / 2.0 for r, x in zip(reach, mp)]
     y = z_arr + np.asarray(mpp, dtype=float) / 2.0
     return complex(class_sums(axes, tau_arr, y, one_row=True)[0][0, 0])
-
-
-def kappa_squared(
-    gamma: SymplecticElement, tau, policy: TruncationPolicy | None = None
-) -> complex:
-    """The squared theta multiplier of a level-2 group element.
-
-    Measured from the even-characteristic transformation law in squared
-    form, so no square-root branch of det(C tau + D) is ever chosen.  The
-    measurement is repeated over three even characteristics and two base
-    points and must agree to 1e-8.
-    """
-    if not membership(gamma, "Gamma(2)"):
-        raise DomainError("kappa_squared requires an element of Gamma(2)")
-    tau_arr = _coerce_tau(tau)
-    g = gamma.g
-    points = [SiegelPoint(tau_arr), SiegelPoint(tau_arr + 0.3j * np.eye(g))]
-    samples = []
-    for point in points:
-        image = act_on_tau(gamma, point)
-        det_cd = complex(np.linalg.det(automorphy_factor(gamma, point.tau)))
-        used = 0
-        for m in even_characteristics(g):
-            base = theta_eval(m, point, None, policy).value
-            if abs(base) < 1e-6:
-                continue
-            moved = theta_eval(m, image, None, policy).value
-            phi2 = phi_factor(m, gamma) ** 2
-            samples.append(moved**2 / (phi2 * det_cd * base**2))
-            used += 1
-            if used == 3:
-                break
-        if used == 0:
-            raise DegenerateBasePointError(
-                "all even theta constants vanish at the probe base point"
-            )
-    mean = sum(samples) / len(samples)
-    spread = max(abs(s - mean) for s in samples)
-    if spread > 1e-8 * max(1.0, abs(mean)):
-        raise ConvergenceError(
-            f"kappa^2 probes disagree by {spread:g}; transformation law violated"
-        )
-    return mean
 
 
 def min_im_eigenvalue(tau) -> float:

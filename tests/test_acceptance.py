@@ -145,10 +145,10 @@ def test_criterion_07_derivative_formula():
     start = time.perf_counter()
     rng = np.random.default_rng([SEED, 7, 1])
     taus1 = [sample_siegel_point(1, rng) for _ in range(5)]
-    rep1 = check_jacobi(1, taus1, tolerance=1e-8)
+    rep1 = check_jacobi(taus1, tolerance=1e-8)
     rng = np.random.default_rng([SEED, 7, 2])
     taus2 = [sample_siegel_point(2, rng) for _ in range(5)]
-    rep2 = check_jacobi(2, taus2, tolerance=1e-8)
+    rep2 = check_jacobi(taus2, tolerance=1e-8)
     worst = max(rep1.residual, rep2.residual)
     elapsed = time.perf_counter() - start
     ok = rep1.passed and rep2.passed and rep2.params["pairs"] == 15

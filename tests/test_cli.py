@@ -210,22 +210,24 @@ _COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_COMMANDS))
-@pytest.mark.parametrize(
-    "option",
-    [
-        ["--seed", "-1"],
-        ["--tol", "nan"],
-        ["--tol", "-1"],
-        ["--tol", "0"],
-        ["--tol", "inf"],
-        ["--g", "0"],
-        ["--g", "5"],
-        ["--series-tol", "inf"],
-        ["--series-tol", "nan"],
-    ],
-    ids="=".join,
-)
+_UNUSABLE = [
+    ["--seed", "-1"],
+    ["--tol", "nan"],
+    ["--tol", "-1"],
+    ["--tol", "0"],
+    ["--tol", "inf"],
+    ["--g", "0"],
+    ["--g", "5"],
+    ["--series-tol", "inf"],
+    ["--series-tol", "nan"],
+]
+
+
+# only verify and audit take --tol
+@pytest.mark.parametrize("option, command", [
+    pytest.param(option, command, id=f"{'='.join(option)}-{command}")
+    for option in _UNUSABLE for command in sorted(_COMMANDS)
+    if not (command == "eval" and option[0] == "--tol")])
 def test_unusable_options_exit_3(tmp_path, capsys, command, option):
     # rejected before any work: no report, no traceback, one error line
     out = tmp_path / "out.json"
@@ -233,6 +235,14 @@ def test_unusable_options_exit_3(tmp_path, capsys, command, option):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_has_no_tol(tmp_path, capsys):
+    # eval judges nothing, so --tol is an unrecognized argument
+    out = tmp_path / "out.json"
+    assert main(["eval", "S[0,0]", "--g", "2", "--tol", "1e-8", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))

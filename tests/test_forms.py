@@ -8,7 +8,6 @@ from theta_forge.errors import DomainError, ExpressionParseError
 from theta_forge.forms import (
     A_form,
     A_star,
-    MultiplierSpec,
     SecondOrderFactor,
     ThetaConstantFactor,
     ThetaProduct,
@@ -368,7 +367,7 @@ def test_W_jacobian_square_g2(rng):
 def test_rho_action_identity(rng):
     g = 3
     X = wedge_outer(rng.standard_normal((2, g)))
-    out = rho_k_action(np.eye(g), X, 2)
+    out = rho_k_action(np.eye(g), X)
     assert np.allclose(out.entries, X.entries)
 
 
@@ -378,7 +377,7 @@ def test_rho_action_wedge_recomputation(rng):
             M = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
             V = rng.standard_normal((k, g)) + 1j * rng.standard_normal((k, g))
             X = wedge_outer(V)
-            lhs = rho_k_action(M, X, k)
+            lhs = rho_k_action(M, X)
             rhs = wedge_outer(V @ M.T).scale(complex(np.linalg.det(M)) ** k)
             assert np.max(np.abs(lhs.entries - rhs.entries)) < 1e-8 * max(
                 1.0, lhs.max_abs()
@@ -391,7 +390,7 @@ def test_rho_action_top_order_matches_inverse_transpose_rule(rng):
     for g in (2, 3):
         M = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
         Xe = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
-        lhs = rho_k_action(M, from_matrix(Xe), g - 1).entries
+        lhs = rho_k_action(M, from_matrix(Xe)).entries
         Minv = np.linalg.inv(M)
         rhs = complex(np.linalg.det(M)) ** (g + 1) * (Minv.T @ Xe @ Minv)
         assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(rhs))
@@ -399,21 +398,16 @@ def test_rho_action_top_order_matches_inverse_transpose_rule(rng):
 
 def test_rho_action_level_mismatch(rng):
     g = 3
-    X = compound(np.eye(g), 1)
+    # the value's ambient size must be M's
     with pytest.raises(DomainError):
-        rho_k_action(np.eye(g), X, 3)
-    # the action is defined at level g - k only, not in plain level-k coordinates
+        rho_k_action(np.eye(g), compound(np.eye(g + 1), 1))
+    # k = g - level is at least 1: a level-g value has no action
     with pytest.raises(DomainError):
-        rho_k_action(np.eye(g), compound(rng.standard_normal((g, g)), 2), 2)
+        rho_k_action(np.eye(g), compound(rng.standard_normal((g, g)), g))
 
 
 # ---------------------------------------------------------------------------
 # transformation audits
-
-
-def test_multiplier_spec_rejects_odd_power():
-    with pytest.raises(DomainError):
-        MultiplierSpec(kappa_power=3)
 
 
 def test_audit_identity_element(rng):
@@ -425,9 +419,7 @@ def test_audit_identity_element(rng):
     def fn(pt):
         return star_product(A_form(F, H, pt), A_form(F, H, pt))
 
-    rep = audit_transformation(
-        fn, SymplecticElement(np.eye(2 * g, dtype=int)), 2, MultiplierSpec(kappa_power=4), t
-    )
+    rep = audit_transformation(fn, SymplecticElement(np.eye(2 * g, dtype=int)), (), t)
     assert rep.residual == 0.0
 
 
@@ -436,7 +428,7 @@ def test_audit_rejects_wrong_group(rng):
     t = sample_siegel_point(g, rng)
     in_gamma2_only = None
     for seed in range(50):
-        cand = conditioned_words("Gamma(2)", g, [t], 1, 1300 + seed)[0]
+        cand = conditioned_words("Gamma(2)", t, 1, 1300 + seed)[0]
         if not np.all(np.array([int(b) % 4 == 0 for b in np.diag(cand.B)])):
             in_gamma2_only = cand
             break
@@ -453,7 +445,7 @@ def test_audit_rejects_wrong_group(rng):
         )
 
     with pytest.raises(DomainError):
-        audit_transformation(fn, in_gamma2_only, 1, MultiplierSpec(kappa_power=2), t)
+        audit_transformation(fn, in_gamma2_only, (), t)
 
 
 def test_audit_astar_words(rng):
@@ -466,8 +458,8 @@ def test_audit_astar_words(rng):
     def fn(pt):
         return star_product(A_form(F, H1, pt), A_form(F, H2, pt))
 
-    for gamma in conditioned_words("Gamma(2,4)", g, [t], 3, 811):
-        rep = audit_transformation(fn, gamma, 2, MultiplierSpec(kappa_power=4), t)
+    for gamma in conditioned_words("Gamma(2,4)", t, 3, 811):
+        rep = audit_transformation(fn, gamma, (), t)
         assert rep.residual < 1e-9
 
 
@@ -479,10 +471,8 @@ def test_audit_gradient_wedge_with_phase_factors(rng):
     def fn(pt):
         return W_of_N(ns, pt)
 
-    for gamma in conditioned_words("Gamma(2)", g, [t], 3, 977):
-        rep = audit_transformation(
-            fn, gamma, 2, MultiplierSpec(kappa_power=4, phi_chars=tuple(ns)), t
-        )
+    for gamma in conditioned_words("Gamma(2)", t, 3, 977):
+        rep = audit_transformation(fn, gamma, ns, t)
         assert rep.residual < 1e-9
 
 

@@ -88,7 +88,7 @@ def test_gsm_round_trip_consistency(rng):
 
 def test_jacobi_g1_constant(rng):
     taus = [sample_siegel_point(1, rng) for _ in range(5)]
-    rep = check_jacobi(1, taus)
+    rep = check_jacobi(taus)
     assert rep.passed
     fitted = complex(*rep.params["fitted_constant"])
     assert fitted == pytest.approx(-np.pi, rel=1e-9)
@@ -97,7 +97,7 @@ def test_jacobi_g1_constant(rng):
 
 def test_jacobi_g2_ratio_constancy(rng):
     taus = [sample_siegel_point(2, rng) for _ in range(4)]
-    rep = check_jacobi(2, taus)
+    rep = check_jacobi(taus)
     assert rep.passed
     assert rep.params["pairs"] == 15
     # quartic ratio magnitude is the square of the one-dimensional constant
@@ -106,15 +106,15 @@ def test_jacobi_g2_ratio_constancy(rng):
 
 def test_jacobi_fit_stable_under_policy_refinement(rng):
     taus = [sample_siegel_point(1, rng) for _ in range(3)]
-    c_default = complex(*check_jacobi(1, taus).params["fitted_constant"])
+    c_default = complex(*check_jacobi(taus).params["fitted_constant"])
     tight = TruncationPolicy(target_tol=1e-14)
-    c_tight = complex(*check_jacobi(1, taus, policy=tight).params["fitted_constant"])
+    c_tight = complex(*check_jacobi(taus, policy=tight).params["fitted_constant"])
     assert abs(c_default - c_tight) < 1e-9
 
 
 def test_jacobi_rejects_higher_genus(rng):
     with pytest.raises(DomainError):
-        check_jacobi(3, [sample_siegel_point(3, rng)])
+        check_jacobi([sample_siegel_point(3, rng)])
 
 
 def test_main_theorem_g2_k1(rng):
@@ -257,7 +257,7 @@ def test_omega_consistency_checks(rng):
         evens = even_characteristics(g)
         F = theta_constant_product(g, evens[0])
         H = theta_constant_product(g, evens[1])
-        rep = check_omega_consistency(g, F, H, t)
+        rep = check_omega_consistency(F, H, t)
         assert rep.passed and rep.residual < 1e-9
         # identical inputs: both sides vanish, up to cancellation noise
         # measured against the scale of one uncancelled term
@@ -321,8 +321,8 @@ def test_exact_layer_fails_under_a_planted_fault(monkeypatch, name, fault, rows)
 
 def test_conditioned_words_deterministic(rng):
     t = sample_siegel_point(2, rng)
-    a = conditioned_words("Gamma(2)", 2, [t], 3, 5)
-    b = conditioned_words("Gamma(2)", 2, [t], 3, 5)
+    a = conditioned_words("Gamma(2)", t, 3, 5)
+    b = conditioned_words("Gamma(2)", t, 3, 5)
     assert a == b
 
 
@@ -338,11 +338,11 @@ def test_conditioned_words_match_stepwise_oracle(group, g, seed, count, point_se
     # the same words as with every partial product and every float block
     # built on its own
     t = sample_siegel_point(g, np.random.default_rng(point_seed))
-    got = conditioned_words(group, g, [t], count, seed)
+    got = conditioned_words(group, t, count, seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identities, "generate_subgroup_element", stepwise_subgroup_element)
         patch.setattr(identities, "act_on_tau", blockwise_act_on_tau)
-        assert conditioned_words(group, g, [t], count, seed) == got
+        assert conditioned_words(group, t, count, seed) == got
 
 
 @pytest.mark.parametrize(
@@ -363,7 +363,7 @@ def test_conditioned_words_rejects_only_documented_errors(monkeypatch, rng, rais
     monkeypatch.setattr(identities, "act_on_tau", act)
     t = sample_siegel_point(2, rng)
     with pytest.raises(expected, match=message):
-        conditioned_words("Gamma(2)", 2, [t], 1, 5)
+        conditioned_words("Gamma(2)", t, 1, 5)
 
 
 TAU_G2 = SiegelPoint(np.array([[0.1 + 1.0j, 0.2j], [0.2j, -0.3 + 0.8j]]))
@@ -378,7 +378,7 @@ TAU_G2 = SiegelPoint(np.array([[0.1 + 1.0j, 0.2j], [0.2j, -0.3 + 0.8j]]))
     lambda: SiegelPoint(np.zeros((0, 0), dtype=complex)),
     lambda: membership(SymplecticElement(np.eye(4, dtype=int)), "Gamma(0)"),
     lambda: membership(SymplecticElement(np.eye(4, dtype=int)), "Gamma(2,4)*"),
-    lambda: check_jacobi(1, []),
+    lambda: check_jacobi([]),
     lambda: check_main_theorem(3, 2, [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0))], []),
     lambda: check_exact_layer(4, genus_range=(1,)),
     lambda: check_exact_layer(4, genus_range=()),
@@ -424,9 +424,9 @@ def test_check_tolerance_defaults_are_the_suite_tolerances(check, row):
     args = {
         "gsm_forward": (Characteristic((1, 0), (1, 0)), TAU_G2),
         "gsm_backward": ((0, 1), (1, 0), TAU_G2),
-        "jacobi": (2, [TAU_G2]),
+        "jacobi": ([TAU_G2],),
         "main_theorem": (2, 1, [((0, 0), (1, 0))], [TAU_G2]),
-        "omega_consistency": (2, F, H, TAU_G2),
+        "omega_consistency": (F, H, TAU_G2),
     }[row]
     assert inspect.signature(check).parameters["tolerance"].default is None
     rep = check(*args)

@@ -35,6 +35,14 @@ def test_symplectic_imports_only_errors():
     assert names == {"errors"}
 
 
+def test_theta_imports_no_group_action_from_symplectic():
+    # the squared multiplier lives in forms, beside the audit that uses it
+    tree = ast.parse((SRC / "theta.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "symplectic" for alias in node.names}
+    assert imported == {"Characteristic", "SiegelPoint", "integer_entries", "parity"}
+
+
 # kept without a caller in the package or the benchmark: the caches' reset
 # and the console entry point
 _ENTRY_POINTS = {"theta.clear_caches", "cli.main"}

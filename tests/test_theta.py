@@ -33,13 +33,13 @@ from theta_forge.theta import (
     DEFAULT_POLICY,
     ThetaValue,
     TruncationPolicy,
-    kappa_squared,
     min_im_eigenvalue,
     second_order_theta,
     theta_eval,
     theta_gradient,
     theta_stencil,
 )
+from theta_forge.forms import kappa_squared
 from theta_forge.identities import conditioned_words
 
 TAU_I = SiegelPoint(np.array([[1j]]))
@@ -1057,7 +1057,7 @@ def test_kappa_requires_level_two(tau_g1):
 def test_kappa_fourth_root_on_level_24(rng):
     for g in (1, 2):
         t = sample_siegel_point(g, rng)
-        for gamma in conditioned_words("Gamma(2,4)", g, [t], 3, 60):
+        for gamma in conditioned_words("Gamma(2,4)", t, 3, 60):
             k2 = kappa_squared(gamma, t)
             assert abs(k2**2 - 1.0) < 1e-9
 
@@ -1065,7 +1065,7 @@ def test_kappa_fourth_root_on_level_24(rng):
 def test_kappa_plus_minus_one_on_deep_level(rng):
     for g in (1, 2):
         t = sample_siegel_point(g, rng)
-        gamma = conditioned_words("Gamma(4,8)", g, [t], 1, 9)[0]
+        gamma = conditioned_words("Gamma(4,8)", t, 1, 9)[0]
         k2 = kappa_squared(gamma, t)
         assert min(abs(k2 - 1.0), abs(k2 + 1.0)) < 1e-9
 
@@ -1073,7 +1073,7 @@ def test_kappa_plus_minus_one_on_deep_level(rng):
 def test_kappa_reaches_minus_one(rng):
     t = sample_siegel_point(2, rng)
     values = set()
-    for gamma in conditioned_words("Gamma(2,4)", 2, [t], 12, 7):
+    for gamma in conditioned_words("Gamma(2,4)", t, 12, 7):
         values.add(int(np.sign(kappa_squared(gamma, t).real)))
     assert values == {1, -1}
 
@@ -1082,7 +1082,7 @@ def test_kappa_second_order_compatibility(rng):
     # the doubled-argument constants transform with the same square
     for g in (1, 2):
         t = sample_siegel_point(g, rng)
-        gamma = conditioned_words("Gamma(2,4)", g, [t], 1, 21)[0]
+        gamma = conditioned_words("Gamma(2,4)", t, 1, 21)[0]
         k2 = kappa_squared(gamma, t)
         moved = act_on_tau(gamma, t)
         den = np.linalg.det(gamma.C.astype(float) @ t.tau + gamma.D.astype(float))
