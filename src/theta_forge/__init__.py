@@ -60,7 +60,6 @@ from .identities import (
     check_gsm_forward,
     check_jacobi,
     check_main_theorem,
-    check_omega_consistency,
     reports_to_json,
     run_suite,
 )

@@ -2,7 +2,10 @@
 transformation laws, and emit machine-readable JSON reports.
 
 Exit codes: 0 all-pass, 1 identity failure, 2 I/O error, 3 usage or parse
-error, 4 invalid mathematical input.
+error, 4 invalid mathematical input.  ``main`` alone maps an exception to
+its code: ``ExpressionParseError`` to 3, ``OSError`` to 2 and the four
+errors of ``MATH_ERRORS`` to 4, from any stage of any command.  Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ EXIT_FAIL = 1
 EXIT_IO = 2
 EXIT_USAGE = 3
 EXIT_MATH = 4
+MATH_ERRORS = (DomainError, ConvergenceError, DegenerateBasePointError, NumericalDegeneracyError)
 
 
 def _check_common(args) -> None:
@@ -77,16 +81,15 @@ def _add_common(parser):
     parser.add_argument("--out", type=str, default=None, help="report output path")
 
 
-def _write_or_print(text: str, path: str | None) -> int:
+def _write_or_print(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-        return EXIT_OK
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        return _fail(f"cannot write {path}: {exc}", EXIT_IO)
-    return EXIT_OK
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _complex_json(value: complex):
@@ -113,10 +116,7 @@ def cmd_verify(args) -> int:
         "truncation": {"target_tol": args.series_tol},
     }
     text = reports_to_json(reports, config=config, embed_timings=args.timings)
-    code = _write_or_print(text, args.out)
-    if code != EXIT_OK:
-        return code
-    failed = [r for r in reports if not r.passed]
+    _write_or_print(text, args.out)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(
@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
             f" tol={r.tolerance:.1e}",
             file=sys.stderr,
         )
-    return EXIT_OK if not failed else EXIT_FAIL
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
 def _load_point(args) -> SiegelPoint:
@@ -137,37 +137,24 @@ def _load_point(args) -> SiegelPoint:
 
 
 def cmd_eval(args) -> int:
-    try:
-        product = parse_theta_expression(args.expr)
-    except ExpressionParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"  {args.expr}", file=sys.stderr)
-        print(f"  {' ' * exc.position}^", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        return _fail(exc, EXIT_MATH)
+    product = parse_theta_expression(args.expr)
     try:
         point = _load_point(args)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
     except DomainError as exc:
-        return _fail(f"invalid tau input: {exc}", EXIT_MATH)
+        raise DomainError(f"invalid tau input: {exc}") from exc
     if point.g != product.g:
-        return _fail(f"expression genus {product.g} != tau genus {point.g}", EXIT_MATH)
-    try:
-        value = eval_product(product, point, args.policy)
-        payload = {
-            "expr": args.expr,
-            "genus": product.g,
-            "tau": point.to_json(),
-            "value": _complex_json(value),
-        }
-        if args.deriv:
-            deriv = partial_bracket(product, 1, point, args.policy).entries
-            payload["deriv"] = [[_complex_json(x) for x in row] for row in deriv]
-    except (ConvergenceError, DegenerateBasePointError, NumericalDegeneracyError) as exc:
-        return _fail(exc, EXIT_MATH)
-    return _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        raise DomainError(f"expression genus {product.g} != tau genus {point.g}")
+    payload = {
+        "expr": args.expr,
+        "genus": product.g,
+        "tau": point.to_json(),
+        "value": _complex_json(eval_product(product, point, args.policy)),
+    }
+    if args.deriv:
+        deriv = partial_bracket(product, 1, point, args.policy).entries
+        payload["deriv"] = [[_complex_json(x) for x in row] for row in deriv]
+    _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    return EXIT_OK
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -232,51 +219,25 @@ def cmd_audit(args) -> int:
     group = groups[args.group]
     policy = args.policy
     g = args.g
-    try:
-        phi_chars, value_fn = _parse_form(args.form, g, policy)
-    except ExpressionParseError as exc:
-        return _fail(exc, EXIT_USAGE)
-    except DomainError as exc:
-        return _fail(exc, EXIT_MATH)
+    phi_chars, value_fn = _parse_form(args.form, g, policy)
     needed = law_group(phi_chars)
     # words are products of the group's generators: all of them must obey the law
     if not all(membership(x, needed) for x in _generator_pool(group, g)):
         return _fail(f"form {args.form!r} transforms only under {needed},"
                      f" which does not contain {group}", EXIT_USAGE)
 
-    rng = np.random.default_rng(args.seed)
-    base = sample_siegel_point(g, rng)
-    try:
-        # a spec that parses but names no form fails here, whatever --words says
-        value_fn(base)
-    except (ConvergenceError, DegenerateBasePointError, DomainError) as exc:
-        return _fail(exc, EXIT_MATH)
+    base = sample_siegel_point(g, np.random.default_rng(args.seed))
+    value_fn(base)  # a spec that parses but names no form fails here, whatever --words says
     results = []
-    ok = True
-    try:
-        words = (
-            conditioned_words(group, base, args.words, args.seed + 5000)
-            if args.words
-            else []
-        )
-    except DomainError as exc:
-        return _fail(exc, EXIT_MATH)
+    words = conditioned_words(group, base, args.words, args.seed + 5000) if args.words else []
     for i, gamma in enumerate(words):
         try:
             rep = audit_transformation(value_fn, gamma, phi_chars, base, policy)
-        except (ConvergenceError, DegenerateBasePointError, DomainError) as exc:
-            return _fail(f"word {i}: {exc}", EXIT_MATH)
-        passed = rep.residual < args.tol
-        ok = ok and passed
-        results.append(
-            {
-                "word": i,
-                "residual": rep.residual,
-                "passed": passed,
-                "multiplier": _complex_json(rep.multiplier),
-                "gamma": gamma.to_json(),
-            }
-        )
+        except MATH_ERRORS as exc:
+            raise type(exc)(f"word {i}: {exc}") from exc
+        results.append({"word": i, "residual": rep.residual, "passed": rep.residual < args.tol,
+                        "multiplier": _complex_json(rep.multiplier), "gamma": gamma.to_json()})
+    ok = all(r["passed"] for r in results)
     payload = {
         "schema": "theta-forge/audit/1",
         "form": args.form,
@@ -287,9 +248,7 @@ def cmd_audit(args) -> int:
         "results": results,
         "all_passed": ok,
     }
-    code = _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    if code != EXIT_OK:
-        return code
+    _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -346,7 +305,15 @@ def main(argv=None) -> int:
         _check_common(args)
     except DomainError as exc:
         return _fail(exc, EXIT_USAGE)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ExpressionParseError as exc:  # a column of the eval expression gets a caret
+        caret = "" if exc.position is None else f"\n  {args.expr}\n  {' ' * exc.position}^"
+        return _fail(f"{exc}{caret}", EXIT_USAGE)
+    except OSError as exc:
+        return _fail(exc, EXIT_IO)
+    except MATH_ERRORS as exc:
+        return _fail(exc, EXIT_MATH)
 
 
 if __name__ == "__main__":

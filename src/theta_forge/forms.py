@@ -274,6 +274,11 @@ def rho_k_action(M: np.ndarray, X: CompoundMatrix) -> CompoundMatrix:
     return CompoundMatrix(X.ambient, X.level, det_k * (lam @ X.entries @ lam.T))
 
 
+def kappa_probes(tau: SiegelPoint) -> tuple[SiegelPoint, SiegelPoint]:
+    """The two points ``kappa_squared`` measures at: ``tau`` and ``tau`` + 0.3i."""
+    return tau, SiegelPoint(tau.tau + 0.3j * np.eye(tau.g))
+
+
 def kappa_squared(
     gamma: SymplecticElement, tau: SiegelPoint, policy: TruncationPolicy | None = None
 ) -> complex:
@@ -288,7 +293,7 @@ def kappa_squared(
         raise DomainError("kappa_squared requires an element of Gamma(2)")
     g = gamma.g
     samples = []
-    for point in (tau, SiegelPoint(tau.tau + 0.3j * np.eye(g))):
+    for point in kappa_probes(tau):
         image = act_on_tau(gamma, point)
         det_cd = complex(np.linalg.det(automorphy_factor(gamma, point.tau)))
         used = 0

@@ -32,9 +32,9 @@ from .errors import DomainError, NumericalDegeneracyError
 from .forms import (
     A_form,
     A_star,
-    ThetaProduct,
     W_of_N,
     audit_transformation,
+    kappa_probes,
     law_group,
     partial_bracket,
     pairing_bracket,
@@ -365,23 +365,6 @@ def check_main_theorem(
         "base_points": len(taus),
     }
     return _report("main_theorem", g, params, residual, tolerance, started)
-
-
-def check_omega_consistency(
-    F: ThetaProduct,
-    H: ThetaProduct,
-    tau: SiegelPoint,
-    policy: TruncationPolicy | None = None,
-    tolerance: float | None = None,
-) -> IdentityReport:
-    """Top-order pairing of (g-1)-th powers against the scaled cofactor matrix."""
-    started = time.perf_counter()
-    g = F.g
-    if g < 2:
-        raise DomainError("needs genus >= 2")
-    residual = _pairing_power_residual(F, H, g - 1, tau, policy)
-    params = {"F": F.label(), "H": H.label()}
-    return _report("omega_consistency", g, params, residual, tolerance, started)
 
 
 def _pairing_power_residual(F, H, k, tau, policy) -> float:
@@ -744,8 +727,9 @@ def _family_pairing_power(genus, rng, policy, seed=0):
             F, H, t = draw()
             worst = _worst(worst, _pairing_power_residual(F, H, k, t, policy))
         rows.append(_row("pairing_power_cofactor", {"k": k, "base_points": base_points}, worst))
-    worst = _worst(0.0, *(check_omega_consistency(*draw(), policy).residual
-                          for _ in range(3)))
+    # omega_consistency: the top order, k = g - 1
+    worst = _worst(0.0, *(_pairing_power_residual(F, H, genus - 1, t, policy)
+                          for F, H, t in (draw() for _ in range(3))))
     rows.append(_row("omega_consistency", {"base_points": 3}, worst))
     return rows
 
@@ -816,12 +800,12 @@ def _family_main_theorem(genus, rng, policy, seed=0):
 
 def conditioned_words(group, point, count, seed):
     """Deterministic length-4 group words at the genus of ``point`` that keep
-    the min Im eigenvalue of each probe, ``point`` and ``point`` + 0.3i,
-    >= 0.05."""
+    the min Im eigenvalue of the image of each of ``kappa_probes(point)``
+    >= 0.05, so that ``kappa_squared`` can measure at both."""
     out = []
     attempt = 0
     g = point.g
-    probes = [point, SiegelPoint(point.tau + 0.3j * np.eye(g))]
+    probes = kappa_probes(point)
     while len(out) < count and attempt < 200 * count:
         gamma = generate_subgroup_element(group, g, seed + attempt, 4)
         attempt += 1

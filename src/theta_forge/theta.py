@@ -439,9 +439,10 @@ def second_order_theta(
     g = tau_arr.shape[0]
     if len(eps) != g:
         raise DomainError(f"label length {len(eps)} != genus {g}")
-    tau_arr = 2 * tau_arr  # a Siegel point with tau, unless it overflows
-    if not np.isfinite(tau_arr).all():
-        raise DomainError("tau has an entry that is not finite")
+    half_max = np.finfo(float).max / 2  # doubling is exact up to here
+    if max(np.abs(tau_arr.real).max(), np.abs(tau_arr.imag).max()) > half_max:
+        raise DomainError(f"2 tau overflows: tau has an entry above {half_max:.3g}")
+    tau_arr = 2 * tau_arr
     (s,), est_tail = _theta_rows(eps, (0,) * g, tau_arr, None if z is None else 2 * _coerce_z(z, g),
                                  None, policy, False, want_tau_derivative, True)
     return ThetaValue(complex(s[0]), None,

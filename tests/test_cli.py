@@ -9,6 +9,12 @@ import pytest
 
 from theta_forge import cli
 from theta_forge.cli import main
+from theta_forge.errors import (
+    ConvergenceError,
+    DegenerateBasePointError,
+    DomainError,
+    NumericalDegeneracyError,
+)
 from theta_forge.symplectic import SiegelPoint
 
 
@@ -130,6 +136,19 @@ def test_eval_non_finite_tau_exits_4(tmp_path, capsys, part, entry):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: invalid tau input: tau has an entry that is not finite\n"
+
+
+def test_eval_tau_whose_double_overflows_exits_4(tmp_path, capsys):
+    # a second-order factor sums at 2 tau: a finite tau whose double is not
+    # is refused before the product is formed, so numpy warns of nothing
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"g": 1, "re": [[1e308]], "im": [[1.0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "T[0|0]*S[1]", "--tau", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 2 tau overflows") and captured.err.count("\n") == 1
 
 
 def test_eval_random_tau(capsys):
@@ -370,6 +389,72 @@ def test_audit_unusable_form_exits_4_before_any_word(tmp_path, capsys, monkeypat
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the one map from an exception to an exit code
+
+
+def _raise(error):
+    def stage(*args, **kwargs):
+        raise error("injected")
+
+    return stage
+
+
+_EVAL = ["eval", "T[0|0]"]
+_AUDIT = ["audit", "--form", "W:n1", "--group", "gamma2", "--g", "2", "--words", "1"]
+
+# each stage of a command, as the name in ``cli`` that it calls
+_STAGES = {
+    "eval-parse": (_EVAL, "parse_theta_expression"),
+    "eval-load": (_EVAL, "load_siegel_point"),
+    "eval-evaluation": (_EVAL, "eval_product"),
+    "eval-deriv": (_EVAL + ["--deriv"], "partial_bracket"),
+    "audit-parse": (_AUDIT, "_parse_form"),
+    "audit-base-value": (_AUDIT, "W_of_N"),
+    "audit-words": (_AUDIT, "conditioned_words"),
+    "audit-word": (_AUDIT, "audit_transformation"),
+}
+
+
+@pytest.mark.parametrize("error", [DomainError, ConvergenceError, DegenerateBasePointError,
+                                   NumericalDegeneracyError], ids=lambda e: e.__name__)
+@pytest.mark.parametrize("stage", sorted(_STAGES))
+def test_math_error_from_any_stage_exits_4(tmp_path, capsys, monkeypatch, tau_file, stage,
+                                           error):
+    argv, name = _STAGES[stage]
+    monkeypatch.setattr(cli, name, _raise(error))
+    out = tmp_path / "out.json"
+    tau = ["--tau", tau_file] if argv[0] == "eval" else []
+    assert main(argv + tau + ["--out", str(out)]) == 4
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "injected" in captured.err
+
+
+@pytest.mark.parametrize("argv", [_EVAL, _AUDIT], ids=["eval", "audit"])
+def test_os_error_at_write_exits_2(tmp_path, capsys, tau_file, argv):
+    tau = ["--tau", tau_file] if argv[0] == "eval" else []
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + tau + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_os_error_at_load_exits_2(tmp_path, capsys, monkeypatch, tau_file):
+    monkeypatch.setattr(cli, "load_siegel_point", _raise(OSError))
+    assert main(_EVAL + ["--tau", tau_file]) == 2
+    assert capsys.readouterr().err == "error: injected\n"
+
+
+def test_undocumented_error_propagates(monkeypatch, tau_file):
+    # any other exception is a bug: the map does not relabel it as an exit code
+    monkeypatch.setattr(cli, "eval_product", _raise(ZeroDivisionError))
+    with pytest.raises(ZeroDivisionError):
+        main(_EVAL + ["--tau", tau_file])
 
 
 # ---------------------------------------------------------------------------
